@@ -19,7 +19,7 @@ from .approx import (
     validate_simplicial,
 )
 from .complexes import RationalPoint, SimplicialComplex
-from .errors import PosetTowerError
+from .errors import InvalidInput, PosetTowerError
 from .homology import betti
 from .posets import FinitePoset, core, face_poset, order_complex, to_dot
 from .subdivision import subdivide
@@ -28,10 +28,16 @@ from .verify import SUITES, depth_guard, verify_all, verify_suite
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    name = "standard input" if path == "-" else path
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{name} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {name}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _emit(obj) -> None:

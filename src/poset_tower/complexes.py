@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidComplex,
@@ -157,9 +157,13 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SimplicialComplex":
+        if not isinstance(obj, dict):
+            raise InvalidComplex(f"a complex must be a JSON object, not {type(obj).__name__}")
         return validate_complex(obj.get("vertices", []), obj.get("simplices", []))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices
                 and self.simplices == other.simplices)
@@ -171,9 +175,19 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices)"
 
 
-def validate_complex(vertices: Iterable[str], simplices: Iterable[Iterable[str]]) -> SimplicialComplex:
+def _labels(raw, what: str) -> Sequence[str]:
+    """``raw`` if it is an array of string labels, else ``InvalidComplex``."""
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(v, str) for v in raw):
+        raise InvalidComplex(f"{what} must be an array of string labels, not {raw!r}")
+    return raw
+
+
+def validate_complex(vertices: Sequence[str], simplices: Sequence[Sequence[str]]) -> SimplicialComplex:
     """Validate raw data and return the complex; raises on any violation."""
-    return SimplicialComplex(vertices, [Simplex(s) for s in simplices])
+    if not isinstance(simplices, (list, tuple)):
+        raise InvalidComplex(f"simplices must be an array, not {simplices!r}")
+    return SimplicialComplex(_labels(vertices, "vertices"),
+                             [Simplex(_labels(s, "a simplex")) for s in simplices])
 
 
 class RationalPoint:
@@ -188,7 +202,10 @@ class RationalPoint:
     def __init__(self, complex: SimplicialComplex, coords: Mapping[str, Fraction]):
         clean = {}
         for v, a in coords.items():
-            a = Fraction(a)
+            try:
+                a = Fraction(a)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InvalidPoint(f"coordinate {a!r} at {v!r} is not a rational number") from exc
             if a < 0:
                 raise InvalidPoint(f"negative coordinate {a} at {v!r}")
             if a > 0:
@@ -232,7 +249,10 @@ class RationalPoint:
 
     @classmethod
     def from_json_obj(cls, complex: SimplicialComplex, obj) -> "RationalPoint":
-        return cls(complex, {v: Fraction(a) for v, a in obj.get("coords", {}).items()})
+        coords = obj.get("coords", {}) if isinstance(obj, dict) else None
+        if not isinstance(coords, dict):
+            raise InvalidPoint('a point must be a JSON object {"coords": {vertex: value}}')
+        return cls(complex, coords)
 
     def __eq__(self, other):
         return (isinstance(other, RationalPoint)

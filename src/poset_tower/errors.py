@@ -7,6 +7,10 @@ class PosetTowerError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(PosetTowerError):
+    """An input file is missing, unreadable or not valid JSON."""
+
+
 class InvalidComplex(PosetTowerError):
     pass
 

@@ -22,7 +22,7 @@ from .complexes import (
     open_star,
     star,
 )
-from .errors import DepthTooLarge, UnknownSuite
+from .errors import DepthTooLarge, InvalidComplex, UnknownSuite
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
 from .subdivision import sd_coordinates
@@ -350,6 +350,8 @@ def verify_suite(name: str, K: SimplicialComplex, depth: int,
     """Run one named suite at the given depth; raises on unknown names."""
     if name not in SUITES:
         raise UnknownSuite(f"{name!r}; choose from {sorted(SUITES)}")
+    if not K.simplices:
+        raise InvalidComplex("cannot verify the empty complex")
     depth_guard(K, depth)
     checks = SUITES[name](K, depth, seed)
     return VerificationReport(name, depth, seed, tuple(checks))

@@ -3,6 +3,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 
 from poset_tower import Tower
 from poset_tower.fixtures import (
@@ -12,6 +13,11 @@ from poset_tower.fixtures import (
     tetra_boundary,
     triangle,
 )
+
+# Property tests draw the same examples on every run and have no timing
+# deadline, so the suite stays deterministic on a slow or busy machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @lru_cache(maxsize=None)

@@ -54,6 +54,20 @@ class TestValidation:
         with pytest.raises(MissingFace):
             validate_complex(["a", "b"], [["a"]])
 
+    @pytest.mark.parametrize("obj", [
+        {"vertices": ["a"], "simplices": "a"},
+        {"vertices": ["a"], "simplices": {"a": ["a"]}},
+        {"vertices": "a", "simplices": [["a"]]},
+        {"vertices": ["a", 1], "simplices": [["a"]]},
+        {"vertices": ["a"], "simplices": ["a"]},
+        {"vertices": ["a"], "simplices": [["a", None]]},
+        ["a"],
+    ], ids=["simplices-string", "simplices-object", "vertices-string",
+            "vertex-number", "simplex-string", "simplex-null", "not-an-object"])
+    def test_bad_shapes_rejected(self, obj):
+        with pytest.raises(InvalidComplex):
+            SimplicialComplex.from_json_obj(obj)
+
     def test_empty_simplex_rejected(self):
         with pytest.raises(InvalidComplex):
             Simplex([])
@@ -191,3 +205,8 @@ class TestDistance:
         obj = p.to_json_obj()
         assert obj == {"coords": {"a": "2/3", "b": "1/3"}}
         assert RationalPoint.from_json_obj(E, obj) == p
+
+    @pytest.mark.parametrize("value", ["1/0", "x", None])
+    def test_point_json_bad_coordinate(self, E, value):
+        with pytest.raises(InvalidPoint):
+            RationalPoint.from_json_obj(E, {"coords": {"a": value}})

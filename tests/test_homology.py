@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from poset_tower import betti, chain_complex, subdivide
-from poset_tower.homology import euler_characteristic, smith_invariant_factors
+from poset_tower.homology import (
+    ChainComplexZ,
+    euler_characteristic,
+    smith_invariant_factors,
+)
 from poset_tower.fixtures import (
     circle,
     edge,
@@ -68,6 +73,21 @@ class TestChainComplex:
         for n in range(min(FIXTURE_DEPTHS[name], 2) + 1):
             assert chain_complex(subdivide(K, n).complex).is_valid()
 
+    def test_flipped_sign_is_invalid(self):
+        cc = chain_complex(triangle())
+        top = [list(row) for row in cc.boundaries[1]]
+        top[0][0] = -top[0][0]
+        broken = ChainComplexZ(cc.dims, (cc.boundaries[0], tuple(map(tuple, top))))
+        assert not broken.is_valid()
+
+
+def small_matrices():
+    """Integer matrices up to 6x6 with entries in -4..4, zeros weighted up."""
+    entries = st.one_of(st.just(0), st.integers(-4, 4))
+    return st.integers(1, 6).flatmap(lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+
 
 class TestSmith:
     def test_identity_matrix(self):
@@ -92,6 +112,18 @@ class TestSmith:
             for b in chain_complex(K).boundaries:
                 snf_rank = sum(1 for f in smith_invariant_factors(b) if f)
                 assert snf_rank == rank_over_rationals(b)
+
+    @given(small_matrices())
+    def test_matches_sympy(self, matrix):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        expected = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+        assert smith_invariant_factors(matrix) == tuple(
+            abs(int(f)) for f in expected if f)
+
+    def test_empty_matrix(self):
+        assert smith_invariant_factors(()) == ()
 
 
 class TestBetti:
@@ -139,3 +171,13 @@ class TestBetti:
         assert betti(triangle()).is_reduced_trivial()
         assert not betti(circle()).is_reduced_trivial()
         assert not betti(projective_plane()).is_reduced_trivial()
+
+    def test_projective_plane_deep_subdivision(self):
+        profile = betti(subdivide(projective_plane(), 2).complex)
+        assert profile.betti == (1, 0, 0)
+        assert profile.torsion == ((), (2,), ())
+
+    def test_tetra_boundary_deep_subdivision(self):
+        K = subdivide(tetra_boundary(), 3).complex
+        assert len(K.simplices) == 2594
+        assert betti(K) == betti(tetra_boundary())

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,8 @@ from poset_tower.errors import DepthTooLarge, UnknownSuite
 from poset_tower.fixtures import edge
 from poset_tower.verify import SUITES, depth_guard, verify_all, verify_suite
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURE_DIR = ROOT / "fixtures"
 FIXTURE_FILES = sorted(FIXTURE_DIR.glob("*.json"))
 
 
@@ -211,3 +215,45 @@ class TestApproxCommand:
         path = write_json(tmp_path / "map.json", obj)
         code, _, err = run_cli(capsys, "approx", "--map", path, "--cap", "1")
         assert code == 1 and "stage 1" in err
+
+
+class TestInputErrors:
+    """Malformed input ends in one ``error:`` line and exit 1, never a traceback."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "poset_tower", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def assert_clean_error(self, result, needle):
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert needle in result.stderr
+
+    def test_bad_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json", encoding="utf-8")
+        result = self.run_module("complex", "validate", str(path))
+        self.assert_clean_error(result, str(path))
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.json"
+        result = self.run_module("homology", str(path))
+        self.assert_clean_error(result, str(path))
+
+    @pytest.mark.parametrize("value", ["1/0", "half"])
+    def test_bad_coordinate(self, tmp_path, value):
+        cpath = write_json(tmp_path / "edge.json", edge().to_json_obj())
+        ppath = write_json(tmp_path / "p.json", {"coords": {"a": value, "b": "1"}})
+        result = self.run_module("tower", "encode", cpath, "--point", ppath,
+                                 "--depth", "1")
+        self.assert_clean_error(result, repr(value))
+
+    def test_verify_empty_complex(self, tmp_path):
+        path = write_json(tmp_path / "empty.json", {"vertices": [], "simplices": []})
+        result = self.run_module("tower", "verify", path, "--depth", "1")
+        self.assert_clean_error(result, "empty complex")
