@@ -17,6 +17,7 @@ from .complexes import RationalPoint, Simplex, SimplicialComplex
 from .errors import (
     ElementNotFound,
     IncoherentThread,
+    InvalidInput,
     InvalidPLMap,
     NotSimplicial,
     SearchExhausted,
@@ -25,7 +26,7 @@ from .posets import PosetMap
 from .subdivision import (
     SubdividedComplex,
     extend_subdivision,
-    sd_coordinates,
+    lift_point,
     stage_vertex_label,
     subdivide,
 )
@@ -177,10 +178,7 @@ class PLMap:
 
     def evaluate_base(self, p: RationalPoint) -> RationalPoint:
         """Value at a stage-0 point of the source."""
-        coords = p
-        for stage in self.source_stage.stage_chain()[1:]:
-            coords = sd_coordinates(stage, coords)
-        return self.evaluate(coords)
+        return self.evaluate(lift_point(self.source_stage, p))
 
     def to_json_obj(self):
         return {
@@ -193,12 +191,28 @@ class PLMap:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PLMap":
+        if not isinstance(obj, dict):
+            raise InvalidInput(f"a PL map must be a JSON object, not {type(obj).__name__}")
+        for key in ("source", "target"):
+            if key not in obj:
+                raise InvalidInput(f"a PL map needs a {key!r} complex")
         source = SimplicialComplex.from_json_obj(obj["source"])
         target = SimplicialComplex.from_json_obj(obj["target"])
-        stage = subdivide(source, int(obj.get("stage", 0)))
+        raw_stage = obj.get("stage", 0)
+        try:
+            n = int(raw_stage)
+        except (TypeError, ValueError):
+            n = -1
+        if n < 0:
+            raise InvalidInput(
+                f"a PL map stage must be a non-negative integer, not {raw_stage!r}")
+        raw_images = obj.get("images", {})
+        if not isinstance(raw_images, dict):
+            raise InvalidInput(
+                f"PL map images must be an object of vertex points, not {raw_images!r}")
         images = {v: RationalPoint.from_json_obj(target, raw)
-                  for v, raw in obj.get("images", {}).items()}
-        return cls(stage, target, images)
+                  for v, raw in raw_images.items()}
+        return cls(subdivide(source, n), target, images)
 
     def __repr__(self):
         return f"PLMap(stage={self.stage}, {len(self.images)} vertex images)"

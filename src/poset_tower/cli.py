@@ -131,13 +131,18 @@ def _cmd_tower_encode(args) -> int:
     return 0
 
 
-def _thread_from_file(tower: Tower, path: str):
-    return tower.thread(_read_json(path).get("entries", []))
+def _load_thread_entries(path: str) -> list:
+    obj = _read_json(path)
+    entries = obj.get("entries", []) if isinstance(obj, dict) else None
+    if not isinstance(entries, list):
+        raise InvalidInput(
+            f'a thread must be a JSON object {{"entries": [label, ...]}}, not {obj!r}')
+    return entries
 
 
 def _cmd_tower_decode(args) -> int:
     K = _load_complex(args.complex)
-    raw = _read_json(args.thread).get("entries", [])
+    raw = _load_thread_entries(args.thread)
     if not args.allow_deep:
         depth_guard(K, max(len(raw), 1))
     tower = Tower.build(K, max(len(raw), 1))
@@ -152,7 +157,7 @@ def _cmd_tower_decode(args) -> int:
 
 def _cmd_tower_validate(args) -> int:
     K = _load_complex(args.complex)
-    raw = _read_json(args.thread).get("entries", [])
+    raw = _load_thread_entries(args.thread)
     if not args.allow_deep:
         depth_guard(K, max(len(raw), 1))
     tower = Tower.build(K, max(len(raw), 1))

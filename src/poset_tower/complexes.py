@@ -97,7 +97,7 @@ class SimplicialComplex:
     instance in hand is a well-formed complex.
     """
 
-    __slots__ = ("vertices", "simplices", "_dim")
+    __slots__ = ("vertices", "simplices", "_dim", "_cofaces")
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -114,6 +114,7 @@ class SimplicialComplex:
             if Simplex((v,)) not in self.simplices:
                 raise MissingFace(Simplex((v,)))
         self._dim = max((s.dim for s in self.simplices), default=-1)
+        self._cofaces = None
 
     @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -134,7 +135,24 @@ class SimplicialComplex:
         return simplex in self.simplices
 
     def has_vertex(self, v: str) -> bool:
-        return v in set(self.vertices)
+        return Simplex((v,)) in self.simplices
+
+    def cofaces(self, simplex: Simplex) -> tuple:
+        """The simplices strictly containing ``simplex``, in canonical order.
+
+        The incidence index is built on first use from one pass over every
+        simplex's faces, and kept for the life of the complex.
+        """
+        if self._cofaces is None:
+            index = {s: [] for s in self.sorted_simplices()}
+            for t in index:
+                for f in t.faces():
+                    index[f].append(t)
+            self._cofaces = {s: tuple(ts) for s, ts in index.items()}
+        try:
+            return self._cofaces[simplex]
+        except KeyError:
+            raise SimplexNotInComplex(simplex.label()) from None
 
     def k_simplices(self, k: int):
         return tuple(sorted(s for s in self.simplices if s.dim == k))
@@ -270,10 +288,11 @@ def support(p: RationalPoint) -> Simplex:
 
 
 def star(K: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
-    """The subcomplex of simplices tau with simplex ∪ tau in K."""
-    if simplex not in K.simplices:
-        raise SimplexNotInComplex(simplex.label())
-    sims = {t for t in K.simplices if t.union(simplex) in K.simplices}
+    """The subcomplex of simplices tau with simplex ∪ tau in K.
+
+    These are exactly the faces of the simplices in the open star.
+    """
+    sims = {f for t in open_star(K, simplex) for f in t.faces_with_self()}
     verts = {v for t in sims for v in t.verts}
     return SimplicialComplex(verts, sims)
 
@@ -289,9 +308,7 @@ def link(K: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
 
 def open_star(K: SimplicialComplex, simplex: Simplex) -> set:
     """All simplices containing the given one; as a point set, star minus link."""
-    if simplex not in K.simplices:
-        raise SimplexNotInComplex(simplex.label())
-    return {t for t in K.simplices if simplex.is_face_of(t)}
+    return {simplex, *K.cofaces(simplex)}
 
 
 def dist_sq(p: RationalPoint, q: RationalPoint) -> Fraction:

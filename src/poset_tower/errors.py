@@ -8,7 +8,11 @@ class PosetTowerError(Exception):
 
 
 class InvalidInput(PosetTowerError):
-    """An input file is missing, unreadable or not valid JSON."""
+    """An input is missing, unreadable, not valid JSON, or of the wrong shape.
+
+    Wrong shapes include a list where an object is expected, a thread entry
+    or stage that is not a label or an integer, and a bad environment value.
+    """
 
 
 class InvalidComplex(PosetTowerError):

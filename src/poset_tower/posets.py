@@ -10,7 +10,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .complexes import Simplex, SimplicialComplex
-from .errors import ElementNotFound, NotAPartialOrder
+from .errors import ElementNotFound, InvalidInput, NotAPartialOrder
+
+
+def _is_labels(raw) -> bool:
+    """Whether ``raw`` is an array of string labels."""
+    return isinstance(raw, (list, tuple)) and all(isinstance(x, str) for x in raw)
 
 
 class FinitePoset:
@@ -166,7 +171,18 @@ class FinitePoset:
 
     @classmethod
     def from_json_obj(cls, obj) -> "FinitePoset":
-        return cls.from_pairs(obj.get("elements", []), obj.get("leq", []))
+        if not isinstance(obj, dict):
+            raise InvalidInput(f"a poset must be a JSON object, not {type(obj).__name__}")
+        elements = obj.get("elements", [])
+        pairs = obj.get("leq", [])
+        if not _is_labels(elements):
+            raise InvalidInput(f"poset elements must be an array of labels, not {elements!r}")
+        if not isinstance(pairs, (list, tuple)):
+            raise InvalidInput(f"poset leq must be an array of pairs, not {pairs!r}")
+        for pair in pairs:
+            if not (_is_labels(pair) and len(pair) == 2):
+                raise InvalidInput(f"poset leq entry {pair!r} is not a [lower, upper] pair")
+        return cls.from_pairs(elements, pairs)
 
     def __len__(self):
         return len(self.elements)

@@ -12,7 +12,7 @@ import os
 from fractions import Fraction
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
-from .errors import ElementNotFound, ResourceLimit
+from .errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
 
 
 def stage_vertex_label(simplex: Simplex) -> str:
@@ -46,7 +46,16 @@ def split_label_members(label: str):
 
 def _simplex_cap():
     raw = os.environ.get("POSET_TOWER_MAX_SIMPLICES")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InvalidInput(
+            f"POSET_TOWER_MAX_SIMPLICES must be a non-negative integer, not {raw!r}")
+    return cap
 
 
 class SubdividedComplex:
@@ -89,7 +98,7 @@ class SubdividedComplex:
         if cached is not None:
             return cached
         if self.stage == 0:
-            if label not in set(self.complex.vertices):
+            if not self.complex.has_vertex(label):
                 raise ElementNotFound(repr(label))
             point = RationalPoint.vertex(self.base, label)
         else:
@@ -134,15 +143,14 @@ def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
     """One barycentric subdivision step: simplices become chains of faces."""
     cx = prev.complex
     sims = cx.sorted_simplices()
-    labels = {s: stage_vertex_label(s) for s in sims}
-    provenance = {labels[s]: s for s in sims}
-    if len(provenance) != len(sims):
-        raise ResourceLimit("stage vertex labels collided")  # pragma: no cover
-
-    cofaces: dict[Simplex, list] = {s: [] for s in sims}
-    for t in sims:
-        for f in t.faces():
-            cofaces[f].append(t)
+    labels = {}
+    provenance = {}
+    for s in sims:
+        lab = labels[s] = stage_vertex_label(s)
+        if provenance.setdefault(lab, s) is not s:
+            raise InvalidComplex(
+                f"stage vertex label {lab!r} names both {provenance[lab].label()}"
+                f" and {s.label()}")
 
     cap = _simplex_cap()
     chains = []
@@ -154,7 +162,7 @@ def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
             if cap is not None and len(chains) > cap:
                 raise ResourceLimit(
                     f"subdivision exceeds POSET_TOWER_MAX_SIMPLICES={cap}")
-            for t in cofaces[top]:
+            for t in cx.cofaces(top):
                 stack.append((t, path + (labels[t],)))
 
     complex = SimplicialComplex(provenance.keys(), chains)
@@ -165,10 +173,7 @@ def subdivide(K: SimplicialComplex, n: int) -> SubdividedComplex:
     """The n-th barycentric subdivision with the full provenance chain."""
     if n < 0:
         raise ValueError("subdivision stage must be >= 0")
-    stage = SubdividedComplex(K, 0, K, {}, None)
-    for _ in range(n):
-        stage = _sd_once(stage)
-    return stage
+    return extend_subdivision(SubdividedComplex(K, 0, K, {}, None), n)
 
 
 def extend_subdivision(stage: SubdividedComplex, n: int) -> SubdividedComplex:
@@ -200,12 +205,18 @@ def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     return RationalPoint(stage.complex, out)
 
 
+def lift_chain(stage: SubdividedComplex, p: RationalPoint):
+    """Yield a stage-0 point over stages 0, 1, ..., n of this stage's chain."""
+    yield p
+    for s in stage.stage_chain()[1:]:
+        p = sd_coordinates(s, p)
+        yield p
+
+
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Push a stage-0 point up the chain into this stage's coordinates."""
-    coords = p
-    for s in stage.stage_chain()[1:]:
-        coords = sd_coordinates(s, coords)
-    return coords
+    *_, top = lift_chain(stage, p)
+    return top
 
 
 def embed_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:

@@ -19,6 +19,7 @@ from .errors import (
     EqualPoints,
     IncoherentThread,
     InvalidComplex,
+    InvalidInput,
     LevelOutOfRange,
     NotSeparated,
     SimplexNotInComplex,
@@ -27,8 +28,9 @@ from .errors import (
 from .posets import FinitePoset
 from .subdivision import (
     SubdividedComplex,
-    _sd_once,
-    sd_coordinates,
+    extend_subdivision,
+    lift_chain,
+    lift_point,
     mesh_sq_bound,
     stage_vertex_label,
     split_label_members,
@@ -140,19 +142,13 @@ class Tower:
     def build(cls, K: SimplicialComplex, depth: int) -> "Tower":
         if depth < 1:
             raise LevelOutOfRange("tower depth must be >= 1")
-        stages = [SubdividedComplex(K, 0, K, {}, None)]
-        while len(stages) < depth:
-            stages.append(_sd_once(stages[-1]))
-        levels = [_level_from_stage(stages[n - 1], n) for n in range(1, depth + 1)]
-        return cls(K, depth, stages, levels)
+        return cls(K, 0, [SubdividedComplex(K, 0, K, {}, None)], []).deepened(depth)
 
     def deepened(self, depth: int) -> "Tower":
         """A deeper tower sharing this one's stage chain."""
         if depth <= self.depth:
             return self
-        stages = list(self._stages)
-        while len(stages) < depth:
-            stages.append(_sd_once(stages[-1]))
+        stages = extend_subdivision(self._stages[-1], depth - 1).stage_chain()
         levels = list(self.levels)
         for n in range(self.depth + 1, depth + 1):
             levels.append(_level_from_stage(stages[n - 1], n))
@@ -161,8 +157,8 @@ class Tower:
     def stage(self, k: int) -> SubdividedComplex:
         if not 0 <= k <= self.depth:
             raise LevelOutOfRange(f"stage {k} outside 0..{self.depth}")
-        while len(self._stages) <= k:
-            self._stages.append(_sd_once(self._stages[-1]))
+        if k >= len(self._stages):
+            self._stages = extend_subdivision(self._stages[-1], k).stage_chain()
         return self._stages[k]
 
     def level(self, n: int) -> TowerLevel:
@@ -178,10 +174,7 @@ class Tower:
             raise ValueError("point is not over the tower's base complex")
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
-        coords = p
-        for k in range(1, n):
-            coords = sd_coordinates(self.stage(k), coords)
-        return stage_vertex_label(coords.support())
+        return stage_vertex_label(lift_point(self.stage(n - 1), p).support())
 
     def bond(self, x: str, m: int, n: int) -> str:
         """Transport a level-m element down to level n (identity when m == n).
@@ -213,15 +206,14 @@ class Tower:
     def encode_thread(self, p: RationalPoint, N: int) -> ThreadPrefix:
         if not 1 <= N <= self.depth:
             raise LevelOutOfRange(f"depth {N} outside 1..{self.depth}")
+        return ThreadPrefix(self, tuple(self._projections(p, N)))
+
+    def _projections(self, p: RationalPoint, N: int):
+        """Lazily, the level-1..N elements whose open carriers contain p."""
         if p.complex != self.base:
             raise ValueError("point is not over the tower's base complex")
-        entries = []
-        coords = p
-        for k in range(1, N + 1):
-            entries.append(stage_vertex_label(coords.support()))
-            if k < N:
-                coords = sd_coordinates(self.stage(k), coords)
-        return ThreadPrefix(self, tuple(entries))
+        return (stage_vertex_label(coords.support())
+                for coords in lift_chain(self.stage(N - 1), p))
 
     def thread(self, entries: Sequence[str]) -> ThreadPrefix:
         """Build a thread from raw labels, accepting carrier-set notation too."""
@@ -234,6 +226,8 @@ class Tower:
         return ThreadPrefix(self, resolved)
 
     def _resolve_label(self, raw: str, n: int) -> str:
+        if not isinstance(raw, str):
+            raise InvalidInput(f"thread entry {raw!r} at level {n} is not a label")
         if raw in self.level(n):
             return raw
         inner = None
@@ -275,8 +269,9 @@ class Tower:
         """Least level at which two distinct points project differently."""
         if p == q:
             raise EqualPoints("the points coincide")
-        for n in range(1, self.depth + 1):
-            if self.project_point(p, n) != self.project_point(q, n):
+        pairs = zip(self._projections(p, self.depth), self._projections(q, self.depth))
+        for n, (x, y) in enumerate(pairs, start=1):
+            if x != y:
                 return n
         raise NotSeparated(self.depth)
 

@@ -25,7 +25,7 @@ from .complexes import (
 from .errors import DepthTooLarge, InvalidComplex, UnknownSuite
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
-from .subdivision import sd_coordinates
+from .subdivision import lift_chain
 from .tower import Tower
 
 
@@ -129,8 +129,6 @@ def open_families_exhaustive(cx: SimplicialComplex, limit: int):
     only look at already-decided cofaces.
     """
     sims = sorted(cx.simplices, key=lambda s: (-len(s.verts), s.verts))
-    cofaces = {s: [t for t in cx.simplices if s != t and s.is_face_of(t)]
-               for s in sims}
     families = []
     stack = [(0, frozenset())]
     while stack:
@@ -142,7 +140,7 @@ def open_families_exhaustive(cx: SimplicialComplex, limit: int):
             continue
         s = sims[i]
         stack.append((i + 1, chosen))
-        if all(t in chosen for t in cofaces[s]):
+        if all(t in chosen for t in cx.cofaces(s)):
             stack.append((i + 1, chosen | {s}))
     return families
 
@@ -183,7 +181,7 @@ def _suite_bond_commutation(K, depth, seed):
     points = sample_points(K, 200, seed)
     ok_diagram = True
     for p in points:
-        proj = {n: tower.project_point(p, n) for n in range(1, depth + 1)}
+        proj = dict(enumerate(tower.encode_thread(p, depth).entries, start=1))
         for m in range(1, depth + 1):
             for n in range(1, m + 1):
                 if tower.bond(proj[m], m, n) != proj[n]:
@@ -286,11 +284,9 @@ def _suite_roundtrip(K, depth, seed):
                 ok_threads = False
             count += 1
     ok_points = True
+    top = tower.stage(depth)
     for p in sample_points(K, 50, seed):
-        coords = p
-        for k in range(1, depth + 1):
-            stage = tower.stage(k)
-            coords = sd_coordinates(stage, coords)
+        for stage, coords in zip(top.stage_chain(), lift_chain(top, p)):
             if stage.embed_point(coords) != p:
                 ok_points = False
     return [

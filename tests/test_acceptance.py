@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see one line per criterion.
 """
 
+import pathlib
 import time
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from poset_tower.verify import (
 from conftest import cached_tower
 
 FIXTURES = ["point", "edge", "circle", "triangle", "tetra-boundary"]
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 # depth 3 for curves, 2 for surfaces where a criterion says so
 ORACLE_DEPTHS = {"point": 3, "edge": 3, "circle": 3,
                  "triangle": 2, "tetra-boundary": 2}
@@ -307,10 +309,16 @@ def test_criterion_09_approximation_pipeline():
 
 
 def test_criterion_10_determinism():
+    # The golden files pin the bytes across versions, not just across runs.
+    # Each holds one verify_all(K, 2, seed=0) report per line; regenerate them
+    # only for a change that is meant to alter the reports.
     t0 = time.time()
     for name in FIXTURES:
         K = cached_tower(name, 2).base
         first = [r.to_json() for r in verify_all(K, 2, seed=0)]
         second = [r.to_json() for r in verify_all(K, 2, seed=0)]
         assert first == second, name
+        golden = GOLDEN_DIR / f"verify_all_{name}_depth2_seed0.jsonl"
+        assert "".join(line + "\n" for line in first) == \
+            golden.read_text(encoding="utf-8"), name
     report("criterion-10 determinism", time.time() - t0)

@@ -21,6 +21,7 @@ from poset_tower.errors import (
     SimplexNotInComplex,
     UnknownVertex,
 )
+from poset_tower.subdivision import subdivide
 from poset_tower.verify import sample_points
 
 from conftest import COMPLEXES
@@ -163,6 +164,37 @@ class TestStarLink:
             ost = open_star(K, s)
             for t in st.simplices:
                 assert (t in ost) == s.is_face_of(t)
+
+
+STAGE_COMPLEXES = [
+    pytest.param(st.complex, id=f"{name}-sd{st.stage}")
+    for name in sorted(COMPLEXES)
+    for st in subdivide(COMPLEXES[name](), 2).stage_chain()
+]
+
+
+class TestIncidenceOracle:
+    """Cofaces, open stars and stars against scans written from the definitions."""
+
+    @pytest.mark.parametrize("K", STAGE_COMPLEXES)
+    def test_against_brute_force(self, K):
+        sims = K.sorted_simplices()
+        for s in sims:
+            cofaces = [t for t in sims if t != s and s.is_face_of(t)]
+            assert K.cofaces(s) == tuple(cofaces)
+            assert open_star(K, s) == {s, *cofaces}
+            closed = {t for t in sims if t.union(s) in K}
+            assert star(K, s).simplices == closed
+            assert star(K, s).vertices == tuple(sorted({v for t in closed for v in t}))
+
+    def test_cofaces_of_missing_simplex(self, S1):
+        with pytest.raises(SimplexNotInComplex):
+            S1.cofaces(Simplex(["0", "1", "2"]))
+
+    def test_has_vertex(self, E):
+        assert E.has_vertex("a")
+        assert not E.has_vertex("c")
+        assert not E.has_vertex("b{a,b}")
 
 
 class TestDistance:

@@ -5,6 +5,7 @@ import pytest
 
 from poset_tower import (
     RationalPoint,
+    SimplicialComplex,
     SimplicialMap,
     dist_sq,
     face_poset,
@@ -15,7 +16,7 @@ from poset_tower import (
     stage_vertex_label,
     subdivide,
 )
-from poset_tower.errors import ResourceLimit
+from poset_tower.errors import InvalidComplex, InvalidInput, ResourceLimit
 from poset_tower.fixtures import circle, edge, point, triangle
 from poset_tower.verify import sample_points
 
@@ -65,6 +66,22 @@ class TestSubdivide:
         monkeypatch.setenv("POSET_TOWER_MAX_SIMPLICES", "10")
         with pytest.raises(ResourceLimit):
             subdivide(triangle(), 2)
+
+    def test_zero_cap_is_a_cap(self, monkeypatch):
+        monkeypatch.setenv("POSET_TOWER_MAX_SIMPLICES", "0")
+        with pytest.raises(ResourceLimit):
+            subdivide(point(), 1)
+
+    @pytest.mark.parametrize("value", ["x", "-1", "1.5"])
+    def test_bad_cap_value(self, monkeypatch, value):
+        monkeypatch.setenv("POSET_TOWER_MAX_SIMPLICES", value)
+        with pytest.raises(InvalidInput, match=repr(value)):
+            subdivide(edge(), 1)
+
+    def test_stage_label_collision(self):
+        K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
+        with pytest.raises(InvalidComplex, match=r"'b\{a,b\}'"):
+            subdivide(K, 1)
 
 
 class TestCoordinates:

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poset_tower import (
     RationalPoint,
     Simplex,
+    SimplicialComplex,
     Tower,
     betti,
     build_level,
@@ -16,12 +19,14 @@ from poset_tower import (
     order_complex,
     check_order_isomorphism,
     sd_coordinates,
+    stage_vertex_label,
     star,
 )
 from poset_tower.errors import (
     ElementNotFound,
     EqualPoints,
     IncoherentThread,
+    InvalidInput,
     LevelOutOfRange,
     NotSeparated,
     StageTooCoarse,
@@ -366,3 +371,92 @@ class TestTowerPlumbing:
         p = RationalPoint.vertex(S1, "0")
         with pytest.raises(ValueError):
             tower_E3.project_point(p, 1)
+
+    def test_wrong_complex_rejected_by_encode_and_separation(self, tower_E3, E, S1):
+        p = RationalPoint.vertex(S1, "0")
+        with pytest.raises(ValueError):
+            tower_E3.encode_thread(p, 1)
+        with pytest.raises(ValueError):
+            tower_E3.separation_stage(RationalPoint.vertex(E, "a"), p)
+
+    @pytest.mark.parametrize("entry", [3, None, ["a"]])
+    def test_thread_entry_must_be_a_label(self, tower_E3, entry):
+        with pytest.raises(InvalidInput):
+            tower_E3.thread(["a", entry])
+
+
+# -- properties on random small complexes ---------------------------------------
+
+
+@st.composite
+def small_complexes(draw):
+    """At most five vertices, dimension at most two."""
+    verts = "abcde"[:draw(st.integers(1, 5))]
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(verts), min_size=min(2, len(verts)), max_size=3,
+                 unique=True),
+        min_size=1, max_size=4))
+    return SimplicialComplex.from_maximal(facets)
+
+
+@st.composite
+def rational_points(draw, K, s=None):
+    """A point in the open simplex s, or in a drawn one (top simplices first)."""
+    if s is None:
+        s = draw(st.sampled_from(sorted(K.simplices, reverse=True)))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(s), max_size=len(s)))
+    total = sum(weights)
+    return RationalPoint(K, {v: frac(w, total) for v, w in zip(s.verts, weights)})
+
+
+@lru_cache(maxsize=None)
+def tower_of(K, depth):
+    return Tower.build(K, depth)
+
+
+class TestThreadProperties:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_encode_is_projection_and_explicit_lift(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 3))
+        p = data.draw(rational_points(K))
+        tower = tower_of(K, N)
+        entries = tower.encode_thread(p, N).entries
+        assert entries == tuple(tower.project_point(p, n) for n in range(1, N + 1))
+        coords = p
+        expected = [stage_vertex_label(coords.support())]
+        for k in range(1, N):
+            coords = sd_coordinates(tower.stage(k), coords)
+            expected.append(stage_vertex_label(coords.support()))
+        assert entries == tuple(expected)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_decode_then_encode_returns_the_thread(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 3))
+        tower = tower_of(K, N)
+        t = tower.encode_thread(data.draw(rational_points(K)), N)
+        region = tower.decode_thread(tower.thread(t.entries))
+        assert tower.encode_thread(region.representative, N) == t
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_separation_is_first_differing_level(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 3))
+        p = data.draw(rational_points(K))
+        q = data.draw(st.one_of(rational_points(K, p.support()), rational_points(K)))
+        tower = tower_of(K, N)
+        if p == q:
+            with pytest.raises(EqualPoints):
+                tower.separation_stage(p, q)
+            return
+        pairs = zip(tower.encode_thread(p, N).entries, tower.encode_thread(q, N).entries)
+        differ = [n for n, (x, y) in enumerate(pairs, start=1) if x != y]
+        if differ:
+            assert tower.separation_stage(p, q) == differ[0]
+        else:
+            with pytest.raises(NotSeparated):
+                tower.separation_stage(p, q)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from poset_tower.cli import main
+from poset_tower.complexes import SimplicialComplex
 from poset_tower.errors import DepthTooLarge, UnknownSuite
 from poset_tower.fixtures import edge
 from poset_tower.verify import SUITES, depth_guard, verify_all, verify_suite
@@ -14,6 +15,7 @@ from poset_tower.verify import SUITES, depth_guard, verify_all, verify_suite
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 FIXTURE_FILES = sorted(FIXTURE_DIR.glob("*.json"))
+EDGE = edge().to_json_obj()
 
 
 def write_json(path, obj):
@@ -221,8 +223,8 @@ class TestInputErrors:
     """Malformed input ends in one ``error:`` line and exit 1, never a traceback."""
 
     @staticmethod
-    def run_module(*argv):
-        env = dict(os.environ)
+    def run_module(*argv, **env_vars):
+        env = dict(os.environ, **env_vars)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "poset_tower", *argv],
@@ -257,3 +259,42 @@ class TestInputErrors:
         path = write_json(tmp_path / "empty.json", {"vertices": [], "simplices": []})
         result = self.run_module("tower", "verify", path, "--depth", "1")
         self.assert_clean_error(result, "empty complex")
+
+    @pytest.mark.parametrize("cmd,files,needle", [
+        (["tower", "decode", "{complex}", "--thread", "{thread}"],
+         {"thread": ["a"]}, "['a']"),
+        (["tower", "validate", "{complex}", "--thread", "{thread}"],
+         {"thread": ["a"]}, "['a']"),
+        (["tower", "validate", "{complex}", "--thread", "{thread}"],
+         {"thread": {"entries": ["a", 7]}}, "7"),
+        (["poset", "core", "{poset}"], {"poset": ["a"]}, "list"),
+        (["poset", "core", "{poset}"],
+         {"poset": {"elements": ["a", "b"], "leq": [["a", "b", "c"]]}}, "['a', 'b', 'c']"),
+        (["approx", "--map", "{map}"], {"map": ["a"]}, "list"),
+        (["approx", "--map", "{map}"], {"map": {"target": EDGE}}, "'source'"),
+        (["approx", "--map", "{map}"],
+         {"map": {"source": EDGE, "target": EDGE, "stage": "x"}}, "'x'"),
+        (["approx", "--map", "{map}"],
+         {"map": {"source": EDGE, "target": EDGE, "images": []}}, "[]"),
+    ], ids=["decode-list-thread", "validate-list-thread", "number-entry",
+            "list-poset", "long-leq-pair", "list-map", "map-without-source",
+            "map-stage-x", "map-images-list"])
+    def test_wrong_json_shape(self, tmp_path, cmd, files, needle):
+        paths = {"complex": write_json(tmp_path / "edge.json", EDGE)}
+        for key, obj in files.items():
+            paths[key] = write_json(tmp_path / f"{key}.json", obj)
+        result = self.run_module(*(arg.format(**paths) for arg in cmd))
+        self.assert_clean_error(result, needle)
+
+    @pytest.mark.parametrize("value", ["x", "-1"])
+    def test_bad_simplex_cap(self, tmp_path, value):
+        path = write_json(tmp_path / "edge.json", EDGE)
+        result = self.run_module("complex", "subdivide", path, "--stage", "1",
+                                 POSET_TOWER_MAX_SIMPLICES=value)
+        self.assert_clean_error(result, repr(value))
+
+    def test_stage_label_collision(self, tmp_path):
+        K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
+        path = write_json(tmp_path / "clash.json", K.to_json_obj())
+        result = self.run_module("complex", "subdivide", path, "--stage", "1")
+        self.assert_clean_error(result, "'b{a,b}'")
