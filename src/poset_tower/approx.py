@@ -95,11 +95,16 @@ class SimplicialMap:
 
 def validate_simplicial(g: SimplicialMap) -> bool:
     """True iff every simplex maps to a simplex of the target."""
-    return all(g.apply_simplex(s) in g.target.simplices for s in g.source.simplices)
+    try:
+        require_simplicial(g)
+    except NotSimplicial:
+        return False
+    return True
 
 
 def require_simplicial(g: SimplicialMap) -> None:
-    for s in g.source.simplices:
+    """Raise ``NotSimplicial`` at the first source simplex, in canonical order, that fails."""
+    for s in g.source.sorted_simplices():
         if g.apply_simplex(s) not in g.target.simplices:
             raise NotSimplicial(
                 f"simplex {s.label()} maps to {g.apply_simplex(s).label()},"
@@ -150,7 +155,7 @@ class PLMap:
                 raise ElementNotFound(f"no image for vertex {v!r}")
             if images[v].complex != target:
                 raise InvalidPLMap(f"image of {v!r} is not a point of the target")
-        for s in cx.simplices:
+        for s in cx.sorted_simplices():
             hull = Simplex.of(
                 w for v in s.verts for w in images[v].coords)
             if hull not in target.simplices:
@@ -198,14 +203,9 @@ class PLMap:
                 raise InvalidInput(f"a PL map needs a {key!r} complex")
         source = SimplicialComplex.from_json_obj(obj["source"])
         target = SimplicialComplex.from_json_obj(obj["target"])
-        raw_stage = obj.get("stage", 0)
-        try:
-            n = int(raw_stage)
-        except (TypeError, ValueError):
-            n = -1
-        if n < 0:
-            raise InvalidInput(
-                f"a PL map stage must be a non-negative integer, not {raw_stage!r}")
+        n = obj.get("stage", 0)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise InvalidInput(f"a PL map stage must be a non-negative integer, not {n!r}")
         raw_images = obj.get("images", {})
         if not isinstance(raw_images, dict):
             raise InvalidInput(

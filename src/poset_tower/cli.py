@@ -59,6 +59,8 @@ def _cmd_complex_validate(args) -> int:
 
 
 def _cmd_complex_subdivide(args) -> int:
+    if args.stage < 0:
+        raise InvalidInput(f"--stage must be a non-negative integer, not {args.stage}")
     K = _load_complex(args.file)
     if not args.allow_deep:
         depth_guard(K, args.stage)

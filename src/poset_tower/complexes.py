@@ -97,7 +97,7 @@ class SimplicialComplex:
     instance in hand is a well-formed complex.
     """
 
-    __slots__ = ("vertices", "simplices", "_dim", "_cofaces")
+    __slots__ = ("vertices", "simplices", "_dim", "_cofaces", "_sorted")
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -115,6 +115,7 @@ class SimplicialComplex:
                 raise MissingFace(Simplex((v,)))
         self._dim = max((s.dim for s in self.simplices), default=-1)
         self._cofaces = None
+        self._sorted = None
 
     @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -155,10 +156,13 @@ class SimplicialComplex:
             raise SimplexNotInComplex(simplex.label()) from None
 
     def k_simplices(self, k: int):
-        return tuple(sorted(s for s in self.simplices if s.dim == k))
+        return tuple(s for s in self.sorted_simplices() if s.dim == k)
 
-    def sorted_simplices(self):
-        return sorted(self.simplices)
+    def sorted_simplices(self) -> tuple:
+        """Every simplex in canonical order, sorted on first use and kept."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.simplices))
+        return self._sorted
 
     def counts(self):
         """Number of simplices in each dimension 0..dim."""
@@ -222,7 +226,7 @@ class RationalPoint:
         for v, a in coords.items():
             try:
                 a = Fraction(a)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ArithmeticError) as exc:
                 raise InvalidPoint(f"coordinate {a!r} at {v!r} is not a rational number") from exc
             if a < 0:
                 raise InvalidPoint(f"negative coordinate {a} at {v!r}")

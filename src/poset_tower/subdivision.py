@@ -139,23 +139,28 @@ class SubdividedComplex:
         return f"SubdividedComplex(stage={self.stage}, {self.complex!r})"
 
 
+def barycenters(cx: SimplicialComplex) -> dict:
+    """Each simplex of ``cx`` by barycenter label, in canonical order; rejects clashing labels."""
+    out = {}
+    for s in cx.sorted_simplices():
+        lab = stage_vertex_label(s)
+        if out.setdefault(lab, s) is not s:
+            raise InvalidComplex(
+                f"stage vertex label {lab!r} names both {out[lab].label()}"
+                f" and {s.label()}")
+    return out
+
+
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
     """One barycentric subdivision step: simplices become chains of faces."""
     cx = prev.complex
-    sims = cx.sorted_simplices()
-    labels = {}
-    provenance = {}
-    for s in sims:
-        lab = labels[s] = stage_vertex_label(s)
-        if provenance.setdefault(lab, s) is not s:
-            raise InvalidComplex(
-                f"stage vertex label {lab!r} names both {provenance[lab].label()}"
-                f" and {s.label()}")
+    provenance = barycenters(cx)
+    labels = {s: lab for lab, s in provenance.items()}
 
     cap = _simplex_cap()
     chains = []
-    for s in sims:
-        stack = [(s, (labels[s],))]
+    for lab, s in provenance.items():
+        stack = [(s, (lab,))]
         while stack:
             top, path = stack.pop()
             chains.append(Simplex(path))

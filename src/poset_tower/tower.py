@@ -28,6 +28,7 @@ from .errors import (
 from .posets import FinitePoset
 from .subdivision import (
     SubdividedComplex,
+    barycenters,
     extend_subdivision,
     lift_chain,
     lift_point,
@@ -69,19 +70,12 @@ def _level_from_stage(stage_prev: SubdividedComplex, n: int) -> TowerLevel:
     previous stage (face closure), so the full down-set of an element is
     enumerated directly from subsets; this stays linear in the level size.
     """
-    sims = stage_prev.complex.sorted_simplices()
-    carrier = {}
-    closure = {}
-    down = {}
-    for s in sims:
-        lab = stage_vertex_label(s)
-        carrier[lab] = s
-        closure[lab] = frozenset(s.verts)
-        below = set()
-        for k in range(1, len(s.verts) + 1):
-            for sub in combinations(s.verts, k):
-                below.add(stage_vertex_label(Simplex(sub)))
-        down[lab] = frozenset(below)
+    carrier = barycenters(stage_prev.complex)
+    label_of = {s.verts: lab for lab, s in carrier.items()}
+    down = {lab: frozenset(label_of[sub] for k in range(1, len(s.verts) + 1)
+                           for sub in combinations(s.verts, k))
+            for lab, s in carrier.items()}
+    closure = {lab: frozenset(s.verts) for lab, s in carrier.items()}
     poset = FinitePoset.from_down_sets(carrier.keys(), down)
     return TowerLevel(n, poset, carrier, closure)
 

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +24,7 @@ from poset_tower import (
 )
 from poset_tower.errors import (
     IncoherentThread,
+    InvalidInput,
     InvalidPLMap,
     NotSimplicial,
     SearchExhausted,
@@ -27,6 +32,8 @@ from poset_tower.errors import (
 from poset_tower.verify import sample_points
 
 from conftest import cached_tower
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def vertex_pl(K, target, images):
@@ -85,6 +92,46 @@ class TestPLMaps:
         again = PLMap.from_json_obj(h.to_json_obj())
         assert again.stage == 0
         assert again.images == h.images
+
+    @pytest.mark.parametrize("stage", [1.5, True, "1"])
+    def test_stage_must_be_a_json_integer(self, E, stage):
+        obj = pl_from_vertex_map(E, E, {"a": "a", "b": "b"}).to_json_obj()
+        obj["stage"] = stage
+        with pytest.raises(InvalidInput, match=f"not {stage!r}$"):
+            PLMap.from_json_obj(obj)
+
+
+class TestDeterministicErrors:
+    """The simplex an error names does not depend on the string hash seed."""
+
+    SCRIPT = """
+from poset_tower import PLMap, RationalPoint, SimplicialComplex, SimplicialMap
+from poset_tower import require_simplicial, subdivide
+from poset_tower.errors import PosetTowerError
+K = SimplicialComplex.from_maximal([["a", "b", "c", "d"]])
+T = SimplicialComplex.from_maximal([["w"], ["x"], ["y"], ["z"]])
+g = SimplicialMap(K, T, {"a": "w", "b": "x", "c": "y", "d": "z"})
+images = {v: RationalPoint.vertex(T, g(v)) for v in K.vertices}
+for attempt in (lambda: require_simplicial(g), lambda: PLMap(subdivide(K, 0), T, images)):
+    try:
+        attempt()
+    except PosetTowerError as exc:
+        print(exc)
+"""
+
+    def test_same_message_under_every_hash_seed(self):
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert outputs == {
+            "simplex {a,b} maps to {w,x}, not a simplex of the target\n"
+            "vertex images of {a,b} span {w,x}, which is not a simplex of the target\n"}
 
 
 class TestApproximate:

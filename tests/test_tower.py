@@ -26,6 +26,7 @@ from poset_tower.errors import (
     ElementNotFound,
     EqualPoints,
     IncoherentThread,
+    InvalidComplex,
     InvalidInput,
     LevelOutOfRange,
     NotSeparated,
@@ -84,6 +85,19 @@ class TestLevels:
             reference = face_poset(tower.stage(n - 1).complex)
             mapping = {x: level.carrier[x].label() for x in level.elements}
             assert check_order_isomorphism(level.poset, reference, mapping)
+
+    @pytest.mark.parametrize("name", sorted(COMPLEXES))
+    def test_level_carriers_are_stage_provenance(self, name):
+        tower = cached_tower(name, 3)
+        for n in range(1, tower.depth):
+            assert tower.level(n).carrier == tower.stage(n).provenance
+
+    def test_label_collision(self):
+        K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
+        for build in (Tower.build, build_level):
+            with pytest.raises(InvalidComplex,
+                               match=r"'b\{a,b\}' names both \{b\{a,b\}\} and \{a,b\}"):
+                build(K, 1)
 
 
 class TestProjection:

@@ -247,7 +247,7 @@ class TestInputErrors:
         result = self.run_module("homology", str(path))
         self.assert_clean_error(result, str(path))
 
-    @pytest.mark.parametrize("value", ["1/0", "half"])
+    @pytest.mark.parametrize("value", ["1/0", "half", float("inf")])
     def test_bad_coordinate(self, tmp_path, value):
         cpath = write_json(tmp_path / "edge.json", edge().to_json_obj())
         ppath = write_json(tmp_path / "p.json", {"coords": {"a": value, "b": "1"}})
@@ -276,9 +276,16 @@ class TestInputErrors:
          {"map": {"source": EDGE, "target": EDGE, "stage": "x"}}, "'x'"),
         (["approx", "--map", "{map}"],
          {"map": {"source": EDGE, "target": EDGE, "images": []}}, "[]"),
+        (["approx", "--map", "{map}"],
+         {"map": {"source": EDGE, "target": EDGE, "stage": 1.5}}, "not 1.5"),
+        (["approx", "--map", "{map}"],
+         {"map": {"source": EDGE, "target": EDGE, "stage": True}}, "not True"),
+        (["approx", "--map", "{map}"],
+         {"map": {"source": EDGE, "target": EDGE, "stage": "1"}}, "not '1'"),
     ], ids=["decode-list-thread", "validate-list-thread", "number-entry",
             "list-poset", "long-leq-pair", "list-map", "map-without-source",
-            "map-stage-x", "map-images-list"])
+            "map-stage-x", "map-images-list", "map-stage-float", "map-stage-bool",
+            "map-stage-string"])
     def test_wrong_json_shape(self, tmp_path, cmd, files, needle):
         paths = {"complex": write_json(tmp_path / "edge.json", EDGE)}
         for key, obj in files.items():
@@ -298,3 +305,17 @@ class TestInputErrors:
         path = write_json(tmp_path / "clash.json", K.to_json_obj())
         result = self.run_module("complex", "subdivide", path, "--stage", "1")
         self.assert_clean_error(result, "'b{a,b}'")
+
+    @pytest.mark.parametrize("command", [["build"], ["verify", "--suite", "level-oracle"]],
+                             ids=["build", "verify-level-oracle"])
+    def test_level_label_collision(self, tmp_path, command):
+        K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
+        path = write_json(tmp_path / "clash.json", K.to_json_obj())
+        result = self.run_module("tower", command[0], path, *command[1:], "--depth", "1")
+        self.assert_clean_error(result, "'b{a,b}' names both {b{a,b}} and {a,b}")
+
+    @pytest.mark.parametrize("flags", [[], ["--allow-deep"]], ids=["guarded", "allow-deep"])
+    def test_negative_stage(self, tmp_path, flags):
+        path = write_json(tmp_path / "edge.json", EDGE)
+        result = self.run_module("complex", "subdivide", path, "--stage", "-1", *flags)
+        self.assert_clean_error(result, "--stage must be a non-negative integer, not -1")
