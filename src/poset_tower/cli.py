@@ -22,7 +22,7 @@ from .complexes import RationalPoint, SimplicialComplex
 from .errors import InvalidInput, PosetTowerError
 from .homology import betti
 from .posets import FinitePoset, core, face_poset, order_complex, to_dot
-from .subdivision import subdivide
+from .subdivision import extend_subdivision, subdivide
 from .tower import Tower
 from .verify import SUITES, depth_guard, verify_all, verify_suite
 
@@ -198,7 +198,7 @@ def _cmd_homology(args) -> int:
 def _cmd_approx(args) -> int:
     h = PLMap.from_json_obj(_read_json(args.map))
     n, f = approximate(h, cap=args.cap)
-    stage = subdivide(h.source, n)
+    stage = extend_subdivision(h.source_stage, n)
     samples = homotopy_sample_points(stage.complex)
     _emit({
         "n": n,

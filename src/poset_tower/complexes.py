@@ -58,15 +58,8 @@ class Simplex:
         yield from self.faces()
         yield self
 
-    def is_face_of(self, other: "Simplex") -> bool:
-        return set(self.verts) <= set(other.verts)
-
     def union(self, other: "Simplex") -> "Simplex":
         return Simplex.of(self.verts + other.verts)
-
-    def intersection(self, other: "Simplex"):
-        common = set(self.verts) & set(other.verts)
-        return Simplex(common) if common else None
 
     def __len__(self):
         return len(self.verts)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .complexes import RationalPoint, Simplex, SimplicialComplex, open_star
+from .complexes import RationalPoint, Simplex, SimplicialComplex
 from .errors import (
     ElementNotFound,
     EqualPoints,
@@ -183,10 +183,13 @@ class Tower:
             raise ElementNotFound(repr(x))
         cur = x
         for k in range(m, n, -1):
-            members = self.level(k).carrier[cur].verts
-            prev_carrier = self.level(k - 1).carrier
-            cur = max(members, key=lambda u: len(prev_carrier[u].verts))
+            cur = self._largest_carrier(self.level(k).carrier[cur].verts, k - 1)
         return cur
+
+    def _largest_carrier(self, members, k: int) -> str:
+        """The level-k element among ``members`` whose carrier is largest."""
+        carrier = self.level(k).carrier
+        return max(members, key=lambda u: len(carrier[u].verts))
 
     def basic_preimage(self, x: str, n: int) -> set:
         """Open simplices of stage n-1 covering the preimage of the basic open at x."""
@@ -275,7 +278,11 @@ class Tower:
         """Project a union of stage-m open simplices to level n.
 
         The projection is constant on each open simplex once m >= n-1, so the
-        image is computed from barycenters.
+        image is read from labels.  For m == n-1 the open simplex s lies in the
+        open carrier of its own barycenter, so its image is the label of that
+        barycenter.  For m >= n, s is a chain of level-m elements with nested
+        carriers and lies in the open carrier of the largest one; that member
+        is its level-m image, and the bonds take it down to level n.
         """
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
@@ -286,8 +293,10 @@ class Tower:
         for s in opens:
             if s not in stage.complex.simplices:
                 raise SimplexNotInComplex(s.label())
-            point = stage.embed_point(RationalPoint.barycenter(stage.complex, s))
-            out.add(self.project_point(point, n))
+            if m == n - 1:
+                out.add(stage_vertex_label(s))
+            else:
+                out.add(self.bond(self._largest_carrier(s.verts, m), m, n))
         return frozenset(out)
 
     def __repr__(self):
@@ -324,15 +333,3 @@ def separation_stage(T: Tower, p: RationalPoint, q: RationalPoint) -> int:
 
 def image_of_open(T: Tower, opens: Iterable[Simplex], m: int, n: int) -> frozenset:
     return T.image_of_open(opens, m, n)
-
-
-def open_subset_is_open(complex: SimplicialComplex, simplices) -> bool:
-    """Whether a union of open simplices is open in the realization.
-
-    That holds exactly when the family is closed under taking cofaces.
-    """
-    family = set(simplices)
-    return all(
-        t in family
-        for s in family
-        for t in open_star(complex, s))

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import settings
 
-from poset_tower import Tower
+from poset_tower import RationalPoint, Simplex, SimplicialComplex, Tower, open_star
 from poset_tower.fixtures import (
     circle,
     edge,
@@ -41,6 +42,69 @@ FIXTURE_DEPTHS = {
     "triangle": 2,
     "tetra-boundary": 2,
 }
+
+
+# -- oracles written from the definitions ---------------------------------------
+
+
+def is_face_of(s: Simplex, t: Simplex) -> bool:
+    return set(s.verts) <= set(t.verts)
+
+
+def lifted_image(tower: Tower, s: Simplex, m: int, n: int) -> str:
+    """The level-n projection of the barycenter of a stage-m simplex, by lifting."""
+    stage = tower.stage(m)
+    point = stage.embed_point(RationalPoint.barycenter(stage.complex, s))
+    return tower.project_point(point, n)
+
+
+def open_subset_is_open(complex: SimplicialComplex, simplices) -> bool:
+    """Whether a union of open simplices is open in the realization.
+
+    That holds exactly when the family is closed under taking cofaces.
+    """
+    family = set(simplices)
+    return all(
+        t in family
+        for s in family
+        for t in open_star(complex, s))
+
+
+def open_families_exhaustive(cx: SimplicialComplex, limit: int):
+    """All coface-closed simplex families (the open unions), or None past limit.
+
+    Simplices are decided from top dimension down, so inclusion constraints
+    only look at already-decided cofaces.
+    """
+    sims = sorted(cx.simplices, key=lambda s: (-len(s.verts), s.verts))
+    families = []
+    stack = [(0, frozenset())]
+    while stack:
+        i, chosen = stack.pop()
+        if i == len(sims):
+            families.append(chosen)
+            if len(families) > limit:
+                return None
+            continue
+        s = sims[i]
+        stack.append((i + 1, chosen))
+        if all(t in chosen for t in cx.cofaces(s)):
+            stack.append((i + 1, chosen | {s}))
+    return families
+
+
+def open_families_sampled(cx: SimplicialComplex, count: int, seed: int):
+    """Random simplex subsets closed under cofaces (each union is open)."""
+    rng = random.Random(seed)
+    sims = cx.sorted_simplices()
+    families = []
+    for _ in range(count):
+        base = {s for s in sims if rng.random() < 0.3}
+        closed = set()
+        for s in base:
+            closed.update(open_star(cx, s))
+        families.append(frozenset(closed))
+    return families
 
 
 @pytest.fixture

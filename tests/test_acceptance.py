@@ -33,14 +33,12 @@ from poset_tower import (
 )
 from poset_tower.fixtures import circle, edge, point, tetra_boundary, triangle
 from poset_tower.verify import (
-    open_families_exhaustive,
-    open_families_sampled,
     sample_points,
     sample_separated_pairs,
     verify_all,
 )
 
-from conftest import cached_tower
+from conftest import cached_tower, open_families_exhaustive, open_families_sampled
 
 FIXTURES = ["point", "edge", "circle", "triangle", "tetra-boundary"]
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"

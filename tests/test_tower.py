@@ -32,14 +32,20 @@ from poset_tower.errors import (
     NotSeparated,
     StageTooCoarse,
 )
-from poset_tower.tower import open_subset_is_open
 from poset_tower.verify import (
-    open_families_exhaustive,
     sample_points,
     sample_separated_pairs,
+    verify_suite,
 )
 
-from conftest import COMPLEXES, FIXTURE_DEPTHS, cached_tower
+from conftest import (
+    COMPLEXES,
+    FIXTURE_DEPTHS,
+    cached_tower,
+    lifted_image,
+    open_families_exhaustive,
+    open_subset_is_open,
+)
 
 
 def frac(a, b=1):
@@ -348,6 +354,20 @@ class TestOpenImages:
         assert not open_subset_is_open(E, {Simplex(["a"])})
         assert open_subset_is_open(S1, set(S1.k_simplices(1)))
 
+    @pytest.mark.parametrize("name", sorted(COMPLEXES))
+    def test_label_images_match_lifting(self, name):
+        tower = cached_tower(name, FIXTURE_DEPTHS[name])
+        for n in range(1, tower.depth + 1):
+            for m in range(n - 1, tower.depth + 1):
+                for s in tower.stage(m).complex.sorted_simplices():
+                    assert tower.image_of_open([s], m, n) == {lifted_image(tower, s, m, n)}
+
+    def test_openness_exhaustive_at_depth_three(self, TETRA_BD):
+        report = verify_suite("openness", TETRA_BD, 3)
+        assert report.passed
+        assert [c.detail for c in report.checks] == [
+            f"{k} open stars" for k in (14, 74, 74, 434, 434, 2594)]
+
     @pytest.mark.parametrize("name", ["edge", "circle"])
     def test_images_of_open_families_are_up_sets(self, name):
         tower = cached_tower(name, FIXTURE_DEPTHS[name])
@@ -474,3 +494,35 @@ class TestThreadProperties:
         else:
             with pytest.raises(NotSeparated):
                 tower.separation_stage(p, q)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_label_images_match_lifting(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 2))
+        tower = tower_of(K, N)
+        for n in range(1, N + 1):
+            for m in range(n - 1, N + 1):
+                for s in tower.stage(m).complex.sorted_simplices():
+                    assert tower.image_of_open([s], m, n) == {lifted_image(tower, s, m, n)}
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_open_stars_agree_with_open_families(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 2))
+        tower = tower_of(K, N)
+        checks = iter(verify_suite("openness", K, N).checks)
+        for n in range(1, N + 1):
+            is_up_set = tower.level(n).poset.is_up_set
+            for m in (n - 1, n):
+                check = next(checks)
+                cx = tower.stage(m).complex
+                assert check.detail == f"{len(cx.simplices)} open stars"
+                families = open_families_exhaustive(cx, 5000)
+                if families is None:
+                    continue
+                image = {s: tower.image_of_open([s], m, n) for s in cx.simplices}
+                ok = all(is_up_set(frozenset().union(*(image[s] for s in fam)))
+                         for fam in families)
+                assert check.passed == ok
