@@ -208,11 +208,11 @@ def _suite_upset_acyclic(K, depth, seed):
 
 
 def _suite_openness(K, depth, seed):
-    """Each open star's image is an up-set, which covers every open set.
+    """The image of every open star of stage m is an up-set of level n.
 
     An open union of open simplices is a union of open stars, images commute
     with unions and a union of up-sets is an up-set, so one check per stage-m
-    simplex decides the claim for every open family.
+    simplex decides the claim for every open set.
     """
     tower = Tower.build(K, depth)
     checks = []
