@@ -8,6 +8,7 @@ validate|separate|verify``, ``homology``, ``approx``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,7 +213,9 @@ def _cmd_approx(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built on the first call and reused; ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="poset-tower",
         description="Realize a simplicial complex through a tower of finite posets.")

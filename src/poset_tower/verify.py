@@ -125,10 +125,9 @@ def sample_separated_pairs(K: SimplicialComplex, count: int, seed: int):
 # -- suites -------------------------------------------------------------------
 
 
-def _suite_level_oracle(K, depth, seed):
-    tower = Tower.build(K, depth)
+def _suite_level_oracle(tower, seed):
     checks = []
-    for n in range(1, depth + 1):
+    for n in range(1, tower.depth + 1):
         level = tower.level(n)
         reference = face_poset(tower.stage(n - 1).complex)
         mapping = {x: level.carrier[x].label() for x in level.elements}
@@ -139,9 +138,9 @@ def _suite_level_oracle(K, depth, seed):
     return checks
 
 
-def _suite_bond_commutation(K, depth, seed):
-    tower = Tower.build(K, depth)
-    points = sample_points(K, 200, seed)
+def _suite_bond_commutation(tower, seed):
+    depth = tower.depth
+    points = sample_points(tower.base, 200, seed)
     ok_diagram = True
     for p in points:
         proj = dict(enumerate(tower.encode_thread(p, depth).entries, start=1))
@@ -162,10 +161,9 @@ def _suite_bond_commutation(K, depth, seed):
     ]
 
 
-def _suite_preimage(K, depth, seed):
-    tower = Tower.build(K, depth)
+def _suite_preimage(tower, seed):
     checks = []
-    for n in range(1, depth + 1):
+    for n in range(1, tower.depth + 1):
         level = tower.level(n)
         prev = tower.stage(n - 1).complex
         ok = all(
@@ -177,10 +175,9 @@ def _suite_preimage(K, depth, seed):
     return checks
 
 
-def _suite_upset_core(K, depth, seed):
-    tower = Tower.build(K, depth)
+def _suite_upset_core(tower, seed):
     checks = []
-    for n in range(1, depth + 1):
+    for n in range(1, tower.depth + 1):
         level = tower.level(n)
         ok = all(
             len(core(level.poset.restrict(level.poset.up_set(x)))) == 1
@@ -189,10 +186,9 @@ def _suite_upset_core(K, depth, seed):
     return checks
 
 
-def _suite_upset_acyclic(K, depth, seed):
-    tower = Tower.build(K, depth)
+def _suite_upset_acyclic(tower, seed):
     checks = []
-    for n in range(1, depth + 1):
+    for n in range(1, tower.depth + 1):
         level = tower.level(n)
         prev = tower.stage(n - 1).complex
         ok_order = all(
@@ -207,16 +203,15 @@ def _suite_upset_acyclic(K, depth, seed):
     return checks
 
 
-def _suite_openness(K, depth, seed):
+def _suite_openness(tower, seed):
     """The image of every open star of stage m is an up-set of level n.
 
     An open union of open simplices is a union of open stars, images commute
     with unions and a union of up-sets is an up-set, so one check per stage-m
     simplex decides the claim for every open set.
     """
-    tower = Tower.build(K, depth)
     checks = []
-    for n in range(1, depth + 1):
+    for n in range(1, tower.depth + 1):
         is_up_set = tower.level(n).poset.is_up_set
         for m in (n - 1, n):
             cx = tower.stage(m).complex
@@ -228,11 +223,10 @@ def _suite_openness(K, depth, seed):
     return checks
 
 
-def _suite_roundtrip(K, depth, seed):
-    tower = Tower.build(K, depth)
+def _suite_roundtrip(tower, seed):
     ok_threads = True
     count = 0
-    for N in range(1, depth + 1):
+    for N in range(1, tower.depth + 1):
         for x in tower.level(N).elements:
             entries = tuple(tower.bond(x, N, n) for n in range(1, N + 1))
             t = tower.thread(entries)
@@ -241,8 +235,8 @@ def _suite_roundtrip(K, depth, seed):
                 ok_threads = False
             count += 1
     ok_points = True
-    top = tower.stage(depth)
-    for p in sample_points(K, 50, seed):
+    top = tower.stage(tower.depth)
+    for p in sample_points(tower.base, 50, seed):
         for stage, coords in zip(top.stage_chain(), lift_chain(top, p)):
             if stage.embed_point(coords) != p:
                 ok_points = False
@@ -252,12 +246,11 @@ def _suite_roundtrip(K, depth, seed):
     ]
 
 
-def _suite_homology(K, depth, seed):
-    reference = betti(K)
-    tower = Tower.build(K, depth)
+def _suite_homology(tower, seed):
+    reference = betti(tower.base)
     checks = [Check("stage-0-profile", True,
                     f"betti={list(reference.betti)}")]
-    for n in range(1, depth + 1):
+    for n in range(1, tower.depth + 1):
         profile = betti(tower.stage(n).complex)
         checks.append(Check(
             f"stage-{n}-betti-invariant", profile == reference,
@@ -265,8 +258,8 @@ def _suite_homology(K, depth, seed):
     return checks
 
 
-def _suite_naturality(K, depth, seed):
-    tower = Tower.build(K, depth)
+def _suite_naturality(tower, seed):
+    K, depth = tower.base, tower.depth
     maps = [
         ("identity", SimplicialMap.identity(K)),
         ("constant", SimplicialMap.constant(K, K, K.vertices[0])),
@@ -298,17 +291,23 @@ SUITES: dict[str, Callable] = {
 }
 
 
+def _reports(names, K: SimplicialComplex, depth: int, seed: int) -> list:
+    if not K.simplices:
+        raise InvalidComplex("cannot verify the empty complex")
+    depth_guard(K, depth)
+    tower = Tower.build(K, depth)
+    return [VerificationReport(name, depth, seed, tuple(SUITES[name](tower, seed)))
+            for name in names]
+
+
 def verify_suite(name: str, K: SimplicialComplex, depth: int,
                  seed: int = 0) -> VerificationReport:
     """Run one named suite at the given depth; raises on unknown names."""
     if name not in SUITES:
         raise UnknownSuite(f"{name!r}; choose from {sorted(SUITES)}")
-    if not K.simplices:
-        raise InvalidComplex("cannot verify the empty complex")
-    depth_guard(K, depth)
-    checks = SUITES[name](K, depth, seed)
-    return VerificationReport(name, depth, seed, tuple(checks))
+    return _reports([name], K, depth, seed)[0]
 
 
 def verify_all(K: SimplicialComplex, depth: int, seed: int = 0):
-    return [verify_suite(name, K, depth, seed) for name in SUITES]
+    """Run every suite, in ``SUITES`` order, on one shared tower."""
+    return _reports(SUITES, K, depth, seed)

@@ -8,9 +8,17 @@ import pytest
 
 from poset_tower.cli import main
 from poset_tower.complexes import SimplicialComplex
-from poset_tower.errors import DepthTooLarge, UnknownSuite
+from poset_tower.errors import (
+    DepthTooLarge,
+    InvalidComplex,
+    LevelOutOfRange,
+    UnknownSuite,
+)
 from poset_tower.fixtures import edge
+from poset_tower.tower import Tower
 from poset_tower.verify import SUITES, depth_guard, verify_all, verify_suite
+
+from conftest import COMPLEXES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
@@ -59,6 +67,40 @@ class TestSuites:
         first = [r.to_json() for r in verify_all(E, 2, seed=0)]
         second = [r.to_json() for r in verify_all(E, 2, seed=0)]
         assert first == second
+
+    def test_verify_all_builds_one_tower(self, E, monkeypatch):
+        calls = []
+        build = Tower.build.__func__
+
+        def counting_build(cls, K, depth):
+            calls.append(depth)
+            return build(cls, K, depth)
+
+        monkeypatch.setattr(Tower, "build", classmethod(counting_build))
+        assert len(verify_all(E, 2)) == len(SUITES)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("name", sorted(COMPLEXES))
+    def test_verify_all_matches_each_suite(self, name, depth):
+        K = COMPLEXES[name]()
+        assert verify_all(K, depth, seed=3) == [
+            verify_suite(suite, K, depth, seed=3) for suite in SUITES]
+
+    @pytest.mark.parametrize("run", [
+        lambda K, depth: verify_all(K, depth),
+        lambda K, depth: verify_suite("homology", K, depth),
+    ], ids=["verify_all", "verify_suite"])
+    def test_input_errors_in_order(self, run, E):
+        empty = SimplicialComplex([], [])
+        with pytest.raises(UnknownSuite):
+            verify_suite("nope", empty, 9)
+        with pytest.raises(InvalidComplex):
+            run(empty, 9)
+        with pytest.raises(DepthTooLarge):
+            run(E, 5)
+        with pytest.raises(LevelOutOfRange):
+            run(E, 0)
 
 
 class TestComplexCommands:
@@ -217,6 +259,50 @@ class TestApproxCommand:
         path = write_json(tmp_path / "map.json", obj)
         code, _, err = run_cli(capsys, "approx", "--map", path, "--cap", "1")
         assert code == 1 and "stage 1" in err
+
+
+class TestRepeatedMain:
+    """``main`` reuses one parser; no option of one call reaches the next."""
+
+    def test_format_does_not_carry_over(self, capsys, tmp_path):
+        path = write_json(tmp_path / "fence.json",
+                          {"elements": ["a", "b", "m"],
+                           "leq": [["a", "m"], ["b", "m"]]})
+        code, out, _ = run_cli(capsys, "poset", "core", path, "--format", "dot")
+        assert code == 0 and out.startswith("digraph hasse {")
+        code, out, _ = run_cli(capsys, "poset", "core", path)
+        assert code == 0
+        assert json.loads(out) == {"elements": ["m"], "leq": []}
+
+    def test_suite_and_depth_do_not_carry_over(self, capsys, tmp_path):
+        path = write_json(tmp_path / "edge.json", EDGE)
+        code, out, _ = run_cli(capsys, "tower", "verify", path,
+                               "--suite", "openness", "--depth", "1")
+        assert code == 0
+        assert [(r["suite"], r["depth"]) for r in json.loads(out)] == [("openness", 1)]
+        code, out, _ = run_cli(capsys, "tower", "verify", path)
+        assert code == 0
+        assert [(r["suite"], r["depth"]) for r in json.loads(out)] == [
+            (name, 2) for name in SUITES]
+
+    def test_allow_deep_does_not_carry_over(self, capsys, tmp_path):
+        path = write_json(tmp_path / "edge.json", EDGE)
+        code, out, _ = run_cli(capsys, "tower", "build", path, "--depth", "5",
+                               "--allow-deep")
+        assert code == 0 and json.loads(out)["depth"] == 5
+        code, out, err = run_cli(capsys, "tower", "build", path, "--depth", "5")
+        assert code == 1 and out == ""
+        assert err == "error: depth 5 exceeds the guard (4) for a 1-complex\n"
+
+    def test_valid_command_after_usage_error(self, capsys, tmp_path):
+        path = write_json(tmp_path / "edge.json", EDGE)
+        with pytest.raises(SystemExit) as exc:
+            main(["tower", "build", path])
+        assert exc.value.code == 2
+        assert "--depth" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "complex", "validate", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == EDGE
 
 
 class TestInputErrors:
