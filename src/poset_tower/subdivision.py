@@ -116,9 +116,6 @@ class SubdividedComplex:
         return RationalPoint.affine(
             self.base, [(a, self.embed_vertex(v)) for v, a in p.coords.items()])
 
-    def vertex_point(self, label: str) -> RationalPoint:
-        return RationalPoint.vertex(self.complex, label)
-
     def to_json_obj(self):
         return {
             "base": self.base.to_json_obj(),
