@@ -4,7 +4,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from poset_tower import RationalPoint, Simplex, SimplicialComplex, Tower, open_star
 from poset_tower.fixtures import (
@@ -19,6 +19,17 @@ from poset_tower.fixtures import (
 # deadline, so the suite stays deterministic on a slow or busy machine.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@st.composite
+def small_complexes(draw):
+    """At most five vertices, dimension at most two."""
+    verts = "abcde"[:draw(st.integers(1, 5))]
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(verts), min_size=min(2, len(verts)), max_size=3,
+                 unique=True),
+        min_size=1, max_size=4))
+    return SimplicialComplex.from_maximal(facets)
 
 
 @lru_cache(maxsize=None)

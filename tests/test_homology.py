@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from poset_tower import betti, chain_complex, subdivide
 from poset_tower.homology import (
@@ -18,7 +18,7 @@ from poset_tower.fixtures import (
     triangle,
 )
 
-from conftest import COMPLEXES, FIXTURE_DEPTHS
+from conftest import COMPLEXES, FIXTURE_DEPTHS, small_complexes
 
 
 def rank_over_rationals(matrix):
@@ -159,6 +159,13 @@ class TestBetti:
         reference = betti(K)
         for n in (1, 2):
             assert betti(subdivide(K, n).complex) == reference
+
+    @given(small_complexes())
+    @settings(max_examples=60)
+    def test_subdivision_invariance_on_random_complexes(self, K):
+        reference = betti(K)
+        for stage in subdivide(K, 2).stage_chain()[1:]:
+            assert betti(stage.complex) == reference
 
     @pytest.mark.parametrize("name", sorted(COMPLEXES))
     def test_euler_characteristic_consistency(self, name):

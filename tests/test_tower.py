@@ -45,6 +45,7 @@ from conftest import (
     lifted_image,
     open_families_exhaustive,
     open_subset_is_open,
+    small_complexes,
 )
 
 
@@ -420,17 +421,6 @@ class TestTowerPlumbing:
 
 
 # -- properties on random small complexes ---------------------------------------
-
-
-@st.composite
-def small_complexes(draw):
-    """At most five vertices, dimension at most two."""
-    verts = "abcde"[:draw(st.integers(1, 5))]
-    facets = draw(st.lists(
-        st.lists(st.sampled_from(verts), min_size=min(2, len(verts)), max_size=3,
-                 unique=True),
-        min_size=1, max_size=4))
-    return SimplicialComplex.from_maximal(facets)
 
 
 @st.composite
