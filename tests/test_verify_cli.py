@@ -55,6 +55,8 @@ class TestSuites:
     def test_unknown_suite(self, E):
         with pytest.raises(UnknownSuite):
             verify_suite("nope", E, 2)
+        with pytest.raises(UnknownSuite):
+            verify_suite("nope", SimplicialComplex([], []), 0)
 
     def test_depth_guard(self, E, TRI):
         depth_guard(E, 4)
@@ -92,11 +94,8 @@ class TestSuites:
         lambda K, depth: verify_suite("homology", K, depth),
     ], ids=["verify_all", "verify_suite"])
     def test_input_errors_in_order(self, run, E):
-        empty = SimplicialComplex([], [])
-        with pytest.raises(UnknownSuite):
-            verify_suite("nope", empty, 9)
         with pytest.raises(InvalidComplex):
-            run(empty, 9)
+            run(SimplicialComplex([], []), 9)
         with pytest.raises(DepthTooLarge):
             run(E, 5)
         with pytest.raises(LevelOutOfRange):
