@@ -25,6 +25,7 @@ from .errors import (
 from .posets import PosetMap
 from .subdivision import (
     SubdividedComplex,
+    _carrier_mean,
     extend_subdivision,
     lift_point,
     stage_vertex_label,
@@ -218,23 +219,6 @@ class PLMap:
         return f"PLMap(stage={self.stage}, {len(self.images)} vertex images)"
 
 
-def _vertex_values(h: PLMap, stage: SubdividedComplex) -> dict:
-    """Exact values of h at every vertex of a stage >= the defining stage.
-
-    A stage-(k+1) vertex is the barycenter of its carrier, and h is affine on
-    every carrier simplex, so values propagate as plain averages.
-    """
-    values = dict(h.images)
-    chain = stage.stage_chain()
-    for s in chain[h.stage + 1:]:
-        for lab, carrier in s.provenance.items():
-            members = carrier.verts
-            w = Fraction(1, len(members))
-            values[lab] = RationalPoint.affine(
-                h.target, [(w, values[m]) for m in members])
-    return values
-
-
 def _star_vertices(cx: SimplicialComplex) -> dict:
     """For each vertex, the vertex set of its closed star (itself included)."""
     out = {v: {v} for v in cx.vertices}
@@ -254,10 +238,13 @@ def approximate(h: PLMap, cap: int = 4):
     vertex.  Raises SearchExhausted past the cap.
     """
     stage = h.source_stage
+    values = h.images
     targets = h.target.vertices
     for n in range(h.stage, cap + 1):
-        stage = extend_subdivision(stage, n)
-        values = _vertex_values(h, stage)
+        if n > stage.stage:
+            stage = extend_subdivision(stage, n)
+            values = {v: _carrier_mean(stage, v, values.__getitem__, h.target)
+                      for v in stage.provenance}
         stars = _star_vertices(stage.complex)
         assignment = {}
         for v in stage.complex.vertices:
@@ -331,12 +318,17 @@ def check_naturality(g: SimplicialMap, n: int,
         via_source = level_map(source_tower.project_point(x, n))
         if via_target != via_source:
             return False
-    if n >= 2:
-        prev = induce_level_map(g, n - 1, source_tower, target_tower)
-        for e in source_tower.level(n).elements:
-            if target_tower.bond(level_map(e), n, n - 1) != prev(source_tower.bond(e, n, n - 1)):
-                return False
-    return True
+    return n < 2 or _bond_square_commutes(
+        level_map, induce_level_map(g, n - 1, source_tower, target_tower),
+        n, source_tower, target_tower)
+
+
+def _bond_square_commutes(gn: PosetMap, gprev: PosetMap, n: int,
+                          source_tower: Tower, target_tower: Tower) -> bool:
+    """Whether bonding level n to n-1 commutes with the level maps gn and gprev."""
+    return all(
+        target_tower.bond(gn(e), n, n - 1) == gprev(source_tower.bond(e, n, n - 1))
+        for e in source_tower.level(n).elements)
 
 
 class SystemMorphism:
@@ -368,16 +360,10 @@ class SystemMorphism:
 
     def validate(self) -> bool:
         """Order preservation of every level plus the bond intertwining square."""
-        if not all(m.is_order_preserving() for m in self.levels):
-            return False
-        for n in range(2, self.depth + 1):
-            gn, gprev = self.level(n), self.level(n - 1)
-            for e in self.source_tower.level(n).elements:
-                lhs = self.target_tower.bond(gn(e), n, n - 1)
-                rhs = gprev(self.source_tower.bond(e, n, n - 1))
-                if lhs != rhs:
-                    return False
-        return True
+        return (all(m.is_order_preserving() for m in self.levels)
+                and all(_bond_square_commutes(self.level(n), self.level(n - 1), n,
+                                              self.source_tower, self.target_tower)
+                        for n in range(2, self.depth + 1)))
 
 
 def limit_map(m: SystemMorphism, t: ThreadPrefix) -> ThreadPrefix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
 from .errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
@@ -63,7 +64,7 @@ class SubdividedComplex:
 
     ``previous`` links back to the prior stage (None at stage 0), and
     ``provenance`` maps every stage-n vertex label to the stage-(n-1) simplex
-    it is the barycenter of.
+    it is the barycenter of (the previous stage's ``_barycenters``).
     """
 
     def __init__(self, base, stage, complex, provenance, previous):
@@ -73,6 +74,11 @@ class SubdividedComplex:
         self.provenance = provenance
         self.previous = previous
         self._embed: dict[str, RationalPoint] = {}
+
+    @cached_property
+    def _barycenters(self) -> dict:
+        """``barycenters`` of this stage, computed once; the next stage's provenance."""
+        return barycenters(self.complex)
 
     def carrier(self, label: str) -> Simplex:
         """The stage-(n-1) simplex whose barycenter this vertex is."""
@@ -102,10 +108,7 @@ class SubdividedComplex:
                 raise ElementNotFound(repr(label))
             point = RationalPoint.vertex(self.base, label)
         else:
-            members = self.carrier(label).verts
-            w = Fraction(1, len(members))
-            point = RationalPoint.affine(
-                self.base, [(w, self.previous.embed_vertex(m)) for m in members])
+            point = _carrier_mean(self, label, self.previous.embed_vertex, self.base)
         self._embed[label] = point
         return point
 
@@ -148,10 +151,21 @@ def barycenters(cx: SimplicialComplex) -> dict:
     return out
 
 
+def _carrier_mean(stage: SubdividedComplex, label: str, value_below, space) -> RationalPoint:
+    """The value at a stage vertex: the mean of ``value_below`` over its carrier's members.
+
+    The vertex is the barycenter of its carrier, so a map that is affine on the
+    carrier takes it to the average of the members' values, a point of ``space``.
+    """
+    members = stage.carrier(label).verts
+    w = Fraction(1, len(members))
+    return RationalPoint.affine(space, [(w, value_below(m)) for m in members])
+
+
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
     """One barycentric subdivision step: simplices become chains of faces."""
     cx = prev.complex
-    provenance = barycenters(cx)
+    provenance = prev._barycenters
     labels = {s: lab for lab, s in provenance.items()}
 
     cap = _simplex_cap()

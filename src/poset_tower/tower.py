@@ -28,7 +28,6 @@ from .errors import (
 from .posets import FinitePoset
 from .subdivision import (
     SubdividedComplex,
-    barycenters,
     extend_subdivision,
     lift_chain,
     lift_point,
@@ -42,15 +41,14 @@ from .subdivision import (
 class TowerLevel:
     """One level of the tower: the poset of stage-n vertices.
 
-    ``carrier`` maps each element to its stage-(n-1) simplex and
-    ``closure_map`` to that simplex's vertex set (the closed carrier).
+    ``carrier`` maps each element to its stage-(n-1) simplex; it is the same
+    dict as stage n's ``provenance``.
     """
 
-    def __init__(self, n: int, poset: FinitePoset, carrier: dict, closure_map: dict):
+    def __init__(self, n: int, poset: FinitePoset, carrier: dict):
         self.n = n
         self.poset = poset
         self.carrier = carrier
-        self.closure_map = closure_map
 
     @property
     def elements(self):
@@ -70,14 +68,13 @@ def _level_from_stage(stage_prev: SubdividedComplex, n: int) -> TowerLevel:
     previous stage (face closure), so the full down-set of an element is
     enumerated directly from subsets; this stays linear in the level size.
     """
-    carrier = barycenters(stage_prev.complex)
+    carrier = stage_prev._barycenters
     label_of = {s.verts: lab for lab, s in carrier.items()}
     down = {lab: frozenset(label_of[sub] for k in range(1, len(s.verts) + 1)
                            for sub in combinations(s.verts, k))
             for lab, s in carrier.items()}
-    closure = {lab: frozenset(s.verts) for lab, s in carrier.items()}
     poset = FinitePoset.from_down_sets(carrier.keys(), down)
-    return TowerLevel(n, poset, carrier, closure)
+    return TowerLevel(n, poset, carrier)
 
 
 def build_level(K: SimplicialComplex, n: int) -> TowerLevel:
@@ -254,7 +251,7 @@ class Tower:
         if not self.validate_thread(t):
             raise IncoherentThread(f"bond mismatch in {t.entries}")
         N = len(t.entries)
-        chain = tuple(self.level(k).closure_map[x]
+        chain = tuple(frozenset(self.level(k).carrier[x].verts)
                       for k, x in enumerate(t.entries, start=1))
         last_stage = self.stage(N - 1)
         carrier = self.level(N).carrier[t.entries[-1]]

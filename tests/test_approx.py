@@ -188,8 +188,12 @@ class TestApproximate:
         h = pl_from_vertex_map(S1, S1, {"0": "1", "1": "2", "2": "0"})
         n, f = approximate(h)
         stage = subdivide(S1, n)
-        from poset_tower.approx import _star_vertices, _vertex_values
-        values = _vertex_values(h, stage)
+        from poset_tower.approx import _star_vertices
+        from poset_tower.subdivision import _carrier_mean
+        values = h.images
+        for s in stage.stage_chain()[h.stage + 1:]:
+            values = {v: _carrier_mean(s, v, values.__getitem__, h.target)
+                      for v in s.provenance}
         stars = _star_vertices(stage.complex)
         for v, w in f.vertex_map.items():
             assert all(values[u].coord(w) > 0 for u in stars[v])

@@ -160,6 +160,15 @@ class TestIsomorphism:
         assert check_order_isomorphism(X, Y, {"a": "u", "b": "v", "m": "t"})
         assert not check_order_isomorphism(X, Y, {"a": "t", "b": "v", "m": "u"})
 
+    def test_down_set_sizes_alone_do_not_pass(self):
+        # two chains a < c and b < d; swapping the tops keeps every down-set's
+        # size but sends a < c to a, d, which are incomparable
+        X = FinitePoset.from_pairs("abcd", [("a", "c"), ("b", "d")])
+        swap = {"a": "a", "b": "b", "c": "d", "d": "c"}
+        assert all(len(X.min_open(x)) == len(X.min_open(swap[x])) for x in "abcd")
+        assert not check_order_isomorphism(X, X, swap)
+        assert check_order_isomorphism(X, X, {"a": "b", "b": "a", "c": "d", "d": "c"})
+
 
 def test_dot_export():
     assert to_dot(fence3()) == (

@@ -16,7 +16,7 @@ from poset_tower import (
     stage_vertex_label,
     subdivide,
 )
-from poset_tower.errors import InvalidComplex, InvalidInput, ResourceLimit
+from poset_tower.errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
 from poset_tower.fixtures import circle, edge, point, triangle
 from poset_tower.verify import sample_points
 
@@ -115,6 +115,20 @@ class TestCoordinates:
         st = subdivide(edge(), 2)
         p = RationalPoint.vertex(st.complex, "b{a,b{a,b}}")
         assert st.embed_point(p).coords == {"a": Fraction(3, 4), "b": Fraction(1, 4)}
+
+    def test_embed_rejects_labels_of_other_stages(self):
+        stage2 = subdivide(edge(), 2)
+        stage1, stage0 = stage2.previous, stage2.previous.previous
+        for stage in (stage0, stage1, stage2):
+            with pytest.raises(ElementNotFound):
+                stage.embed_vertex("z")
+        # warms stage 2's cache and, through its carrier, stage 1's and stage 0's
+        assert stage2.embed_vertex("b{a,b{a,b}}").coords == {
+            "a": Fraction(3, 4), "b": Fraction(1, 4)}
+        with pytest.raises(ElementNotFound):
+            stage1.embed_vertex("b{a,b{a,b}}")
+        with pytest.raises(ElementNotFound):
+            stage0.embed_vertex("b{a,b}")
 
     @pytest.mark.parametrize("name", ["edge", "circle", "triangle"])
     def test_round_trip_through_every_stage(self, name):

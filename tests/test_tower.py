@@ -22,6 +22,7 @@ from poset_tower import (
     stage_vertex_label,
     star,
 )
+from poset_tower import subdivision
 from poset_tower.errors import (
     ElementNotFound,
     EqualPoints,
@@ -78,12 +79,6 @@ class TestLevels:
         assert level.poset.hasse_pairs() == sorted(
             [("a", left), (m, left), (m, right), ("b", right)])
 
-    def test_closure_map_is_carrier_vertex_set(self, tower_E3):
-        for n in (1, 2, 3):
-            level = tower_E3.level(n)
-            for x in level.elements:
-                assert level.closure_map[x] == frozenset(level.carrier[x].verts)
-
     @pytest.mark.parametrize("name", sorted(COMPLEXES))
     def test_level_poset_is_face_poset_via_provenance(self, name):
         tower = cached_tower(name, FIXTURE_DEPTHS[name])
@@ -97,7 +92,22 @@ class TestLevels:
     def test_level_carriers_are_stage_provenance(self, name):
         tower = cached_tower(name, 3)
         for n in range(1, tower.depth):
-            assert tower.level(n).carrier == tower.stage(n).provenance
+            assert tower.level(n).carrier is tower.stage(n).provenance
+
+    @pytest.mark.parametrize("name", sorted(COMPLEXES))
+    def test_lazy_top_stage_shares_top_level_carriers(self, name):
+        tower = Tower.build(COMPLEXES[name](), 2)
+        assert tower.stage(2).provenance is tower.level(2).carrier
+
+    def test_each_stage_is_labelled_once(self, monkeypatch, TRI):
+        calls = []
+        label = subdivision.barycenters
+        monkeypatch.setattr(subdivision, "barycenters",
+                            lambda cx: calls.append(cx) or label(cx))
+        tower = Tower.build(TRI, 6)
+        assert len(calls) == 6
+        tower.stage(6)
+        assert len(calls) == 6
 
     def test_label_collision(self):
         K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
@@ -484,6 +494,33 @@ class TestThreadProperties:
         else:
             with pytest.raises(NotSeparated):
                 tower.separation_stage(p, q)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_projections_commute_with_bonds(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 3))
+        p = data.draw(rational_points(K))
+        tower = tower_of(K, N)
+        for m in range(1, N + 1):
+            for n in range(1, m + 1):
+                assert tower.bond(tower.project_point(p, m), m, n) == tower.project_point(p, n)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_carrier_notation_resolves_to_canonical_labels(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 3))
+        tower = tower_of(K, N)
+        for n in range(1, N + 1):
+            for x in tower.level(n).elements:
+                canonical = tuple(tower.bond(x, n, k) for k in range(1, n + 1))
+                members = [tower.level(k).carrier[y].verts
+                           for k, y in enumerate(canonical, start=1)]
+                as_sets = ["{" + ",".join(m) + "}" for m in members]
+                reversed_barycenters = ["b{" + ",".join(reversed(m)) + "}" for m in members]
+                assert tower.thread(as_sets).entries == canonical
+                assert tower.thread(reversed_barycenters).entries == canonical
 
     @given(st.data())
     @settings(max_examples=60)
