@@ -237,6 +237,12 @@ def approximate(h: PLMap, cap: int = 4):
     the open star of f(v), with ties broken by the least admissible target
     vertex.  Raises SearchExhausted past the cap.
     """
+    stage, f = _approximate_stage(h, cap)
+    return stage.stage, f
+
+
+def _approximate_stage(h: PLMap, cap: int):
+    """``approximate``, returning the stage the search reached in place of its number."""
     stage = h.source_stage
     values = h.images
     targets = h.target.vertices
@@ -260,7 +266,7 @@ def approximate(h: PLMap, cap: int = 4):
         if assignment is not None:
             f = SimplicialMap(stage.complex, h.target, assignment)
             require_simplicial(f)
-            return n, f
+            return stage, f
     raise SearchExhausted(cap)
 
 

@@ -14,7 +14,7 @@ import sys
 
 from .approx import (
     PLMap,
-    approximate,
+    _approximate_stage,
     carrier_homotopy_check,
     homotopy_sample_points,
     validate_simplicial,
@@ -23,7 +23,7 @@ from .complexes import RationalPoint, SimplicialComplex
 from .errors import InvalidInput, PosetTowerError
 from .homology import betti
 from .posets import FinitePoset, core, face_poset, order_complex, to_dot
-from .subdivision import extend_subdivision, subdivide
+from .subdivision import subdivide
 from .tower import Tower
 from .verify import SUITES, depth_guard, verify_all, verify_suite
 
@@ -198,11 +198,10 @@ def _cmd_homology(args) -> int:
 
 def _cmd_approx(args) -> int:
     h = PLMap.from_json_obj(_read_json(args.map))
-    n, f = approximate(h, cap=args.cap)
-    stage = extend_subdivision(h.source_stage, n)
+    stage, f = _approximate_stage(h, args.cap)
     samples = homotopy_sample_points(stage.complex)
     _emit({
-        "n": n,
+        "n": stage.stage,
         "vertex_map": f.to_json_obj()["vertex_map"],
         "verification": {
             "simplicial": validate_simplicial(f),

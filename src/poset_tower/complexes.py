@@ -87,7 +87,10 @@ class SimplicialComplex:
     """A finite simplicial complex: vertex labels plus a face-closed simplex set.
 
     The constructor validates face closure and vertex consistency, so any
-    instance in hand is a well-formed complex.
+    instance in hand is a well-formed complex.  A set of simplices is face
+    closed exactly when every simplex with two or more vertices has all of its
+    codimension-1 faces in the set (induct down any chain of faces), so only
+    those faces are looked up, as vertex tuples.
     """
 
     __slots__ = ("vertices", "simplices", "_dim", "_cofaces", "_sorted")
@@ -96,15 +99,16 @@ class SimplicialComplex:
         self.vertices = tuple(sorted(set(vertices)))
         self.simplices = frozenset(simplices)
         vset = set(self.vertices)
+        present = {s.verts for s in self.simplices}
         for s in self.simplices:
-            for v in s.verts:
-                if v not in vset:
-                    raise UnknownVertex(v, s)
-            for f in s.faces():
-                if f not in self.simplices:
-                    raise MissingFace(f, s)
+            vs = s.verts
+            if not vset.issuperset(vs):
+                raise UnknownVertex(next(v for v in vs if v not in vset), s)
+            if len(vs) > 1 and not present.issuperset(combinations(vs, len(vs) - 1)):
+                face = next(f for f in combinations(vs, len(vs) - 1) if f not in present)
+                raise MissingFace(Simplex(face), s)
         for v in self.vertices:
-            if Simplex((v,)) not in self.simplices:
+            if (v,) not in present:
                 raise MissingFace(Simplex((v,)))
         self._dim = max((s.dim for s in self.simplices), default=-1)
         self._cofaces = None
@@ -138,11 +142,13 @@ class SimplicialComplex:
         simplex's faces, and kept for the life of the complex.
         """
         if self._cofaces is None:
-            index = {s: [] for s in self.sorted_simplices()}
-            for t in index:
-                for f in t.faces():
-                    index[f].append(t)
-            self._cofaces = {s: tuple(ts) for s, ts in index.items()}
+            ordered = self.sorted_simplices()
+            index = {s.verts: [] for s in ordered}
+            for t in ordered:
+                for k in range(1, len(t.verts)):
+                    for f in combinations(t.verts, k):
+                        index[f].append(t)
+            self._cofaces = {s: tuple(index[s.verts]) for s in ordered}
         try:
             return self._cofaces[simplex]
         except KeyError:
@@ -152,9 +158,13 @@ class SimplicialComplex:
         return tuple(s for s in self.sorted_simplices() if s.dim == k)
 
     def sorted_simplices(self) -> tuple:
-        """Every simplex in canonical order, sorted on first use and kept."""
+        """Every simplex in canonical order, sorted on first use and kept.
+
+        The key is the one ``Simplex.__lt__`` compares; keys are unique, so
+        the order is the same, with the comparisons made on tuples.
+        """
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.simplices))
+            self._sorted = tuple(sorted(self.simplices, key=lambda s: (len(s.verts), s.verts)))
         return self._sorted
 
     def counts(self):

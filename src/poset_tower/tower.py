@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -42,46 +43,45 @@ class TowerLevel:
     """One level of the tower: the poset of stage-n vertices.
 
     ``carrier`` maps each element to its stage-(n-1) simplex; it is the same
-    dict as stage n's ``provenance``.
+    dict as stage n's ``provenance``.  Membership, bonds and the thread codec
+    read only ``carrier``; the order ``poset`` is built on first read.
     """
 
-    def __init__(self, n: int, poset: FinitePoset, carrier: dict):
+    def __init__(self, n: int, carrier: dict):
         self.n = n
-        self.poset = poset
         self.carrier = carrier
 
-    @property
-    def elements(self):
-        return self.poset.elements
+    @cached_property
+    def poset(self) -> FinitePoset:
+        """Elements ordered by inclusion of their closed carriers.
+
+        Every nonempty subset of a carrier's vertex set is itself a simplex of
+        the previous stage (face closure), so the full down-set of an element
+        is enumerated directly from subsets; this stays linear in the level
+        size.
+        """
+        label_of = {s.verts: lab for lab, s in self.carrier.items()}
+        down = {lab: frozenset(label_of[sub] for k in range(1, len(s.verts) + 1)
+                               for sub in combinations(s.verts, k))
+                for lab, s in self.carrier.items()}
+        return FinitePoset.from_down_sets(self.carrier.keys(), down)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(sorted(self.carrier))
 
     def __contains__(self, x):
-        return x in self.poset
+        return x in self.carrier
 
     def __repr__(self):
-        return f"TowerLevel(n={self.n}, {len(self.poset)} elements)"
-
-
-def _level_from_stage(stage_prev: SubdividedComplex, n: int) -> TowerLevel:
-    """Order the stage-n vertices by inclusion of their closed carriers.
-
-    Every nonempty subset of a carrier's vertex set is itself a simplex of the
-    previous stage (face closure), so the full down-set of an element is
-    enumerated directly from subsets; this stays linear in the level size.
-    """
-    carrier = stage_prev._barycenters
-    label_of = {s.verts: lab for lab, s in carrier.items()}
-    down = {lab: frozenset(label_of[sub] for k in range(1, len(s.verts) + 1)
-                           for sub in combinations(s.verts, k))
-            for lab, s in carrier.items()}
-    poset = FinitePoset.from_down_sets(carrier.keys(), down)
-    return TowerLevel(n, poset, carrier)
+        return f"TowerLevel(n={self.n}, {len(self.carrier)} elements)"
 
 
 def build_level(K: SimplicialComplex, n: int) -> TowerLevel:
     """Standalone level construction; subdivides the base up to stage n-1."""
     if n < 1:
         raise LevelOutOfRange("levels start at 1")
-    return _level_from_stage(subdivide(K, n - 1), n)
+    return TowerLevel(n, subdivide(K, n - 1)._barycenters)
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,11 @@ class DecodedRegion:
 class Tower:
     """The inverse system of level posets over a fixed base complex.
 
-    Construction is a pure function of (base, depth).  Stages 0..depth-1 are
-    materialized eagerly because the levels need them; stage ``depth`` is
-    built on first access.
+    Construction is a pure function of (base, depth).  ``build`` makes
+    stages 0..depth-1 eagerly, each with its face-closure check, and each
+    level's carrier table, with its label-collision check.  Stage ``depth``
+    and each level's order (``TowerLevel.poset``) are built on first access;
+    the thread codec never reads an order.
     """
 
     def __init__(self, base: SimplicialComplex, depth: int,
@@ -142,7 +144,7 @@ class Tower:
         stages = extend_subdivision(self._stages[-1], depth - 1).stage_chain()
         levels = list(self.levels)
         for n in range(self.depth + 1, depth + 1):
-            levels.append(_level_from_stage(stages[n - 1], n))
+            levels.append(TowerLevel(n, stages[n - 1]._barycenters))
         return Tower(self.base, depth, stages, levels)
 
     def stage(self, k: int) -> SubdividedComplex:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -60,6 +61,22 @@ FIXTURE_DEPTHS = {
 
 def is_face_of(s: Simplex, t: Simplex) -> bool:
     return set(s.verts) <= set(t.verts)
+
+
+def is_complex(vertices, simplices) -> bool:
+    """Whether vertex labels and simplices (label tuples) form a simplicial complex.
+
+    Every vertex of a simplex is listed, every nonempty subset of a simplex is
+    a simplex, and every listed vertex is a simplex on its own.
+    """
+    vset = set(vertices)
+    present = {frozenset(s) for s in simplices}
+    return (all(set(s) <= vset for s in simplices)
+            and all(frozenset(f) in present
+                    for s in simplices
+                    for k in range(1, len(s))
+                    for f in combinations(s, k))
+            and all(frozenset([v]) in present for v in vset))
 
 
 def lifted_image(tower: Tower, s: Simplex, m: int, n: int) -> str:

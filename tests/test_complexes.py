@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poset_tower import (
     RationalPoint,
@@ -24,7 +25,7 @@ from poset_tower.errors import (
 from poset_tower.subdivision import subdivide
 from poset_tower.verify import sample_points
 
-from conftest import COMPLEXES, is_face_of
+from conftest import COMPLEXES, is_complex, is_face_of, small_complexes
 
 
 def labels(simplices):
@@ -46,6 +47,28 @@ class TestValidation:
             validate_complex(["a", "b"], [["a", "b"]])
         assert exc.value.face == Simplex(["a"])
         assert exc.value.parent == Simplex(["a", "b"])
+
+    def test_triangle_missing_one_edge(self):
+        with pytest.raises(MissingFace) as exc:
+            validate_complex(["a", "b", "c"], [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"],
+                                               ["a", "b", "c"]])
+        assert exc.value.face == Simplex(["a", "c"])
+        assert exc.value.parent == Simplex(["a", "b", "c"])
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_rejects_exactly_what_the_oracle_rejects(self, data):
+        K = data.draw(small_complexes())
+        sims = K.sorted_simplices()
+        dropped = data.draw(st.sets(st.sampled_from(sims), max_size=3))
+        unlisted = data.draw(st.sets(st.sampled_from(K.vertices), max_size=1))
+        vertices = [v for v in K.vertices if v not in unlisted]
+        kept = [s for s in sims if s not in dropped]
+        if is_complex(vertices, [s.verts for s in kept]):
+            assert SimplicialComplex(vertices, kept).simplices == frozenset(kept)
+        else:
+            with pytest.raises(InvalidComplex):
+                SimplicialComplex(vertices, kept)
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
@@ -171,6 +194,14 @@ STAGE_COMPLEXES = [
     for name in sorted(COMPLEXES)
     for st in subdivide(COMPLEXES[name](), 2).stage_chain()
 ]
+
+
+class TestCanonicalOrder:
+    @given(small_complexes(), st.integers(0, 2))
+    @settings(max_examples=40)
+    def test_sorted_simplices_is_simplex_order(self, K, n):
+        cx = subdivide(K, n).complex
+        assert cx.sorted_simplices() == tuple(sorted(cx.simplices))
 
 
 class TestIncidenceOracle:

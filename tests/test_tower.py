@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poset_tower import (
+    FinitePoset,
     RationalPoint,
     Simplex,
     SimplicialComplex,
@@ -109,12 +110,56 @@ class TestLevels:
         tower.stage(6)
         assert len(calls) == 6
 
+    def test_build_makes_no_simplex_comparisons(self, monkeypatch, TRI):
+        calls = []
+        lt = Simplex.__lt__
+        monkeypatch.setattr(Simplex, "__lt__", lambda s, t: calls.append(1) or lt(s, t))
+        Tower.build(TRI, 4)
+        assert calls == []
+        sorted(TRI.simplices)
+        assert calls
+
     def test_label_collision(self):
         K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
         for build in (Tower.build, build_level):
             with pytest.raises(InvalidComplex,
                                match=r"'b\{a,b\}' names both \{b\{a,b\}\} and \{a,b\}"):
                 build(K, 1)
+
+
+class TestLazyOrders:
+    def test_codec_builds_no_order(self, monkeypatch, TRI):
+        calls = []
+        from_down_sets = FinitePoset.from_down_sets
+        monkeypatch.setattr(FinitePoset, "from_down_sets", staticmethod(
+            lambda elements, down: calls.append(1) or from_down_sets(elements, down)))
+        tower = Tower.build(TRI, 6)
+        for coords in ({"0": 1}, {"0": frac(1, 2), "2": frac(1, 2)},
+                       {"0": frac(1, 7), "1": frac(2, 7), "2": frac(4, 7)}):
+            thread = tower.encode_thread(RationalPoint(TRI, coords), 6)
+            parsed = tower.thread(list(thread.entries))
+            assert tower.validate_thread(parsed)
+            tower.decode_thread(parsed)
+        finer = "b{0,b{0,1}}"
+        assert finer in tower.level(2) and "b{0,1}" in tower.level(1)
+        assert finer not in tower.level(1) and 3 not in tower.level(1)
+        with pytest.raises(ElementNotFound):
+            tower.bond(finer, 1, 1)
+        with pytest.raises(ElementNotFound):
+            tower.thread([finer])
+        assert calls == []
+        for n in range(1, 5):
+            level = tower.level(n)
+            reference = face_poset(tower.stage(n - 1).complex)
+            label = {s.label(): x for x, s in level.carrier.items()}
+            assert level.poset is level.poset
+            assert level.poset.elements == level.elements == tuple(
+                sorted(label[y] for y in reference.elements))
+            assert all(level.poset.min_open(label[y])
+                       == frozenset(label[z] for z in reference.min_open(y))
+                       for y in reference.elements)
+        # four level orders, each built once, and four reference face posets
+        assert len(calls) == 8
 
 
 class TestProjection:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from poset_tower import subdivision
 from poset_tower.cli import main
 from poset_tower.complexes import SimplicialComplex
 from poset_tower.errors import (
@@ -14,7 +15,7 @@ from poset_tower.errors import (
     LevelOutOfRange,
     UnknownSuite,
 )
-from poset_tower.fixtures import edge
+from poset_tower.fixtures import circle, edge
 from poset_tower.tower import Tower
 from poset_tower.verify import SUITES, depth_guard, verify_all, verify_suite
 
@@ -246,6 +247,23 @@ class TestApproxCommand:
         assert report["n"] == 2
         assert report["verification"]["simplicial"] is True
         assert report["verification"]["carrier_homotopy"] is True
+
+    def test_source_is_subdivided_once(self, capsys, tmp_path, monkeypatch):
+        S1 = circle()
+        obj = {
+            "source": S1.to_json_obj(),
+            "target": S1.to_json_obj(),
+            "stage": 0,
+            "images": {u: {"coords": {v: "1"}} for u, v in (("0", "1"), ("1", "2"), ("2", "0"))},
+        }
+        stages = []
+        step = subdivision._sd_once
+        monkeypatch.setattr(subdivision, "_sd_once",
+                            lambda prev: stages.append(prev.stage + 1) or step(prev))
+        code, out, _ = run_cli(capsys, "approx", "--map", write_json(tmp_path / "map.json", obj))
+        assert code == 0
+        assert json.loads(out)["n"] == 2
+        assert stages == [1, 2]
 
     def test_cap_exhaustion(self, capsys, tmp_path):
         E = edge()
