@@ -249,7 +249,7 @@ def _approximate_stage(h: PLMap, cap: int):
     for n in range(h.stage, cap + 1):
         if n > stage.stage:
             stage = extend_subdivision(stage, n)
-            values = {v: _carrier_mean(stage, v, values.__getitem__, h.target)
+            values = {v: _carrier_mean(stage.carrier(v).verts, values.__getitem__, h.target)
                       for v in stage.provenance}
         stars = _star_vertices(stage.complex)
         assignment = {}

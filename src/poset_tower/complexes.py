@@ -90,7 +90,9 @@ class SimplicialComplex:
     instance in hand is a well-formed complex.  A set of simplices is face
     closed exactly when every simplex with two or more vertices has all of its
     codimension-1 faces in the set (induct down any chain of faces), so only
-    those faces are looked up, as vertex tuples.
+    those faces are looked up, as vertex tuples.  Once a fault is known, the
+    simplices are walked again in canonical order, so the fault reported does
+    not depend on hash order.
     """
 
     __slots__ = ("vertices", "simplices", "_dim", "_cofaces", "_sorted")
@@ -98,21 +100,19 @@ class SimplicialComplex:
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
         self.vertices = tuple(sorted(set(vertices)))
         self.simplices = frozenset(simplices)
+        self._cofaces = None
+        self._sorted = None
         vset = set(self.vertices)
         present = {s.verts for s in self.simplices}
-        for s in self.simplices:
-            vs = s.verts
-            if not vset.issuperset(vs):
-                raise UnknownVertex(next(v for v in vs if v not in vset), s)
-            if len(vs) > 1 and not present.issuperset(combinations(vs, len(vs) - 1)):
-                face = next(f for f in combinations(vs, len(vs) - 1) if f not in present)
-                raise MissingFace(Simplex(face), s)
+        try:
+            _check_faces(self.simplices, vset, present)
+        except InvalidComplex:
+            _check_faces(self.sorted_simplices(), vset, present)
+            raise
         for v in self.vertices:
             if (v,) not in present:
                 raise MissingFace(Simplex((v,)))
         self._dim = max((s.dim for s in self.simplices), default=-1)
-        self._cofaces = None
-        self._sorted = None
 
     @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -198,6 +198,17 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.vertices)} vertices, {len(self.simplices)} simplices)"
+
+
+def _check_faces(simplices, vset: set, present: set) -> None:
+    """Raise for the first simplex with an unknown vertex or a missing codimension-1 face."""
+    for s in simplices:
+        vs = s.verts
+        if not vset.issuperset(vs):
+            raise UnknownVertex(next(v for v in vs if v not in vset), s)
+        if len(vs) > 1 and not present.issuperset(combinations(vs, len(vs) - 1)):
+            face = next(f for f in combinations(vs, len(vs) - 1) if f not in present)
+            raise MissingFace(Simplex(face), s)
 
 
 def _labels(raw, what: str) -> Sequence[str]:

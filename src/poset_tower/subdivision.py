@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
 from .errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
@@ -18,9 +19,14 @@ from .errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
 
 def stage_vertex_label(simplex: Simplex) -> str:
     """Canonical label of the barycenter vertex of a simplex."""
-    if len(simplex.verts) == 1:
-        return simplex.verts[0]
-    return "b" + simplex.label()
+    return _barycenter_label(simplex.verts)
+
+
+def _barycenter_label(verts) -> str:
+    """``stage_vertex_label`` of the simplex with these sorted, distinct vertices."""
+    if len(verts) == 1:
+        return verts[0]
+    return "b{" + ",".join(verts) + "}"
 
 
 def split_label_members(label: str):
@@ -108,7 +114,8 @@ class SubdividedComplex:
                 raise ElementNotFound(repr(label))
             point = RationalPoint.vertex(self.base, label)
         else:
-            point = _carrier_mean(self, label, self.previous.embed_vertex, self.base)
+            point = _carrier_mean(self.carrier(label).verts, self.previous.embed_vertex,
+                                  self.base)
         self._embed[label] = point
         return point
 
@@ -151,13 +158,12 @@ def barycenters(cx: SimplicialComplex) -> dict:
     return out
 
 
-def _carrier_mean(stage: SubdividedComplex, label: str, value_below, space) -> RationalPoint:
-    """The value at a stage vertex: the mean of ``value_below`` over its carrier's members.
+def _carrier_mean(members, value_below, space) -> RationalPoint:
+    """The value at the barycenter of a carrier: the mean of ``value_below`` over its members.
 
-    The vertex is the barycenter of its carrier, so a map that is affine on the
-    carrier takes it to the average of the members' values, a point of ``space``.
+    A map that is affine on the carrier takes its barycenter to the average of
+    the members' values, a point of ``space``.
     """
-    members = stage.carrier(label).verts
     w = Fraction(1, len(members))
     return RationalPoint.affine(space, [(w, value_below(m)) for m in members])
 
@@ -199,40 +205,67 @@ def extend_subdivision(stage: SubdividedComplex, n: int) -> SubdividedComplex:
     return stage
 
 
-def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
-    """Re-express a stage-(n-1) point over the stage-n vertices.
+def _numerators(p: RationalPoint):
+    """``(D, numerators)``: p's coordinates as ``{label: numerator}`` over their lcm D."""
+    D = lcm(*[a.denominator for a in p.coords.values()])
+    return D, {v: a.numerator * (D // a.denominator) for v, a in p.coords.items()}
 
-    Sort the positive coordinates in descending order; the weight on the
+
+def _sd_step(numerators: dict) -> dict:
+    """One subdivision step on ``{label: numerator}`` with positive numerators.
+
+    Sort the numerators in descending order (ties by label); the weight on the
     barycenter of the j-th prefix of the support is j*(a_j - a_{j+1}).  Ties
     produce zero weights, which are dropped, so the result's support is the
-    strict-descent chain regardless of tie order.
+    strict-descent chain regardless of tie order.  The weights telescope to the
+    same total, so the common denominator never changes and stays implicit.
     """
+    items = sorted(numerators.items(), key=lambda kv: (-kv[1], kv[0]))
+    out = {}
+    prefix = []
+    for j, (label, a) in enumerate(items, start=1):
+        prefix.append(label)
+        below = items[j][1] if j < len(items) else 0
+        w = j * (a - below)
+        if w:
+            out[_barycenter_label(sorted(prefix))] = w
+    return out
+
+
+def _point(complex: SimplicialComplex, D: int, numerators: dict) -> RationalPoint:
+    """The point of ``complex`` with these numerators over D, validated."""
+    return RationalPoint(complex, {v: Fraction(a, D) for v, a in numerators.items()})
+
+
+def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
+    """Re-express a stage-(n-1) point over the stage-n vertices (one ``_sd_step``)."""
     if stage.previous is None or p.complex != stage.previous.complex:
         raise ValueError("point must be expressed over the previous stage")
-    items = sorted(p.coords.items(), key=lambda kv: (-kv[1], kv[0]))
-    out = {}
-    for j in range(1, len(items) + 1):
-        a_j = items[j - 1][1]
-        a_next = items[j][1] if j < len(items) else Fraction(0)
-        w = j * (a_j - a_next)
-        if w > 0:
-            prefix = Simplex(label for label, _ in items[:j])
-            out[stage_vertex_label(prefix)] = w
-    return RationalPoint(stage.complex, out)
+    D, numerators = _numerators(p)
+    return _point(stage.complex, D, _sd_step(numerators))
 
 
 def lift_chain(stage: SubdividedComplex, p: RationalPoint):
     """Yield a stage-0 point over stages 0, 1, ..., n of this stage's chain."""
+    if p.complex != stage.base:
+        raise ValueError("point is not over the chain's base complex")
+    D, numerators = _numerators(p)
     yield p
     for s in stage.stage_chain()[1:]:
-        p = sd_coordinates(s, p)
-        yield p
+        numerators = _sd_step(numerators)
+        yield _point(s.complex, D, numerators)
 
 
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Push a stage-0 point up the chain into this stage's coordinates."""
-    *_, top = lift_chain(stage, p)
-    return top
+    if p.complex != stage.base:
+        raise ValueError("point is not over the chain's base complex")
+    if stage.stage == 0:
+        return p
+    D, numerators = _numerators(p)
+    for _ in range(stage.stage):
+        numerators = _sd_step(numerators)
+    return _point(stage.complex, D, numerators)
 
 
 def embed_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:

@@ -21,6 +21,7 @@ from .errors import (
     IncoherentThread,
     InvalidComplex,
     InvalidInput,
+    InvalidPoint,
     LevelOutOfRange,
     NotSeparated,
     SimplexNotInComplex,
@@ -29,9 +30,11 @@ from .errors import (
 from .posets import FinitePoset
 from .subdivision import (
     SubdividedComplex,
+    _barycenter_label,
+    _carrier_mean,
+    _numerators,
+    _sd_step,
     extend_subdivision,
-    lift_chain,
-    lift_point,
     mesh_sq_bound,
     stage_vertex_label,
     split_label_members,
@@ -167,7 +170,8 @@ class Tower:
             raise ValueError("point is not over the tower's base complex")
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
-        return stage_vertex_label(lift_point(self.stage(n - 1), p).support())
+        *_, label = self._projections(p, n)
+        return label
 
     def bond(self, x: str, m: int, n: int) -> str:
         """Transport a level-m element down to level n (identity when m == n).
@@ -205,11 +209,32 @@ class Tower:
         return ThreadPrefix(self, tuple(self._projections(p, N)))
 
     def _projections(self, p: RationalPoint, N: int):
-        """Lazily, the level-1..N elements whose open carriers contain p."""
+        """Lazily, the level-1..N elements whose open carriers contain p.
+
+        Level n's element is the barycenter label of p's support at stage n-1.
+        Past stage 0, where p itself is a checked point of the base, the
+        support is read from p's integer numerators over one common
+        denominator D; each label must be an element of its level, and the
+        numerators must still sum to D.
+        """
         if p.complex != self.base:
             raise ValueError("point is not over the tower's base complex")
-        return (stage_vertex_label(coords.support())
-                for coords in lift_chain(self.stage(N - 1), p))
+        return self._support_labels(p, N)
+
+    def _support_labels(self, p: RationalPoint, N: int):
+        """The generator behind ``_projections``."""
+        yield _barycenter_label(sorted(p.coords))
+        if N == 1:
+            return
+        D, numerators = _numerators(p)
+        for level in self.levels[1:N]:
+            numerators = _sd_step(numerators)
+            label = _barycenter_label(sorted(numerators))
+            if label not in level.carrier:
+                raise ElementNotFound(f"{label!r} at level {level.n}")
+            if sum(numerators.values()) != D:
+                raise InvalidPoint(f"stage {level.n - 1} coordinates do not sum to 1")
+            yield label
 
     def thread(self, entries: Sequence[str]) -> ThreadPrefix:
         """Build a thread from raw labels, accepting carrier-set notation too."""
@@ -255,10 +280,8 @@ class Tower:
         N = len(t.entries)
         chain = tuple(frozenset(self.level(k).carrier[x].verts)
                       for k, x in enumerate(t.entries, start=1))
-        last_stage = self.stage(N - 1)
-        carrier = self.level(N).carrier[t.entries[-1]]
-        rep = last_stage.embed_point(
-            RationalPoint.barycenter(last_stage.complex, carrier))
+        rep = _carrier_mean(self.level(N).carrier[t.entries[-1]].verts,
+                            self.stage(N - 1).embed_vertex, self.base)
         return DecodedRegion(chain, rep, mesh_sq_bound(self.base, N - 1))
 
     def separation_stage(self, p: RationalPoint, q: RationalPoint) -> int:

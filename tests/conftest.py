@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from poset_tower import RationalPoint, Simplex, SimplicialComplex, Tower, open_star
+from poset_tower import (
+    RationalPoint,
+    Simplex,
+    SimplicialComplex,
+    Tower,
+    open_star,
+    stage_vertex_label,
+)
 from poset_tower.fixtures import (
     circle,
     edge,
@@ -77,6 +85,22 @@ def is_complex(vertices, simplices) -> bool:
                     for k in range(1, len(s))
                     for f in combinations(s, k))
             and all(frozenset([v]) in present for v in vset))
+
+
+def sd_reference(coords: dict) -> dict:
+    """One subdivision step on ``{label: Fraction}``, from the definition.
+
+    A point with coordinates a lies in the open simplex of sd(K) spanned by
+    the barycenters of its level sets S_t = {v : a_v >= t}, for t running over
+    the distinct positive coordinate values.  With t' the next smaller value
+    (0 after the last), the barycenter of S_t has weight |S_t| * (t - t').
+    """
+    values = sorted(set(coords.values()), reverse=True)
+    out = {}
+    for t, below in zip(values, values[1:] + [Fraction(0)]):
+        level_set = Simplex(v for v, a in coords.items() if a >= t)
+        out[stage_vertex_label(level_set)] = len(level_set) * (t - below)
+    return out
 
 
 def lifted_image(tower: Tower, s: Simplex, m: int, n: int) -> str:

@@ -192,7 +192,7 @@ class TestApproximate:
         from poset_tower.subdivision import _carrier_mean
         values = h.images
         for s in stage.stage_chain()[h.stage + 1:]:
-            values = {v: _carrier_mean(s, v, values.__getitem__, h.target)
+            values = {v: _carrier_mean(s.carrier(v).verts, values.__getitem__, h.target)
                       for v in s.provenance}
         stars = _star_vertices(stage.complex)
         for v, w in f.vertex_map.items():

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +30,8 @@ from poset_tower.subdivision import subdivide
 from poset_tower.verify import sample_points
 
 from conftest import COMPLEXES, is_complex, is_face_of, small_complexes
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def labels(simplices):
@@ -70,6 +76,15 @@ class TestValidation:
             with pytest.raises(InvalidComplex):
                 SimplicialComplex(vertices, kept)
 
+    def test_first_fault_in_canonical_order_is_reported(self):
+        # {a,b} (missing {a}) comes before {a,x} (unknown x) and {a,b,c}
+        with pytest.raises(MissingFace) as exc:
+            validate_complex(["a", "b", "c"], [["a", "b", "c"], ["a", "x"], ["a", "b"],
+                                               ["a", "c"], ["b", "c"], ["b"], ["c"]])
+        assert exc.value.parent == Simplex(["a", "b"])
+        with pytest.raises(UnknownVertex):
+            validate_complex(["a"], [["a", "x"], ["a", "b", "x"], ["a"], ["x"]])
+
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
             validate_complex(["a"], [["a"], ["b"]])
@@ -105,6 +120,32 @@ class TestValidation:
         again = SimplicialComplex.from_json_obj(obj)
         assert again == S1
         assert again.to_json_obj() == obj
+
+
+class TestDeterministicFaults:
+    """The fault a validation error names does not depend on the string hash seed."""
+
+    SCRIPT = """
+from poset_tower import validate_complex
+from poset_tower.errors import PosetTowerError
+try:
+    validate_complex(["a", "b", "c"],
+                     [["a", "b", "c"], ["a", "b"], ["a", "c"], ["b", "c"], ["b"], ["c"]])
+except PosetTowerError as exc:
+    print(exc)
+"""
+
+    def test_same_message_under_every_hash_seed(self):
+        outputs = set()
+        for seed in ("1", "2", "3", "4", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert outputs == {"face Simplex({a}) of simplex Simplex({a,b}) is missing\n"}
 
 
 class TestSupport:

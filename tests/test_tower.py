@@ -24,12 +24,14 @@ from poset_tower import (
     star,
 )
 from poset_tower import subdivision
+from poset_tower import tower as tower_module
 from poset_tower.errors import (
     ElementNotFound,
     EqualPoints,
     IncoherentThread,
     InvalidComplex,
     InvalidInput,
+    InvalidPoint,
     LevelOutOfRange,
     NotSeparated,
     StageTooCoarse,
@@ -47,6 +49,7 @@ from conftest import (
     lifted_image,
     open_families_exhaustive,
     open_subset_is_open,
+    sd_reference,
     small_complexes,
 )
 
@@ -59,6 +62,27 @@ def all_threads(tower, N):
     """Every coherent thread of depth N: one per level-N element."""
     for x in tower.level(N).elements:
         yield tower.thread(tuple(tower.bond(x, N, n) for n in range(1, N + 1)))
+
+
+def reference_chain(p: RationalPoint, steps: int) -> list:
+    """p's coordinates over stages 0..steps, by ``sd_reference``."""
+    chain = [dict(p.coords)]
+    for _ in range(steps):
+        chain.append(sd_reference(chain[-1]))
+    return chain
+
+
+def numerator_chain(p: RationalPoint, steps: int) -> list:
+    """p's coordinates over stages 0..steps, by the numerator lift."""
+    D, numerators = subdivision._numerators(p)
+    chain = [numerators]
+    for _ in range(steps):
+        chain.append(subdivision._sd_step(chain[-1]))
+    return [{v: frac(a, D) for v, a in lifted.items()} for lifted in chain]
+
+
+def support_labels(chain) -> tuple:
+    return tuple(stage_vertex_label(Simplex(coords)) for coords in chain)
 
 
 class TestLevels:
@@ -344,6 +368,65 @@ class TestThreads:
                 assert tower.encode_thread(region.representative, N).entries == t.entries
 
 
+class TestNumeratorLift:
+    # 2^61 - 1 and 2^89 - 1 are prime, so this point's common denominator is
+    # their product, about 1.4e45
+    BIG = {"0": frac(1, 2**61 - 1), "1": frac(1, 2**89 - 1),
+           "2": 1 - frac(1, 2**61 - 1) - frac(1, 2**89 - 1)}
+
+    @pytest.mark.parametrize("coords", [
+        {"0": frac(1, 3), "1": frac(1, 3), "2": frac(1, 3)},
+        {"0": frac(1, 4), "1": frac(1, 4), "2": frac(1, 2)},
+        {"0": frac(3, 8), "1": frac(1, 4), "2": frac(3, 8)},
+        {"0": frac(2, 5), "2": frac(3, 5)},
+        {"1": frac(1)},
+        BIG,
+    ], ids=["all-tied", "low-tie", "high-tie", "face", "vertex", "big-denominator"])
+    def test_matches_fraction_reference(self, TRI, coords):
+        p = RationalPoint(TRI, coords)
+        chain = reference_chain(p, 6)
+        assert numerator_chain(p, 6) == chain
+        tower = cached_tower("triangle", 3)
+        assert tower.encode_thread(p, 3).entries == support_labels(chain[:3])
+        assert subdivision.lift_point(tower.stage(3), p).coords == chain[3]
+        assert [q.coords for q in subdivision.lift_chain(tower.stage(3), p)] == chain[:4]
+
+    def test_big_denominator_is_kept_exactly(self, TRI):
+        p = RationalPoint(TRI, self.BIG)
+        D, _ = subdivision._numerators(p)
+        assert D == (2**61 - 1) * (2**89 - 1) > 10**30
+        tower = cached_tower("triangle", 3)
+        region = tower.decode_thread(tower.encode_thread(p, 3))
+        assert tower.encode_thread(region.representative, 3) == tower.encode_thread(p, 3)
+
+    def test_support_label_missing_from_level_raises(self, TRI, monkeypatch):
+        tower = Tower.build(TRI, 2)
+        p = RationalPoint(TRI, {"0": frac(1, 2), "1": frac(1, 3), "2": frac(1, 6)})
+        x = tower.project_point(p, 2)
+        monkeypatch.delitem(tower.level(2).carrier, x)
+        with pytest.raises(ElementNotFound, match="at level 2"):
+            tower.encode_thread(p, 2)
+        with pytest.raises(ElementNotFound):
+            tower.project_point(p, 2)
+        assert tower.encode_thread(p, 1).entries == ("b{0,1,2}",)
+
+    def test_numerators_that_stop_summing_to_d_raise(self, TRI, monkeypatch):
+        tower = Tower.build(TRI, 2)
+        p = RationalPoint(TRI, {"0": frac(1, 2), "1": frac(1, 3), "2": frac(1, 6)})
+        step = subdivision._sd_step
+        monkeypatch.setattr(tower_module, "_sd_step",
+                            lambda numerators: {v: 2 * a for v, a in step(numerators).items()})
+        with pytest.raises(InvalidPoint):
+            tower.encode_thread(p, 2)
+
+    def test_wrong_complex_rejected_by_lifts(self, tower_E3, S1):
+        p = RationalPoint.vertex(S1, "0")
+        with pytest.raises(ValueError):
+            subdivision.lift_point(tower_E3.stage(2), p)
+        with pytest.raises(ValueError):
+            list(subdivision.lift_chain(tower_E3.stage(2), p))
+
+
 class TestSeparation:
     def test_splits_at_level_two(self, tower_E3, E):
         p = RationalPoint(E, {"a": frac(2, 3), "b": frac(1, 3)})
@@ -509,6 +592,18 @@ class TestThreadProperties:
             coords = sd_coordinates(tower.stage(k), coords)
             expected.append(stage_vertex_label(coords.support()))
         assert entries == tuple(expected)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_numerator_lift_matches_fraction_reference(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 4))
+        p = data.draw(rational_points(K))
+        chain = reference_chain(p, N)
+        assert numerator_chain(p, N) == chain
+        tower = tower_of(K, N)
+        assert tower.encode_thread(p, N).entries == support_labels(chain[:N])
+        assert subdivision.lift_point(tower.stage(N - 1), p).coords == chain[N - 1]
 
     @given(st.data())
     @settings(max_examples=60)
