@@ -11,6 +11,7 @@ straight-line homotopic to the original map.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
@@ -26,6 +27,9 @@ from .posets import PosetMap
 from .subdivision import (
     SubdividedComplex,
     _carrier_mean,
+    _numerators,
+    _point,
+    _weighted_sum,
     extend_subdivision,
     lift_point,
     stage_vertex_label,
@@ -146,7 +150,7 @@ class PLMap:
     simplex of the target, so the affine extension is well defined.
     """
 
-    __slots__ = ("source_stage", "target", "images")
+    __slots__ = ("source_stage", "target", "images", "_image_numerators")
 
     def __init__(self, source_stage: SubdividedComplex, target: SimplicialComplex,
                  images: Mapping[str, RationalPoint]):
@@ -166,6 +170,11 @@ class PLMap:
         self.source_stage = source_stage
         self.target = target
         self.images = dict(images)
+        # (D, {vertex: {target vertex: numerator}}): every image over one common D
+        D = lcm(*(a.denominator for q in self.images.values() for a in q.coords.values()))
+        self._image_numerators = (D, {
+            v: {w: a.numerator * (D // a.denominator) for w, a in q.coords.items()}
+            for v, q in self.images.items()})
 
     @property
     def source(self) -> SimplicialComplex:
@@ -179,8 +188,10 @@ class PLMap:
         """Value at a point expressed over the defining stage."""
         if p.complex != self.source_stage.complex:
             raise ValueError("point must be over the map's defining stage")
-        return RationalPoint.affine(
-            self.target, [(a, self.images[v]) for v, a in p.coords.items()])
+        D, images = self._image_numerators
+        Dp, weights = _numerators(p)
+        return _point(self.target, Dp * D,
+                      _weighted_sum((w, images[v]) for v, w in weights.items()))
 
     def evaluate_base(self, p: RationalPoint) -> RationalPoint:
         """Value at a stage-0 point of the source."""
@@ -243,20 +254,14 @@ def approximate(h: PLMap, cap: int = 4):
 
 def _approximate_stage(h: PLMap, cap: int):
     """``approximate``, returning the stage the search reached in place of its number."""
-    stage = h.source_stage
-    values = h.images
     targets = h.target.vertices
-    for n in range(h.stage, cap + 1):
-        if n > stage.stage:
-            stage = extend_subdivision(stage, n)
-            values = {v: _carrier_mean(stage.carrier(v).verts, values.__getitem__, h.target)
-                      for v in stage.provenance}
+    for stage, _, values in _stage_values(h, cap):
         stars = _star_vertices(stage.complex)
         assignment = {}
         for v in stage.complex.vertices:
             chosen = None
             for w in targets:
-                if all(values[u].coord(w) > 0 for u in stars[v]):
+                if all(values[u].get(w, 0) > 0 for u in stars[v]):
                     chosen = w
                     break
             if chosen is None:
@@ -268,6 +273,25 @@ def _approximate_stage(h: PLMap, cap: int):
             require_simplicial(f)
             return stage, f
     raise SearchExhausted(cap)
+
+
+def _stage_values(h: PLMap, last: int):
+    """Yield ``(stage, D, values)`` for stages ``h.stage`` to ``last`` of the source.
+
+    ``values`` maps each stage vertex to its image under h as
+    ``{target vertex: numerator}`` over D.  h is affine on the carrier of a new
+    vertex, so the vertex's value is the carrier mean of the values one stage
+    down, and D gains a factor L per stage.
+    """
+    stage = h.source_stage
+    D, values = h._image_numerators
+    for n in range(h.stage, last + 1):
+        if n > stage.stage:
+            stage = extend_subdivision(stage, n)
+            values = {v: _carrier_mean(stage.carrier(v).verts, values.__getitem__, stage._scale)
+                      for v in stage.provenance}
+            D *= stage._scale
+        yield stage, D, values
 
 
 def carrier_homotopy_check(h: PLMap, f: SimplicialMap,

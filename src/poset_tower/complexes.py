@@ -238,13 +238,16 @@ class RationalPoint:
     def __init__(self, complex: SimplicialComplex, coords: Mapping[str, Fraction]):
         clean = {}
         for v, a in coords.items():
-            try:
-                a = Fraction(a)
-            except (TypeError, ValueError, ArithmeticError) as exc:
-                raise InvalidPoint(f"coordinate {a!r} at {v!r} is not a rational number") from exc
-            if a < 0:
+            if type(a) is not Fraction:
+                try:
+                    a = Fraction(a)
+                except (TypeError, ValueError, ArithmeticError) as exc:
+                    raise InvalidPoint(
+                        f"coordinate {a!r} at {v!r} is not a rational number") from exc
+            # a Fraction's denominator is positive, so its numerator carries the sign
+            if a.numerator < 0:
                 raise InvalidPoint(f"negative coordinate {a} at {v!r}")
-            if a > 0:
+            if a.numerator:
                 clean[v] = a
         if sum(clean.values(), Fraction(0)) != 1:
             raise InvalidPoint("coordinates must sum to exactly 1")

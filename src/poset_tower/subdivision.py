@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
@@ -79,7 +79,12 @@ class SubdividedComplex:
         self.complex = complex
         self.provenance = provenance
         self.previous = previous
-        self._embed: dict[str, RationalPoint] = {}
+        # L = lcm(1, ..., dim K + 1): every carrier has at most dim K + 1
+        # members, so each carrier mean scales numerators by an integer L/|members|
+        # and a stage-n embedding has integer numerators over L**n.
+        self._scale = lcm(*range(1, base.dim + 2))
+        self._denominator = self._scale ** stage
+        self._embed: dict[str, dict] = {}
 
     @cached_property
     def _barycenters(self) -> dict:
@@ -105,26 +110,39 @@ class SubdividedComplex:
         return list(reversed(chain))
 
     def embed_vertex(self, label: str) -> RationalPoint:
-        """The stage-0 point of a stage-n vertex, computed exactly and cached."""
+        """The stage-0 point of a stage-n vertex, computed exactly."""
+        return _point(self.base, self._denominator, self._embed_numerators(label))
+
+    def _embed_numerators(self, label: str) -> dict:
+        """``embed_vertex`` as ``{base vertex: numerator}`` over L**n, cached."""
         cached = self._embed.get(label)
         if cached is not None:
             return cached
         if self.stage == 0:
             if not self.complex.has_vertex(label):
                 raise ElementNotFound(repr(label))
-            point = RationalPoint.vertex(self.base, label)
+            numerators = {label: 1}
         else:
-            point = _carrier_mean(self.carrier(label).verts, self.previous.embed_vertex,
-                                  self.base)
-        self._embed[label] = point
-        return point
+            numerators = self.previous._barycenter_numerators(self.carrier(label).verts)
+        self._embed[label] = numerators
+        return numerators
+
+    def _barycenter_numerators(self, verts) -> dict:
+        """The stage-0 point of the barycenter of these stage-n vertices, over L**(n+1)."""
+        return _carrier_mean(verts, self._embed_numerators, self._scale)
+
+    def _barycenter_point(self, verts) -> RationalPoint:
+        """The stage-0 point of the barycenter of these stage-n vertices."""
+        return _point(self.base, self._denominator * self._scale,
+                      self._barycenter_numerators(verts))
 
     def embed_point(self, p: RationalPoint) -> RationalPoint:
         """Expand a point over this stage into exact stage-0 coordinates."""
         if p.complex != self.complex:
             raise ValueError("point is not expressed over this stage")
-        return RationalPoint.affine(
-            self.base, [(a, self.embed_vertex(v)) for v, a in p.coords.items()])
+        D, numerators = _numerators(p)
+        return _point(self.base, D * self._denominator, _weighted_sum(
+            (a, self._embed_numerators(v)) for v, a in numerators.items()))
 
     def to_json_obj(self):
         return {
@@ -158,14 +176,29 @@ def barycenters(cx: SimplicialComplex) -> dict:
     return out
 
 
-def _carrier_mean(members, value_below, space) -> RationalPoint:
+def _carrier_mean(members, value_below, scale: int) -> dict:
     """The value at the barycenter of a carrier: the mean of ``value_below`` over its members.
 
-    A map that is affine on the carrier takes its barycenter to the average of
-    the members' values, a point of ``space``.
+    Values are ``{label: numerator}`` over a common denominator D; the mean is
+    returned over D * scale, which is exact when ``len(members)`` divides
+    ``scale``.  A map that is affine on the carrier takes its barycenter to the
+    average of the members' values.
     """
-    w = Fraction(1, len(members))
-    return RationalPoint.affine(space, [(w, value_below(m)) for m in members])
+    total = {}
+    for m in members:
+        for v, a in value_below(m).items():
+            total[v] = total.get(v, 0) + a
+    w = scale // len(members)
+    return {v: a * w for v, a in total.items()}
+
+
+def _weighted_sum(terms) -> dict:
+    """The sum of ``w * vector`` over ``(w, {label: numerator})`` pairs."""
+    total = {}
+    for w, vector in terms:
+        for v, a in vector.items():
+            total[v] = total.get(v, 0) + w * a
+    return total
 
 
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
@@ -281,7 +314,12 @@ def mesh_sq_bound(K: SimplicialComplex, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("stage must be >= 0")
-    d = K.dim
+    return _mesh_sq(K.dim, n)
+
+
+@lru_cache(maxsize=256)
+def _mesh_sq(d: int, n: int) -> Fraction:
+    """``mesh_sq_bound`` of a d-complex at stage n."""
     if d <= 0:
         return Fraction(0)
     return 2 * Fraction(d, d + 1) ** (2 * n)

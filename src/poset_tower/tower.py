@@ -31,7 +31,6 @@ from .posets import FinitePoset
 from .subdivision import (
     SubdividedComplex,
     _barycenter_label,
-    _carrier_mean,
     _numerators,
     _sd_step,
     extend_subdivision,
@@ -184,15 +183,14 @@ class Tower:
             raise LevelOutOfRange(f"need 1 <= {n} <= {m} <= depth {self.depth}")
         if x not in self.level(m):
             raise ElementNotFound(repr(x))
-        cur = x
-        for k in range(m, n, -1):
-            cur = self._largest_carrier(self.level(k).carrier[cur].verts, k - 1)
-        return cur
+        return self._bond(x, m, n)
 
-    def _largest_carrier(self, members, k: int) -> str:
-        """The level-k element among ``members`` whose carrier is largest."""
-        carrier = self.level(k).carrier
-        return max(members, key=lambda u: len(carrier[u].verts))
+    def _bond(self, x: str, m: int, n: int) -> str:
+        """``bond`` without its checks: x must be an element of level m, n <= m."""
+        levels = self.levels
+        for k in range(m - 1, n - 1, -1):
+            x = _largest_carrier(levels[k].carrier[x].verts, levels[k - 1].carrier)
+        return x
 
     def basic_preimage(self, x: str, n: int) -> set:
         """Open simplices of stage n-1 covering the preimage of the basic open at x."""
@@ -267,21 +265,21 @@ class Tower:
 
     def validate_thread(self, t: ThreadPrefix) -> bool:
         """True iff consecutive entries are matched by the bonding maps."""
-        for n, x in enumerate(t.entries, start=1):
+        entries = t.entries
+        for n, x in enumerate(entries, start=1):
             if x not in self.level(n):
                 raise ElementNotFound(f"{x!r} at level {n}")
-        return all(
-            self.bond(t.entries[k], k + 1, k) == t.entries[k - 1]
-            for k in range(1, len(t.entries)))
+        return all(self._bond(entries[k], k + 1, k) == entries[k - 1]
+                   for k in range(1, len(entries)))
 
     def decode_thread(self, t: ThreadPrefix) -> DecodedRegion:
         if not self.validate_thread(t):
             raise IncoherentThread(f"bond mismatch in {t.entries}")
         N = len(t.entries)
-        chain = tuple(frozenset(self.level(k).carrier[x].verts)
-                      for k, x in enumerate(t.entries, start=1))
-        rep = _carrier_mean(self.level(N).carrier[t.entries[-1]].verts,
-                            self.stage(N - 1).embed_vertex, self.base)
+        chain = tuple(frozenset(level.carrier[x].verts)
+                      for level, x in zip(self.levels, t.entries))
+        carrier = self.level(N).carrier[t.entries[-1]]
+        rep = self.stage(N - 1)._barycenter_point(carrier.verts)
         return DecodedRegion(chain, rep, mesh_sq_bound(self.base, N - 1))
 
     def separation_stage(self, p: RationalPoint, q: RationalPoint) -> int:
@@ -318,11 +316,16 @@ class Tower:
             if m == n - 1:
                 out.add(stage_vertex_label(s))
             else:
-                out.add(self.bond(self._largest_carrier(s.verts, m), m, n))
+                out.add(self._bond(_largest_carrier(s.verts, self.levels[m - 1].carrier), m, n))
         return frozenset(out)
 
     def __repr__(self):
         return f"Tower(base={self.base!r}, depth={self.depth})"
+
+
+def _largest_carrier(members, carrier: dict) -> str:
+    """The member whose simplex in ``carrier`` (a level's carrier table) is largest."""
+    return max(members, key=lambda u: len(carrier[u].verts))
 
 
 def project_point(T: Tower, p: RationalPoint, n: int) -> str:

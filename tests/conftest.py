@@ -41,6 +41,16 @@ def small_complexes(draw):
     return SimplicialComplex.from_maximal(facets)
 
 
+@st.composite
+def rational_points(draw, K, s=None):
+    """A point in the open simplex s, or in a drawn one (top simplices first)."""
+    if s is None:
+        s = draw(st.sampled_from(sorted(K.simplices, reverse=True)))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(s), max_size=len(s)))
+    total = sum(weights)
+    return RationalPoint(K, {v: Fraction(w, total) for v, w in zip(s.verts, weights)})
+
+
 @lru_cache(maxsize=None)
 def cached_tower(name: str, depth: int) -> Tower:
     return Tower.build(COMPLEXES[name](), depth)
@@ -101,6 +111,47 @@ def sd_reference(coords: dict) -> dict:
         level_set = Simplex(v for v, a in coords.items() if a >= t)
         out[stage_vertex_label(level_set)] = len(level_set) * (t - below)
     return out
+
+
+def embedding_reference(stage, start: int = 0) -> dict:
+    """Each stage-n vertex's point over stage ``start``, as ``{vertex: Fraction}``.
+
+    Written from the definition: a vertex of stage ``start`` is its own point,
+    and a later vertex is the barycenter of its carrier, the mean of the
+    points of the carrier's members one stage down.
+    """
+    chain = stage.stage_chain()
+    points = {v: {v: Fraction(1)} for v in chain[start].complex.vertices}
+    for s in chain[start + 1:]:
+        means = {}
+        for label, carrier in s.provenance.items():
+            mean = {}
+            for m in carrier.verts:
+                for v, a in points[m].items():
+                    mean[v] = mean.get(v, 0) + a / len(carrier.verts)
+            means[label] = mean
+        points = means
+    return points
+
+
+def affine_reference(weights: dict, points: dict) -> dict:
+    """The combination of ``points`` (``{vertex: Fraction}`` each) with these weights."""
+    out = {}
+    for u, a in weights.items():
+        for v, b in points[u].items():
+            out[v] = out.get(v, 0) + a * b
+    return out
+
+
+def pl_values_reference(h, stage) -> dict:
+    """h's value at each vertex of a later source stage, as ``{target vertex: Fraction}``.
+
+    h is affine on every simplex of its defining stage, so a vertex's value is
+    its point over that stage weighting the vertex images.
+    """
+    images = {u: q.coords for u, q in h.images.items()}
+    return {v: affine_reference(point, images)
+            for v, point in embedding_reference(stage, h.stage).items()}
 
 
 def lifted_image(tower: Tower, s: Simplex, m: int, n: int) -> str:

@@ -31,7 +31,7 @@ from poset_tower.errors import (
 )
 from poset_tower.verify import sample_points
 
-from conftest import cached_tower
+from conftest import cached_tower, pl_values_reference
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -189,14 +189,10 @@ class TestApproximate:
         n, f = approximate(h)
         stage = subdivide(S1, n)
         from poset_tower.approx import _star_vertices
-        from poset_tower.subdivision import _carrier_mean
-        values = h.images
-        for s in stage.stage_chain()[h.stage + 1:]:
-            values = {v: _carrier_mean(s.carrier(v).verts, values.__getitem__, h.target)
-                      for v in s.provenance}
+        values = pl_values_reference(h, stage)
         stars = _star_vertices(stage.complex)
         for v, w in f.vertex_map.items():
-            assert all(values[u].coord(w) > 0 for u in stars[v])
+            assert all(values[u].get(w, 0) > 0 for u in stars[v])
 
 
 class TestCarrierHomotopy:

@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poset_tower import (
+    PLMap,
     RationalPoint,
     SimplicialComplex,
     SimplicialMap,
@@ -16,11 +18,21 @@ from poset_tower import (
     stage_vertex_label,
     subdivide,
 )
+from poset_tower.approx import _stage_values
 from poset_tower.errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
 from poset_tower.fixtures import circle, edge, point, triangle
+from poset_tower.tower import Tower
 from poset_tower.verify import sample_points
 
-from conftest import COMPLEXES, FIXTURE_DEPTHS
+from conftest import (
+    COMPLEXES,
+    FIXTURE_DEPTHS,
+    affine_reference,
+    embedding_reference,
+    pl_values_reference,
+    rational_points,
+    small_complexes,
+)
 
 
 def brute_force_chain_count(X, k):
@@ -175,6 +187,48 @@ class TestMesh:
             for s in stage.complex.simplices:
                 for u, v in combinations(s.verts, 2):
                     assert dist_sq(embeds[u], embeds[v]) <= bound
+
+
+class TestEmbeddingOracle:
+    """Embeddings, decode and ``approximate``'s values against ``embedding_reference``."""
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_embeddings_and_decode_match_reference(self, data):
+        K = data.draw(small_complexes())
+        N = data.draw(st.integers(1, 4))
+        tower = Tower.build(K, N)
+        top = tower.stage(N)
+        reference = embedding_reference(top)
+        for v in top.complex.vertices:
+            assert top.embed_vertex(v).coords == reference[v]
+        for x in tower.level(N).elements:
+            thread = tower.thread(tuple(tower.bond(x, N, n) for n in range(1, N + 1)))
+            assert tower.decode_thread(thread).representative.coords == reference[x]
+        k = data.draw(st.integers(0, N))
+        p = data.draw(rational_points(tower.stage(k).complex))
+        assert (tower.stage(k).embed_point(p).coords
+                == affine_reference(p.coords, embedding_reference(tower.stage(k))))
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_approximate_values_match_reference(self, data):
+        K = data.draw(small_complexes())
+        start = data.draw(st.integers(0, 1))
+        last = data.draw(st.integers(start, 4))
+        T = triangle()
+        source = subdivide(K, start)
+        images = {v: data.draw(rational_points(T)) for v in source.complex.vertices}
+        h = PLMap(source, T, images)
+        p = data.draw(rational_points(source.complex))
+        assert h.evaluate(p).coords == affine_reference(
+            p.coords, {v: q.coords for v, q in images.items()})
+        stages = []
+        for stage, D, values in _stage_values(h, last):
+            stages.append(stage.stage)
+            assert {v: {w: Fraction(a, D) for w, a in value.items()}
+                    for v, value in values.items()} == pl_values_reference(h, stage)
+        assert stages == list(range(start, last + 1))
 
 
 class TestSdMap:

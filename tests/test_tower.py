@@ -49,6 +49,7 @@ from conftest import (
     lifted_image,
     open_families_exhaustive,
     open_subset_is_open,
+    rational_points,
     sd_reference,
     small_complexes,
 )
@@ -559,16 +560,6 @@ class TestTowerPlumbing:
 
 
 # -- properties on random small complexes ---------------------------------------
-
-
-@st.composite
-def rational_points(draw, K, s=None):
-    """A point in the open simplex s, or in a drawn one (top simplices first)."""
-    if s is None:
-        s = draw(st.sampled_from(sorted(K.simplices, reverse=True)))
-    weights = draw(st.lists(st.integers(1, 6), min_size=len(s), max_size=len(s)))
-    total = sum(weights)
-    return RationalPoint(K, {v: frac(w, total) for v, w in zip(s.verts, weights)})
 
 
 @lru_cache(maxsize=None)
