@@ -101,11 +101,14 @@ def _cmd_poset_dot(args) -> int:
     return 0
 
 
-def _build_tower(args) -> Tower:
-    K = _load_complex(args.complex)
+def _guarded_tower(args, K: SimplicialComplex, depth: int) -> Tower:
     if not args.allow_deep:
-        depth_guard(K, args.depth)
-    return Tower.build(K, args.depth)
+        depth_guard(K, depth)
+    return Tower.build(K, depth)
+
+
+def _build_tower(args) -> Tower:
+    return _guarded_tower(args, _load_complex(args.complex), args.depth)
 
 
 def _cmd_tower_build(args) -> int:
@@ -146,9 +149,7 @@ def _load_thread_entries(path: str) -> list:
 def _cmd_tower_decode(args) -> int:
     K = _load_complex(args.complex)
     raw = _load_thread_entries(args.thread)
-    if not args.allow_deep:
-        depth_guard(K, max(len(raw), 1))
-    tower = Tower.build(K, max(len(raw), 1))
+    tower = _guarded_tower(args, K, max(len(raw), 1))
     region = tower.decode_thread(tower.thread(raw))
     _emit({
         "chain": [sorted(c) for c in region.chain],
@@ -161,9 +162,7 @@ def _cmd_tower_decode(args) -> int:
 def _cmd_tower_validate(args) -> int:
     K = _load_complex(args.complex)
     raw = _load_thread_entries(args.thread)
-    if not args.allow_deep:
-        depth_guard(K, max(len(raw), 1))
-    tower = Tower.build(K, max(len(raw), 1))
+    tower = _guarded_tower(args, K, max(len(raw), 1))
     ok = tower.validate_thread(tower.thread(raw))
     _emit({"coherent": ok})
     return 0 if ok else 1

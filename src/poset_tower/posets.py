@@ -7,10 +7,11 @@ classical minimal open neighbourhoods are the down-sets ``{y | y <= x}``.
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Mapping
 
 from .complexes import Simplex, SimplicialComplex
-from .errors import ElementNotFound, InvalidInput, NotAPartialOrder
+from .errors import ElementNotFound, InvalidInput, NotAPartialOrder, ResourceLimit
 
 
 def _is_labels(raw) -> bool:
@@ -255,17 +256,45 @@ def core(X: FinitePoset) -> FinitePoset:
             return current
 
 
-def order_complex(X: FinitePoset) -> SimplicialComplex:
-    """The complex whose simplices are the nonempty chains of X."""
-    sims = []
-    for x in X.elements:
+def _simplex_cap():
+    """The ``POSET_TOWER_MAX_SIMPLICES`` cap, or None when it is unset or empty."""
+    raw = os.environ.get("POSET_TOWER_MAX_SIMPLICES")
+    if not raw:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise InvalidInput(
+            f"POSET_TOWER_MAX_SIMPLICES must be a non-negative integer, not {raw!r}")
+    return cap
+
+
+def _chains(below: Mapping, what: str) -> list:
+    """Every nonempty chain of a strict order, as ``Simplex``es, under ``_simplex_cap``.
+
+    ``below`` maps each element to all elements strictly below it, so each
+    chain is walked once, down from its top; ``what`` names it in the error.
+    """
+    cap = _simplex_cap()
+    chains = []
+    for x in below:
         stack = [(x, (x,))]
         while stack:
             top, path = stack.pop()
-            sims.append(Simplex(path))
-            for y in sorted(X.strict_up(top)):
+            chains.append(Simplex(path))
+            if cap is not None and len(chains) > cap:
+                raise ResourceLimit(f"{what} exceeds POSET_TOWER_MAX_SIMPLICES={cap}")
+            for y in below[top]:
                 stack.append((y, path + (y,)))
-    return SimplicialComplex(X.elements, sims)
+    return chains
+
+
+def order_complex(X: FinitePoset) -> SimplicialComplex:
+    """The complex whose simplices are the nonempty chains of X."""
+    below = {x: X.strict_down(x) for x in X.elements}
+    return SimplicialComplex(X.elements, _chains(below, "order complex"))
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:

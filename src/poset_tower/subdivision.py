@@ -8,13 +8,14 @@ labelled ``b{a,b}``, so a stage-2 vertex may read ``b{a,b{a,b}}``.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import lcm
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
-from .errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
+from .errors import ElementNotFound, InvalidComplex
+from .posets import _chains
 
 
 def stage_vertex_label(simplex: Simplex) -> str:
@@ -49,20 +50,6 @@ def split_label_members(label: str):
     if current:
         members.append("".join(current))
     return members
-
-
-def _simplex_cap():
-    raw = os.environ.get("POSET_TOWER_MAX_SIMPLICES")
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise InvalidInput(
-            f"POSET_TOWER_MAX_SIMPLICES must be a non-negative integer, not {raw!r}")
-    return cap
 
 
 class SubdividedComplex:
@@ -201,26 +188,22 @@ def _weighted_sum(terms) -> dict:
     return total
 
 
+def _face_table(carrier: dict) -> dict:
+    """Each label of a carrier table mapped to the labels of its carrier's proper faces.
+
+    Face closure makes every proper subset of a carrier a carrier too, so the
+    faces come from ``combinations`` through one ``{verts: label}`` lookup.
+    """
+    label_of = {s.verts: lab for lab, s in carrier.items()}
+    return {lab: [label_of[f] for k in range(1, len(s.verts))
+                  for f in combinations(s.verts, k)]
+            for lab, s in carrier.items()}
+
+
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
-    """One barycentric subdivision step: simplices become chains of faces."""
-    cx = prev.complex
+    """One barycentric subdivision step: the chains of the previous stage's face order."""
     provenance = prev._barycenters
-    labels = {s: lab for lab, s in provenance.items()}
-
-    cap = _simplex_cap()
-    chains = []
-    for lab, s in provenance.items():
-        stack = [(s, (lab,))]
-        while stack:
-            top, path = stack.pop()
-            chains.append(Simplex(path))
-            if cap is not None and len(chains) > cap:
-                raise ResourceLimit(
-                    f"subdivision exceeds POSET_TOWER_MAX_SIMPLICES={cap}")
-            for t in cx.cofaces(top):
-                stack.append((t, path + (labels[t],)))
-
-    complex = SimplicialComplex(provenance.keys(), chains)
+    complex = SimplicialComplex(provenance.keys(), _chains(_face_table(provenance), "subdivision"))
     return SubdividedComplex(prev.base, prev.stage + 1, complex, provenance, prev)
 
 

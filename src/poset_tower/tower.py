@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
@@ -31,6 +30,7 @@ from .posets import FinitePoset
 from .subdivision import (
     SubdividedComplex,
     _barycenter_label,
+    _face_table,
     _numerators,
     _sd_step,
     extend_subdivision,
@@ -55,17 +55,8 @@ class TowerLevel:
 
     @cached_property
     def poset(self) -> FinitePoset:
-        """Elements ordered by inclusion of their closed carriers.
-
-        Every nonempty subset of a carrier's vertex set is itself a simplex of
-        the previous stage (face closure), so the full down-set of an element
-        is enumerated directly from subsets; this stays linear in the level
-        size.
-        """
-        label_of = {s.verts: lab for lab, s in self.carrier.items()}
-        down = {lab: frozenset(label_of[sub] for k in range(1, len(s.verts) + 1)
-                               for sub in combinations(s.verts, k))
-                for lab, s in self.carrier.items()}
+        """Elements ordered by inclusion of their closed carriers (the face table's order)."""
+        down = {lab: frozenset((lab, *faces)) for lab, faces in _face_table(self.carrier).items()}
         return FinitePoset.from_down_sets(self.carrier.keys(), down)
 
     @cached_property

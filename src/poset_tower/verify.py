@@ -47,10 +47,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def exit_status(self) -> int:
-        return 0 if self.passed else 1
-
     def to_json_obj(self):
         return {
             "suite": self.suite,

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -111,6 +112,29 @@ def sd_reference(coords: dict) -> dict:
         level_set = Simplex(v for v, a in coords.items() if a >= t)
         out[stage_vertex_label(level_set)] = len(level_set) * (t - below)
     return out
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind: partitions of n things into k blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def sd_counts_reference(counts: tuple, n: int) -> tuple:
+    """The f-vector of sd^n K from the f-vector of K, without building a stage.
+
+    A k-simplex of sd K whose top face is a j-simplex of K is an ordered
+    partition of that simplex's j+1 vertices into k+1 blocks (the vertices
+    each face of the chain adds), so f_k(sd K) = sum_j f_j(K) (k+1)! S(j+1, k+1).
+    """
+    for _ in range(n):
+        counts = tuple(sum(f * factorial(k + 1) * stirling2(j + 1, k + 1)
+                           for j, f in enumerate(counts))
+                       for k in range(len(counts)))
+    return counts
 
 
 def embedding_reference(stage, start: int = 0) -> dict:

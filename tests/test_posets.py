@@ -13,10 +13,12 @@ from poset_tower import (
     subdivide,
     to_dot,
 )
-from poset_tower.errors import ElementNotFound, NotAPartialOrder
-from poset_tower.fixtures import antichain, chain, circle, edge, fence3, point
+from poset_tower.errors import ElementNotFound, NotAPartialOrder, ResourceLimit
+from poset_tower.fixtures import antichain, chain, circle, edge, fence3, point, projective_plane
 
 from conftest import COMPLEXES
+
+IDENTITY_COMPLEXES = {**COMPLEXES, "projective-plane": projective_plane}
 
 
 class TestRelation:
@@ -135,14 +137,24 @@ class TestFunctors:
         assert len(X) == 6
         assert len(X.hasse_pairs()) == 6
 
-    @pytest.mark.parametrize("name", sorted(COMPLEXES))
-    def test_order_complex_of_face_poset_is_first_subdivision(self, name):
-        K = COMPLEXES[name]()
-        stage = subdivide(K, 1)
+    @pytest.mark.parametrize("name, n", [
+        pytest.param(name, n, id=name if n == 1 else f"{name}-sd{n}")
+        for n in (1, 2, 3) for name in sorted(IDENTITY_COMPLEXES)])
+    def test_order_complex_of_face_poset_is_first_subdivision(self, name, n):
+        """Stage n, on ``{...}`` labels, is the order complex of stage n-1's face poset."""
+        stage = subdivide(IDENTITY_COMPLEXES[name](), n)
         relabel = {lab: s.label() for lab, s in stage.provenance.items()}
         rebuilt = {Simplex(relabel[v] for v in s.verts)
                    for s in stage.complex.simplices}
-        assert rebuilt == order_complex(face_poset(K)).simplices
+        assert rebuilt == order_complex(face_poset(stage.previous.complex)).simplices
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_order_complex_honours_simplex_cap(self, monkeypatch, n):
+        monkeypatch.setenv("POSET_TOWER_MAX_SIMPLICES", str(2 ** n - 1))
+        assert len(order_complex(chain(n)).simplices) == 2 ** n - 1
+        monkeypatch.setenv("POSET_TOWER_MAX_SIMPLICES", str(2 ** n - 2))
+        with pytest.raises(ResourceLimit, match="POSET_TOWER_MAX_SIMPLICES"):
+            order_complex(chain(n))
 
 
 class TestIsomorphism:

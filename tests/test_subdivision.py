@@ -20,7 +20,7 @@ from poset_tower import (
 )
 from poset_tower.approx import _stage_values
 from poset_tower.errors import ElementNotFound, InvalidComplex, InvalidInput, ResourceLimit
-from poset_tower.fixtures import circle, edge, point, triangle
+from poset_tower.fixtures import circle, edge, point, projective_plane, triangle
 from poset_tower.tower import Tower
 from poset_tower.verify import sample_points
 
@@ -31,6 +31,7 @@ from conftest import (
     embedding_reference,
     pl_values_reference,
     rational_points,
+    sd_counts_reference,
     small_complexes,
 )
 
@@ -94,6 +95,32 @@ class TestSubdivide:
         K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
         with pytest.raises(InvalidComplex, match=r"'b\{a,b\}'"):
             subdivide(K, 1)
+
+
+class TestSizeOracle:
+    """Stage sizes against the f-vector formula, which walks no chain."""
+
+    def test_formula_values(self):
+        assert [sd_counts_reference((3, 3, 1), n) for n in (1, 2, 3)] == [
+            (7, 12, 6), (25, 60, 36), (121, 336, 216)]
+        assert subdivide(projective_plane(), 3).complex.counts() == (1081, 3240, 2160)
+
+    def test_solid_tetrahedron_counts(self):
+        K = SimplicialComplex.from_maximal([["0", "1", "2", "3"]])
+        for stage in subdivide(K, 2).stage_chain():
+            assert stage.complex.counts() == sd_counts_reference(K.counts(), stage.stage)
+
+    @pytest.mark.parametrize("name", sorted(COMPLEXES))
+    def test_fixture_counts(self, name):
+        K = COMPLEXES[name]()
+        for stage in subdivide(K, 3).stage_chain():
+            assert stage.complex.counts() == sd_counts_reference(K.counts(), stage.stage)
+
+    @given(small_complexes())
+    @settings(max_examples=40)
+    def test_random_complex_counts(self, K):
+        for stage in subdivide(K, 3).stage_chain():
+            assert stage.complex.counts() == sd_counts_reference(K.counts(), stage.stage)
 
 
 class TestCoordinates:

@@ -187,6 +187,20 @@ class TestLazyOrders:
         assert len(calls) == 8
 
 
+class TestNoCofaceIndex:
+    def test_build_and_orders_make_no_coface_call(self, monkeypatch, TRI):
+        calls = []
+        cofaces = SimplicialComplex.cofaces
+        monkeypatch.setattr(SimplicialComplex, "cofaces",
+                            lambda self, s: calls.append(s) or cofaces(self, s))
+        tower = Tower.build(TRI, 4)
+        for level in tower.levels:
+            assert level.poset.elements == level.elements
+        assert calls == []
+        open_star(tower.stage(3).complex, Simplex(["0"]))
+        assert calls == [Simplex(["0"])]
+
+
 class TestProjection:
     def test_interior_point_level_one(self, tower_E3, E):
         p = RationalPoint(E, {"a": frac(2, 3), "b": frac(1, 3)})

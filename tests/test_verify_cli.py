@@ -15,7 +15,7 @@ from poset_tower.errors import (
     LevelOutOfRange,
     UnknownSuite,
 )
-from poset_tower.fixtures import circle, edge
+from poset_tower.fixtures import chain, circle, edge
 from poset_tower.tower import Tower
 from poset_tower.verify import SUITES, depth_guard, verify_all, verify_suite
 
@@ -163,6 +163,16 @@ class TestPosetCommands:
         assert code == 0
         assert json.loads(out)["simplices"] == [
             ["a"], ["b"], ["m"], ["a", "m"], ["b", "m"]]
+
+    def test_order_complex_cap(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "chain.json", chain(4).to_json_obj())
+        monkeypatch.setenv("POSET_TOWER_MAX_SIMPLICES", "14")
+        code, out, err = run_cli(capsys, "poset", "order-complex", path)
+        assert code == 1 and out == ""
+        assert "POSET_TOWER_MAX_SIMPLICES" in err
+        monkeypatch.setenv("POSET_TOWER_MAX_SIMPLICES", "15")
+        code, out, _ = run_cli(capsys, "poset", "order-complex", path)
+        assert code == 0 and len(json.loads(out)["simplices"]) == 15
 
     def test_dot_export(self, capsys, tmp_path):
         path = write_json(tmp_path / "fence.json",
