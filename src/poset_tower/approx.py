@@ -26,13 +26,13 @@ from .errors import (
 from .posets import PosetMap
 from .subdivision import (
     SubdividedComplex,
+    _barycenter_label,
     _carrier_mean,
     _numerators,
     _point,
     _weighted_sum,
     extend_subdivision,
     lift_point,
-    stage_vertex_label,
     subdivide,
 )
 from .tower import ThreadPrefix, Tower
@@ -125,10 +125,17 @@ def sd_map(g: SimplicialMap,
         source_stage = subdivide(g.source, 1)
     if target_stage is None:
         target_stage = subdivide(g.target, 1)
-    vm = {}
-    for lab, s in source_stage.provenance.items():
-        vm[lab] = stage_vertex_label(g.apply_simplex(s))
-    return SimplicialMap(source_stage.complex, target_stage.complex, vm)
+    return SimplicialMap(source_stage.complex, target_stage.complex,
+                         _image_barycenters(g.vertex_map, source_stage.provenance))
+
+
+def _image_barycenters(vertex_map: Mapping[str, str], carrier: dict) -> dict:
+    """Each label of a carrier table mapped to the barycenter label of its carrier's image.
+
+    This is the subdivided vertex map: a barycenter goes to the image barycenter.
+    """
+    return {lab: _barycenter_label(sorted({vertex_map[v] for v in s.verts}))
+            for lab, s in carrier.items()}
 
 
 def iterated_sd_map(g: SimplicialMap, n: int,
@@ -324,17 +331,20 @@ def homotopy_sample_points(cx: SimplicialComplex):
 
 def induce_level_map(g: SimplicialMap, n: int,
                      source_tower: Tower, target_tower: Tower) -> PosetMap:
-    """The level-n poset map: a carrier goes to its image carrier's barycenter."""
+    """The level-n poset map: a carrier goes to its image carrier's barycenter.
+
+    Level k's carriers are stage k's provenance, so walking levels 1..n with
+    the image-barycenter step gives the n-fold subdivision of g on level n.
+    A subdivided simplicial map is simplicial, so only g itself is checked.
+    """
     require_simplicial(g)
     if g.source != source_tower.base or g.target != target_tower.base:
         raise ValueError("towers do not match the map's endpoints")
-    gk = iterated_sd_map(g, n - 1, source_tower, target_tower)
     src_level = source_tower.level(n)
     dst_level = target_tower.level(n)
-    assignment = {
-        x: stage_vertex_label(gk.apply_simplex(carrier))
-        for x, carrier in src_level.carrier.items()
-    }
+    assignment = g.vertex_map
+    for level in source_tower.levels[:n]:
+        assignment = _image_barycenters(assignment, level.carrier)
     return PosetMap(src_level.poset, dst_level.poset, assignment)
 
 

@@ -73,13 +73,16 @@ def _load_poset(path: str) -> FinitePoset:
     return FinitePoset.from_json_obj(_read_json(path))
 
 
-def _cmd_poset_core(args) -> int:
-    X = core(_load_poset(args.file))
-    if args.format == "dot":
+def _emit_poset(X: FinitePoset, fmt: str) -> int:
+    if fmt == "dot":
         sys.stdout.write(to_dot(X))
     else:
         _emit(X.to_json_obj())
     return 0
+
+
+def _cmd_poset_core(args) -> int:
+    return _emit_poset(core(_load_poset(args.file)), args.format)
 
 
 def _cmd_poset_order_complex(args) -> int:
@@ -88,12 +91,7 @@ def _cmd_poset_order_complex(args) -> int:
 
 
 def _cmd_poset_face_poset(args) -> int:
-    X = face_poset(_load_complex(args.file))
-    if args.format == "dot":
-        sys.stdout.write(to_dot(X))
-    else:
-        _emit(X.to_json_obj())
-    return 0
+    return _emit_poset(face_poset(_load_complex(args.file)), args.format)
 
 
 def _cmd_poset_dot(args) -> int:

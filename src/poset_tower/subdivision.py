@@ -30,28 +30,6 @@ def _barycenter_label(verts) -> str:
     return "b{" + ",".join(verts) + "}"
 
 
-def split_label_members(label: str):
-    """Split the inside of a set label on top-level commas."""
-    members = []
-    depth = 0
-    current = []
-    for ch in label:
-        if ch == "{":
-            depth += 1
-            current.append(ch)
-        elif ch == "}":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            members.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        members.append("".join(current))
-    return members
-
-
 class SubdividedComplex:
     """One stage of the barycentric subdivision chain of a base complex.
 
@@ -259,17 +237,6 @@ def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
         raise ValueError("point must be expressed over the previous stage")
     D, numerators = _numerators(p)
     return _point(stage.complex, D, _sd_step(numerators))
-
-
-def lift_chain(stage: SubdividedComplex, p: RationalPoint):
-    """Yield a stage-0 point over stages 0, 1, ..., n of this stage's chain."""
-    if p.complex != stage.base:
-        raise ValueError("point is not over the chain's base complex")
-    D, numerators = _numerators(p)
-    yield p
-    for s in stage.stage_chain()[1:]:
-        numerators = _sd_step(numerators)
-        yield _point(s.complex, D, numerators)
 
 
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:

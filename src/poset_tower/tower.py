@@ -18,7 +18,6 @@ from .errors import (
     ElementNotFound,
     EqualPoints,
     IncoherentThread,
-    InvalidComplex,
     InvalidInput,
     InvalidPoint,
     LevelOutOfRange,
@@ -36,7 +35,6 @@ from .subdivision import (
     extend_subdivision,
     mesh_sq_bound,
     stage_vertex_label,
-    split_label_members,
     subdivide,
 )
 
@@ -156,8 +154,6 @@ class Tower:
 
     def project_point(self, p: RationalPoint, n: int) -> str:
         """The level-n element whose open carrier contains p."""
-        if p.complex != self.base:
-            raise ValueError("point is not over the tower's base complex")
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
         *_, label = self._projections(p, n)
@@ -204,14 +200,11 @@ class Tower:
         Past stage 0, where p itself is a checked point of the base, the
         support is read from p's integer numerators over one common
         denominator D; each label must be an element of its level, and the
-        numerators must still sum to D.
+        numerators must still sum to D.  The base check runs on the first
+        ``next``, so every caller iterates at once.
         """
         if p.complex != self.base:
             raise ValueError("point is not over the tower's base complex")
-        return self._support_labels(p, N)
-
-    def _support_labels(self, p: RationalPoint, N: int):
-        """The generator behind ``_projections``."""
         yield _barycenter_label(sorted(p.coords))
         if N == 1:
             return
@@ -240,17 +233,10 @@ class Tower:
             raise InvalidInput(f"thread entry {raw!r} at level {n} is not a label")
         if raw in self.level(n):
             return raw
-        inner = None
-        if raw.startswith("{") and raw.endswith("}"):
-            inner = raw[1:-1]
-        elif raw.startswith("b{") and raw.endswith("}"):
-            inner = raw[2:-1]
-        if inner is not None:
-            try:
-                label = stage_vertex_label(Simplex(split_label_members(inner)))
-            except InvalidComplex:
-                label = None
-            if label is not None and label in self.level(n):
+        members = _set_members(raw)
+        if members is not None:
+            label = _barycenter_label(members)
+            if label in self.level(n):
                 return label
         raise ElementNotFound(f"{raw!r} at level {n}")
 
@@ -312,6 +298,34 @@ class Tower:
 
     def __repr__(self):
         return f"Tower(base={self.base!r}, depth={self.depth})"
+
+
+def _set_members(raw: str):
+    """The sorted top-level members of a carrier-set entry ``{...}`` or ``b{...}``, or None.
+
+    Commas split members only outside nested braces.  An entry that is not
+    wrapped in braces, or has an empty or repeated member, is not a set: None.
+    """
+    if raw.startswith("{") and raw.endswith("}"):
+        inner = raw[1:-1]
+    elif raw.startswith("b{") and raw.endswith("}"):
+        inner = raw[2:-1]
+    else:
+        return None
+    members = []
+    depth = start = 0
+    for i, ch in enumerate(inner):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            members.append(inner[start:i])
+            start = i + 1
+    members.append(inner[start:])
+    if "" in members or len(set(members)) < len(members):
+        return None
+    return sorted(members)
 
 
 def _largest_carrier(members, carrier: dict) -> str:

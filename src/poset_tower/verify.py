@@ -25,7 +25,7 @@ from .complexes import (
 from .errors import DepthTooLarge, InvalidComplex, UnknownSuite
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
-from .subdivision import lift_chain
+from .subdivision import lift_point
 from .tower import Tower
 
 
@@ -233,8 +233,8 @@ def _suite_roundtrip(tower, seed):
     ok_points = True
     top = tower.stage(tower.depth)
     for p in sample_points(tower.base, 50, seed):
-        for stage, coords in zip(top.stage_chain(), lift_chain(top, p)):
-            if stage.embed_point(coords) != p:
+        for stage in top.stage_chain():
+            if stage.embed_point(lift_point(stage, p)) != p:
                 ok_points = False
     return [
         Check("decode-encode-round-trip", ok_threads, f"{count} threads"),

@@ -178,6 +178,18 @@ def pl_values_reference(h, stage) -> dict:
             for v, point in embedding_reference(stage, h.stage).items()}
 
 
+def sd_map_reference(vertex_map: dict, stage) -> dict:
+    """The vertex map of a simplicial map subdivided up to this stage, from the definition.
+
+    A stage-k vertex is the barycenter of its carrier, and the subdivided map
+    sends it to the barycenter of the carrier's image one stage down.
+    """
+    for s in stage.stage_chain()[1:]:
+        vertex_map = {label: stage_vertex_label(Simplex.of(vertex_map[v] for v in carrier.verts))
+                      for label, carrier in s.provenance.items()}
+    return vertex_map
+
+
 def lifted_image(tower: Tower, s: Simplex, m: int, n: int) -> str:
     """The level-n projection of the barycenter of a stage-m simplex, by lifting."""
     stage = tower.stage(m)

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poset_tower import (
     PLMap,
@@ -18,6 +19,7 @@ from poset_tower import (
     check_naturality,
     homotopy_sample_points,
     induce_level_map,
+    iterated_sd_map,
     limit_map,
     subdivide,
     validate_simplicial,
@@ -26,12 +28,13 @@ from poset_tower.errors import (
     IncoherentThread,
     InvalidInput,
     InvalidPLMap,
+    LevelOutOfRange,
     NotSimplicial,
     SearchExhausted,
 )
 from poset_tower.verify import sample_points
 
-from conftest import cached_tower, pl_values_reference
+from conftest import cached_tower, pl_values_reference, sd_map_reference, small_complexes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -257,6 +260,49 @@ class TestLevelMaps:
         g = SimplicialMap(S1, bad_target, {"0": "0", "1": "1", "2": "2"})
         with pytest.raises(NotSimplicial):
             induce_level_map(g, 1, cached_tower("circle", 3), Tower.build(bad_target, 1))
+
+
+@st.composite
+def simplicial_self_maps(draw, K):
+    """A simplicial map K -> K: a drawn vertex map if it is simplicial, else one into a drawn simplex."""
+    g = SimplicialMap(K, K, {v: draw(st.sampled_from(K.vertices)) for v in K.vertices})
+    if validate_simplicial(g):
+        return g
+    s = draw(st.sampled_from(sorted(K.simplices)))
+    return SimplicialMap(K, K, {v: draw(st.sampled_from(s.verts)) for v in K.vertices})
+
+
+class TestLevelMapWalk:
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_level_map_is_iterated_sd_map(self, data):
+        K = data.draw(small_complexes())
+        g = data.draw(simplicial_self_maps(K))
+        n = data.draw(st.integers(1, 3))
+        tower = Tower.build(K, n)
+        walked = iterated_sd_map(g, n, tower, tower).vertex_map
+        assert walked == induce_level_map(g, n, tower, tower).assignment
+        assert walked == sd_map_reference(g.vertex_map, tower.stage(n))
+
+    @pytest.mark.parametrize("n, source_depth, target_depth", [
+        (0, 3, 3), (-1, 3, 3), (4, 3, 3), (3, 2, 3), (3, 3, 2),
+    ])
+    def test_level_out_of_range(self, S1, n, source_depth, target_depth):
+        g = SimplicialMap(S1, S1, {"0": "1", "1": "2", "2": "0"})
+        with pytest.raises(LevelOutOfRange):
+            induce_level_map(g, n, Tower.build(S1, source_depth), Tower.build(S1, target_depth))
+
+    def test_error_order(self, S1):
+        circle = cached_tower("circle", 3)
+        rot = SimplicialMap(S1, S1, {"0": "1", "1": "2", "2": "0"})
+        with pytest.raises(ValueError):
+            induce_level_map(rot, 1, circle, cached_tower("edge", 3))
+        with pytest.raises(ValueError):
+            induce_level_map(rot, 4, circle, cached_tower("edge", 3))
+        bad_target = SimplicialComplex.from_maximal([["0", "2"], ["1", "2"], ["0"], ["1"]])
+        bad = SimplicialMap(S1, bad_target, {"0": "0", "1": "1", "2": "2"})
+        with pytest.raises(NotSimplicial):
+            induce_level_map(bad, 4, circle, cached_tower("edge", 3))
 
 
 class TestNaturality:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -345,6 +346,28 @@ class TestThreads:
         t = tower_E3.thread(["{a,b}", "{a,b{a,b}}"])
         assert t.entries == ("b{a,b}", "b{a,b{a,b}}")
 
+    @pytest.mark.parametrize("entry, label", [
+        ("{b,a}", "b{a,b}"),
+        ("b{b,a}", "b{a,b}"),
+        ("{a}", "a"),
+        ("b{a}", "a"),
+        ("{a,}", None),
+        ("b{a,b,}", None),
+        ("{a,b{a,b},}", None),
+        ("{,a}", None),
+        ("{a,,b}", None),
+        ("{}", None),
+        ("b{}", None),
+        ("{a,a}", None),
+    ])
+    def test_carrier_set_members(self, E, entry, label):
+        tower = Tower.build(E, 2)
+        if label is None:
+            with pytest.raises(ElementNotFound, match=re.escape(repr(entry))):
+                tower.thread(["a", entry])
+        else:
+            assert tower.thread(["a", entry]).entries == ("a", label)
+
     def test_decode_interior(self, tower_E3):
         region = tower_E3.decode_thread(tower_E3.thread(["b{a,b}", "{a,b{a,b}}"]))
         assert region.representative.coords == {"a": frac(3, 4), "b": frac(1, 4)}
@@ -404,7 +427,7 @@ class TestNumeratorLift:
         tower = cached_tower("triangle", 3)
         assert tower.encode_thread(p, 3).entries == support_labels(chain[:3])
         assert subdivision.lift_point(tower.stage(3), p).coords == chain[3]
-        assert [q.coords for q in subdivision.lift_chain(tower.stage(3), p)] == chain[:4]
+        assert [subdivision.lift_point(tower.stage(k), p).coords for k in range(4)] == chain[:4]
 
     def test_big_denominator_is_kept_exactly(self, TRI):
         p = RationalPoint(TRI, self.BIG)
@@ -438,8 +461,6 @@ class TestNumeratorLift:
         p = RationalPoint.vertex(S1, "0")
         with pytest.raises(ValueError):
             subdivision.lift_point(tower_E3.stage(2), p)
-        with pytest.raises(ValueError):
-            list(subdivision.lift_chain(tower_E3.stage(2), p))
 
 
 class TestSeparation:
