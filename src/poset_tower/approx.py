@@ -10,7 +10,6 @@ straight-line homotopic to the original map.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -71,11 +70,12 @@ class SimplicialMap:
 
     def apply_point(self, p: RationalPoint) -> RationalPoint:
         """The induced map on realizations (requires the map to be simplicial)."""
-        acc: dict[str, Fraction] = {}
-        for v, a in p.coords.items():
+        D, numerators = _numerators(p)
+        acc = {}
+        for v, a in numerators.items():
             w = self.vertex_map[v]
-            acc[w] = acc.get(w, Fraction(0)) + a
-        return RationalPoint(self.target, acc)
+            acc[w] = acc.get(w, 0) + a
+        return _point(self.target, D, acc)
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
@@ -141,13 +141,25 @@ def _image_barycenters(vertex_map: Mapping[str, str], carrier: dict) -> dict:
 def iterated_sd_map(g: SimplicialMap, n: int,
                     source_tower: Tower | None = None,
                     target_tower: Tower | None = None) -> SimplicialMap:
-    """The n-fold subdivision of g, reusing tower stages when provided."""
-    out = g
-    for k in range(1, n + 1):
-        src = source_tower.stage(k) if source_tower is not None else None
-        dst = target_tower.stage(k) if target_tower is not None else None
-        out = sd_map(out, src, dst)
-    return out
+    """The n-fold subdivision of g, reusing tower stages when provided.
+
+    Stage k's provenance is a carrier table, so walking stages 1..n with the
+    image-barycenter step gives the n-fold subdivision, as in
+    ``induce_level_map``.  A subdivided simplicial map is simplicial, so only
+    g itself is checked.
+    """
+    require_simplicial(g)
+    if n < 1:
+        return g
+    if source_tower is not None:
+        sources = [source_tower.stage(k) for k in range(1, n + 1)]
+    else:
+        sources = subdivide(g.source, n).stage_chain()[1:]
+    target = target_tower.stage(n) if target_tower is not None else subdivide(g.target, n)
+    assignment = g.vertex_map
+    for stage in sources:
+        assignment = _image_barycenters(assignment, stage.provenance)
+    return SimplicialMap(sources[-1].complex, target.complex, assignment)
 
 
 class PLMap:
@@ -169,7 +181,7 @@ class PLMap:
                 raise InvalidPLMap(f"image of {v!r} is not a point of the target")
         for s in cx.sorted_simplices():
             hull = Simplex.of(
-                w for v in s.verts for w in images[v].coords)
+                w for v in s.verts for w in _numerators(images[v])[1])
             if hull not in target.simplices:
                 raise InvalidPLMap(
                     f"vertex images of {s.label()} span {hull.label()},"
@@ -178,10 +190,11 @@ class PLMap:
         self.target = target
         self.images = dict(images)
         # (D, {vertex: {target vertex: numerator}}): every image over one common D
-        D = lcm(*(a.denominator for q in self.images.values() for a in q.coords.values()))
+        pairs = {v: _numerators(q) for v, q in self.images.items()}
+        D = lcm(*(Dq for Dq, _ in pairs.values()))
         self._image_numerators = (D, {
-            v: {w: a.numerator * (D // a.denominator) for w, a in q.coords.items()}
-            for v, q in self.images.items()})
+            v: {w: a * (D // Dq) for w, a in numerators.items()}
+            for v, (Dq, numerators) in pairs.items()})
 
     @property
     def source(self) -> SimplicialComplex:
@@ -322,10 +335,7 @@ def carrier_homotopy_check(h: PLMap, f: SimplicialMap,
 def homotopy_sample_points(cx: SimplicialComplex):
     """All vertices plus all edge midpoints, as exact points."""
     samples = [RationalPoint.vertex(cx, v) for v in cx.vertices]
-    half = Fraction(1, 2)
-    for e in cx.k_simplices(1):
-        a, b = e.verts
-        samples.append(RationalPoint(cx, {a: half, b: half}))
+    samples.extend(RationalPoint.barycenter(cx, e) for e in cx.k_simplices(1))
     return samples
 
 

@@ -2,14 +2,18 @@
 
 Vertices are plain string labels; the canonical order everywhere is the
 lexicographic order on labels, which keeps every enumeration and every
-serialized artifact reproducible.  All coordinates are ``fractions.Fraction``;
-the package never touches floating point.
+serialized artifact reproducible.  Coordinates are exact: integer numerators
+over a common denominator, read as ``fractions.Fraction``; the package never
+touches floating point.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -229,44 +233,81 @@ def validate_complex(vertices: Sequence[str], simplices: Sequence[Sequence[str]]
 class RationalPoint:
     """A point of the geometric realization, as exact barycentric coordinates.
 
-    Only the positive coordinates are stored; their keys must span a simplex
-    of the complex and the values must sum to exactly 1.
+    The point is stored as ``(D, {vertex: numerator})``: positive integer
+    numerators over one common denominator D, divided by their gcd with D so
+    that equal points have equal pairs.  The numerator keys must span a
+    simplex of the complex and the numerators must sum to D.  ``coords``, the
+    ``Fraction`` view, is read-only and built on first read.
     """
 
-    __slots__ = ("complex", "coords")
+    # D and the numerators sit in two slots, not in one tuple: a long-lived
+    # 2-tuple per point raised the peak RSS of building level orders by 1.2 MiB
+    # for 256 live points (pymalloc pools it pins among the orders' tuples)
+    __slots__ = ("complex", "_denominator", "_numerators", "_coords")
 
     def __init__(self, complex: SimplicialComplex, coords: Mapping[str, Fraction]):
         clean = {}
         for v, a in coords.items():
             if type(a) is not Fraction:
-                try:
-                    a = Fraction(a)
-                except (TypeError, ValueError, ArithmeticError) as exc:
-                    raise InvalidPoint(
-                        f"coordinate {a!r} at {v!r} is not a rational number") from exc
+                a = _rational(v, a)
             # a Fraction's denominator is positive, so its numerator carries the sign
             if a.numerator < 0:
                 raise InvalidPoint(f"negative coordinate {a} at {v!r}")
             if a.numerator:
                 clean[v] = a
-        if sum(clean.values(), Fraction(0)) != 1:
+        # reduced fractions over their lcm D: a prime of D divides no numerator
+        # of the denominator it came from, so the pair is already canonical
+        D = lcm(*[a.denominator for a in clean.values()])
+        self._store(complex, D, {v: a.numerator * (D // a.denominator) for v, a in clean.items()})
+        self._coords = MappingProxyType(clean)
+
+    @classmethod
+    def _from_numerators(cls, complex: SimplicialComplex, D: int,
+                         numerators: Mapping[str, int]) -> "RationalPoint":
+        """The point with coordinates ``numerators[v] / D``, with every check of the constructor."""
+        clean = {}
+        for v, a in numerators.items():
+            if a < 0:
+                raise InvalidPoint(f"negative coordinate {Fraction(a, D)} at {v!r}")
+            if a:
+                clean[v] = a
+        g = gcd(D, *clean.values())
+        if g > 1:
+            D //= g
+            clean = {v: a // g for v, a in clean.items()}
+        p = cls.__new__(cls)
+        p._store(complex, D, clean)
+        p._coords = None
+        return p
+
+    def _store(self, complex: SimplicialComplex, D: int, numerators: dict) -> None:
+        """Check that positive ``numerators`` over D are a point of ``complex``, then keep them."""
+        if D < 1 or sum(numerators.values()) != D:
             raise InvalidPoint("coordinates must sum to exactly 1")
-        supp = Simplex(clean.keys())
+        supp = Simplex(numerators.keys())
         if supp not in complex.simplices:
             raise InvalidPoint(f"support {supp.label()} is not a simplex of the complex")
         self.complex = complex
-        self.coords = clean
+        self._denominator = D
+        self._numerators = numerators
+
+    @property
+    def coords(self) -> Mapping[str, Fraction]:
+        """The positive coordinates as ``Fraction``s, a read-only mapping."""
+        if self._coords is None:
+            D = self._denominator
+            self._coords = MappingProxyType({v: Fraction(a, D) for v, a in self._numerators.items()})
+        return self._coords
 
     @classmethod
     def vertex(cls, complex: SimplicialComplex, v: str) -> "RationalPoint":
-        return cls(complex, {v: Fraction(1)})
+        return cls._from_numerators(complex, 1, {v: 1})
 
     @classmethod
     def barycenter(cls, complex: SimplicialComplex, simplex: Simplex) -> "RationalPoint":
         if simplex not in complex.simplices:
             raise SimplexNotInComplex(simplex.label())
-        n = len(simplex.verts)
-        return cls(complex, {v: Fraction(1, n) for v in simplex.verts})
+        return cls._from_numerators(complex, len(simplex.verts), dict.fromkeys(simplex.verts, 1))
 
     @classmethod
     def affine(cls, complex, weighted_points) -> "RationalPoint":
@@ -281,7 +322,7 @@ class RationalPoint:
         return self.coords.get(v, Fraction(0))
 
     def support(self) -> Simplex:
-        return Simplex(self.coords.keys())
+        return Simplex(self._numerators.keys())
 
     def to_json_obj(self):
         return {"coords": {v: str(a) for v, a in sorted(self.coords.items())}}
@@ -296,11 +337,34 @@ class RationalPoint:
     def __eq__(self, other):
         return (isinstance(other, RationalPoint)
                 and self.complex == other.complex
-                and self.coords == other.coords)
+                and self._denominator == other._denominator
+                and self._numerators == other._numerators)
 
     def __repr__(self):
         inner = ", ".join(f"{v}:{a}" for v, a in sorted(self.coords.items()))
         return f"RationalPoint({inner})"
+
+
+# CPython refuses to convert an int string of more than 4300 digits; a decimal
+# exponent beyond that would build such an int by arithmetic, at a cost that
+# grows faster than linearly with the exponent.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _rational(v: str, a) -> Fraction:
+    """Coordinate ``a`` at ``v`` as a ``Fraction``, or ``InvalidPoint``."""
+    if isinstance(a, str):
+        m = _EXPONENT.search(a)
+        if m is not None:
+            digits = m.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+                raise InvalidPoint(
+                    f"coordinate at {v!r} has a decimal exponent beyond {_MAX_EXPONENT}")
+    try:
+        return Fraction(a)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InvalidPoint(f"coordinate {a!r} at {v!r} is not a rational number") from exc
 
 
 def support(p: RationalPoint) -> Simplex:

@@ -200,9 +200,8 @@ def extend_subdivision(stage: SubdividedComplex, n: int) -> SubdividedComplex:
 
 
 def _numerators(p: RationalPoint):
-    """``(D, numerators)``: p's coordinates as ``{label: numerator}`` over their lcm D."""
-    D = lcm(*[a.denominator for a in p.coords.values()])
-    return D, {v: a.numerator * (D // a.denominator) for v, a in p.coords.items()}
+    """``(D, numerators)``: p's stored ``{label: numerator}`` over D; callers must not mutate it."""
+    return p._denominator, p._numerators
 
 
 def _sd_step(numerators: dict) -> dict:
@@ -228,7 +227,7 @@ def _sd_step(numerators: dict) -> dict:
 
 def _point(complex: SimplicialComplex, D: int, numerators: dict) -> RationalPoint:
     """The point of ``complex`` with these numerators over D, validated."""
-    return RationalPoint(complex, {v: Fraction(a, D) for v, a in numerators.items()})
+    return RationalPoint._from_numerators(complex, D, numerators)
 
 
 def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:

@@ -196,19 +196,17 @@ class Tower:
     def _projections(self, p: RationalPoint, N: int):
         """Lazily, the level-1..N elements whose open carriers contain p.
 
-        Level n's element is the barycenter label of p's support at stage n-1.
-        Past stage 0, where p itself is a checked point of the base, the
-        support is read from p's integer numerators over one common
-        denominator D; each label must be an element of its level, and the
-        numerators must still sum to D.  The base check runs on the first
-        ``next``, so every caller iterates at once.
+        Level n's element is the barycenter label of p's support at stage n-1,
+        read from the keys of p's integer numerators over one common
+        denominator D.  Past stage 0, where p itself is a checked point of the
+        base, each label must be an element of its level, and the numerators
+        must still sum to D.  The base check runs on the first ``next``, so
+        every caller iterates at once.
         """
         if p.complex != self.base:
             raise ValueError("point is not over the tower's base complex")
-        yield _barycenter_label(sorted(p.coords))
-        if N == 1:
-            return
         D, numerators = _numerators(p)
+        yield _barycenter_label(sorted(numerators))
         for level in self.levels[1:N]:
             numerators = _sd_step(numerators)
             label = _barycenter_label(sorted(numerators))

@@ -25,7 +25,7 @@ from .complexes import (
 from .errors import DepthTooLarge, InvalidComplex, UnknownSuite
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
-from .subdivision import lift_point
+from .subdivision import _point, lift_point
 from .tower import Tower
 
 
@@ -83,9 +83,7 @@ def sample_points(K: SimplicialComplex, count: int, seed: int):
         weights = [rng.randint(0, 6) for _ in s.verts]
         if not any(weights):
             weights[rng.randrange(len(weights))] = 1
-        total = sum(weights)
-        points.append(RationalPoint(
-            K, {v: Fraction(w, total) for v, w in zip(s.verts, weights) if w}))
+        points.append(_point(K, sum(weights), dict(zip(s.verts, weights))))
     return points
 
 

@@ -32,6 +32,8 @@ from poset_tower.errors import (
     NotSimplicial,
     SearchExhausted,
 )
+from poset_tower import approx
+from poset_tower.subdivision import _numerators, embed_point, lift_point, sd_coordinates
 from poset_tower.verify import sample_points
 
 from conftest import cached_tower, pl_values_reference, sd_map_reference, small_complexes
@@ -304,6 +306,24 @@ class TestLevelMapWalk:
         with pytest.raises(NotSimplicial):
             induce_level_map(bad, 4, circle, cached_tower("edge", 3))
 
+    @pytest.mark.parametrize("name", ["edge", "circle", "triangle"])
+    def test_iterated_sd_map_without_towers(self, name):
+        tower = cached_tower(name, 3)
+        K = tower.base
+        g = SimplicialMap.constant(K, K, K.vertices[-1])
+        for n in range(4):
+            assert iterated_sd_map(g, n) == iterated_sd_map(g, n, tower, tower)
+
+    def test_iterated_sd_map_checks_only_g(self, monkeypatch):
+        tower = cached_tower("triangle", 3)
+        checked = []
+        real = approx.require_simplicial
+        monkeypatch.setattr(approx, "require_simplicial",
+                            lambda g: (checked.append(g), real(g))[1])
+        g = SimplicialMap.identity(tower.base)
+        iterated_sd_map(g, 3, tower, tower)
+        assert checked == [g]
+
 
 class TestNaturality:
     def test_constant_map(self, S1, PT):
@@ -368,3 +388,43 @@ class TestSystemMorphisms:
         for x in tower.level(3).elements:
             t = tower.thread(tuple(tower.bond(x, 3, n) for n in (1, 2, 3)))
             assert tower.validate_thread(limit_map(m, t))
+
+
+class TestNoAliasing:
+    """Point operations read the stored numerators and never write into them."""
+
+    @staticmethod
+    def snapshot(p):
+        D, numerators = _numerators(p)
+        return D, dict(numerators), dict(p.coords)
+
+    def test_inputs_are_left_unchanged(self, TRI):
+        tower = cached_tower("triangle", 3)
+        stage1 = tower.stage(1)
+        h = PLMap(stage1, TRI, {v: stage1.embed_vertex(v) for v in stage1.complex.vertices})
+        g = SimplicialMap.constant(TRI, TRI, "0")
+        base_points = sample_points(TRI, 12, seed=5)
+        calls = []
+        for p, q in zip(base_points, base_points[1:]):
+            calls.append(((p,), lambda p: lift_point(tower.stage(2), p)))
+            calls.append(((p,), lambda p: g.apply_point(p)))
+            calls.append(((p,), lambda p: tower.encode_thread(p, 3)))
+            calls.append(((p,), lambda p: h.evaluate_base(p)))
+            if p != q:
+                calls.append(((p, q), tower.separation_stage))
+            lifted = lift_point(stage1, p)
+            calls.append(((lifted,), stage1.embed_point))
+            calls.append(((lifted,), lambda x: embed_point(stage1, x)))
+            calls.append(((lifted,), lambda x: sd_coordinates(tower.stage(2), x)))
+            calls.append(((lifted,), h.evaluate))
+        for args, call in calls:
+            before = [self.snapshot(x) for x in args]
+            call(*args)
+            assert [self.snapshot(x) for x in args] == before
+
+    def test_coords_cannot_be_assigned(self, TRI):
+        for p in sample_points(TRI, 5, seed=1):
+            with pytest.raises(TypeError):
+                p.coords["0"] = Fraction(1)
+            with pytest.raises(TypeError):
+                del p.coords[next(iter(p.coords))]

@@ -26,7 +26,7 @@ from poset_tower.errors import (
     SimplexNotInComplex,
     UnknownVertex,
 )
-from poset_tower.subdivision import subdivide
+from poset_tower.subdivision import _numerators, subdivide
 from poset_tower.verify import sample_points
 
 from conftest import COMPLEXES, is_complex, is_face_of, small_complexes
@@ -267,6 +267,69 @@ class TestIncidenceOracle:
         assert E.has_vertex("a")
         assert not E.has_vertex("c")
         assert not E.has_vertex("b{a,b}")
+
+
+class TestPointForm:
+    """Points are stored as integer numerators over one common denominator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_integer_constructor_matches_fraction_constructor(self, data):
+        K = data.draw(small_complexes())
+        verts = data.draw(st.lists(st.sampled_from(K.vertices), min_size=1, unique=True))
+        numerators = {v: data.draw(st.integers(0, 6)) for v in verts}
+        fault = data.draw(st.sampled_from(["none", "negative", "sum"]))
+        if fault == "negative":
+            numerators[data.draw(st.sampled_from(verts))] = -data.draw(st.integers(1, 6))
+        D = max(sum(numerators.values()), 1)
+        if fault == "sum":
+            D += data.draw(st.integers(1, 5))
+        # a common factor keeps D from being reduced
+        scale = data.draw(st.integers(1, 4))
+        numerators = {v: a * scale for v, a in numerators.items()}
+        D *= scale
+
+        def build(make):
+            try:
+                return make(), None
+            except InvalidPoint as exc:
+                return None, str(exc)
+
+        got, got_error = build(lambda: RationalPoint._from_numerators(K, D, numerators))
+        want, want_error = build(
+            lambda: RationalPoint(K, {v: Fraction(a, D) for v, a in numerators.items()}))
+        assert got_error == want_error
+        if want is not None:
+            assert got == want
+            assert got.coords == want.coords
+            assert _numerators(got) == _numerators(want)
+            g, nums = _numerators(got)
+            assert sum(nums.values()) == g and 0 not in nums.values()
+
+    def test_equal_points_have_equal_pairs(self, E):
+        p = RationalPoint._from_numerators(E, 6, {"a": 4, "b": 2})
+        q = RationalPoint(E, {"a": "2/3", "b": Fraction(1, 3)})
+        assert _numerators(p) == _numerators(q) == (3, {"a": 2, "b": 1})
+        assert p == q
+
+    def test_coords_are_read_only(self, E):
+        for p in (RationalPoint(E, {"a": Fraction(2, 3), "b": Fraction(1, 3)}),
+                  RationalPoint._from_numerators(E, 3, {"a": 2, "b": 1})):
+            with pytest.raises(TypeError):
+                p.coords["a"] = Fraction(1)
+            assert p.coords == {"a": Fraction(2, 3), "b": Fraction(1, 3)}
+            assert p.coords is p.coords
+
+    @pytest.mark.parametrize("value", ["1e4301", "1e-4301", "1E+0_4301", "2.5e-100000000",
+                                       "1e" + "9" * 5000])
+    def test_huge_decimal_exponent_is_refused(self, E, value):
+        with pytest.raises(InvalidPoint, match="decimal exponent"):
+            RationalPoint(E, {"a": value, "b": "1"})
+
+    @pytest.mark.parametrize("value", ["1e-4300", "1e-0004300", " 1e-4_300 "])
+    def test_exponent_at_the_bound_is_read(self, E, value):
+        with pytest.raises(InvalidPoint, match="sum to exactly 1"):
+            RationalPoint(E, {"a": value, "b": "1"})
 
 
 class TestDistance:

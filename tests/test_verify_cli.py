@@ -336,12 +336,12 @@ class TestInputErrors:
     """Malformed input ends in one ``error:`` line and exit 1, never a traceback."""
 
     @staticmethod
-    def run_module(*argv, **env_vars):
+    def run_module(*argv, timeout=60, **env_vars):
         env = dict(os.environ, **env_vars)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, "-m", "poset_tower", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=env, timeout=timeout)
 
     def assert_clean_error(self, result, needle):
         assert result.returncode == 1
@@ -367,6 +367,14 @@ class TestInputErrors:
         result = self.run_module("tower", "encode", cpath, "--point", ppath,
                                  "--depth", "1")
         self.assert_clean_error(result, repr(value))
+
+    def test_huge_decimal_exponent(self, tmp_path):
+        """``Fraction("1e-100000000")`` would build a 100-million-digit integer first."""
+        cpath = write_json(tmp_path / "edge.json", EDGE)
+        ppath = write_json(tmp_path / "p.json", {"coords": {"a": "1e-100000000", "b": "1"}})
+        result = self.run_module("tower", "encode", cpath, "--point", ppath,
+                                 "--depth", "1", timeout=10)
+        self.assert_clean_error(result, "decimal exponent")
 
     def test_verify_empty_complex(self, tmp_path):
         path = write_json(tmp_path / "empty.json", {"vertices": [], "simplices": []})
