@@ -10,6 +10,7 @@ touches floating point.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -35,9 +36,10 @@ class Simplex:
         vs = tuple(sorted(verts))
         if not vs:
             raise InvalidComplex("a simplex needs at least one vertex")
-        for a, b in zip(vs, vs[1:]):
-            if a == b:
-                raise InvalidComplex(f"duplicate vertex {a!r} in simplex")
+        # the set test runs in C; the pair walk only names the first repeat
+        if len(set(vs)) < len(vs):
+            a = next(a for a, b in zip(vs, vs[1:]) if a == b)
+            raise InvalidComplex(f"duplicate vertex {a!r} in simplex")
         self.verts = vs
 
     @classmethod
@@ -347,20 +349,24 @@ class RationalPoint:
 
 # CPython refuses to convert an int string of more than 4300 digits; a decimal
 # exponent beyond that would build such an int by arithmetic, at a cost that
-# grows faster than linearly with the exponent.
+# grows faster than linearly with the exponent.  Strings and finite
+# ``Decimal``s are both read through such a power of ten.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def _rational(v: str, a) -> Fraction:
     """Coordinate ``a`` at ``v`` as a ``Fraction``, or ``InvalidPoint``."""
+    too_large = False
     if isinstance(a, str):
         m = _EXPONENT.search(a)
         if m is not None:
             digits = m.group(1).replace("_", "").lstrip("0")
-            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-                raise InvalidPoint(
-                    f"coordinate at {v!r} has a decimal exponent beyond {_MAX_EXPONENT}")
+            too_large = len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT
+    elif isinstance(a, Decimal) and a.is_finite():
+        too_large = abs(a.as_tuple().exponent) > _MAX_EXPONENT
+    if too_large:
+        raise InvalidPoint(f"coordinate at {v!r} has a decimal exponent beyond {_MAX_EXPONENT}")
     try:
         return Fraction(a)
     except (TypeError, ValueError, ArithmeticError) as exc:

@@ -91,6 +91,15 @@ class ThreadPrefix:
     def __repr__(self):
         return f"ThreadPrefix({', '.join(self.entries)})"
 
+    @cached_property
+    def _coherent(self) -> bool:
+        """Whether ``tower`` matches consecutive entries by its bonds, checked once.
+
+        ``ElementNotFound`` escapes the property, so an entry outside its level
+        is refused on every read and nothing is recorded.
+        """
+        return self.tower._check_thread(self.entries)
+
 
 @dataclass(frozen=True)
 class DecodedRegion:
@@ -239,8 +248,16 @@ class Tower:
         raise ElementNotFound(f"{raw!r} at level {n}")
 
     def validate_thread(self, t: ThreadPrefix) -> bool:
-        """True iff consecutive entries are matched by the bonding maps."""
-        entries = t.entries
+        """True iff consecutive entries are matched by the bonding maps.
+
+        A thread of this tower records the answer on itself; a thread of
+        another tower is checked against this one afresh.
+        """
+        if t.tower is self:
+            return t._coherent
+        return self._check_thread(t.entries)
+
+    def _check_thread(self, entries: tuple) -> bool:
         for n, x in enumerate(entries, start=1):
             if x not in self.level(n):
                 raise ElementNotFound(f"{x!r} at level {n}")

@@ -119,7 +119,7 @@ def sample_separated_pairs(K: SimplicialComplex, count: int, seed: int):
 # -- suites -------------------------------------------------------------------
 
 
-def _suite_level_oracle(tower, seed):
+def _suite_level_oracle(tower, points):
     checks = []
     for n in range(1, tower.depth + 1):
         level = tower.level(n)
@@ -132,9 +132,8 @@ def _suite_level_oracle(tower, seed):
     return checks
 
 
-def _suite_bond_commutation(tower, seed):
+def _suite_bond_commutation(tower, points):
     depth = tower.depth
-    points = sample_points(tower.base, 200, seed)
     ok_diagram = True
     for p in points:
         proj = dict(enumerate(tower.encode_thread(p, depth).entries, start=1))
@@ -150,12 +149,12 @@ def _suite_bond_commutation(tower, seed):
                     if tower.bond(x, m, n) != tower.bond(tower.bond(x, m, k), k, n):
                         ok_composition = False
     return [
-        Check("projection-commutes-with-bonds", ok_diagram, "200 sampled points"),
+        Check("projection-commutes-with-bonds", ok_diagram, f"{len(points)} sampled points"),
         Check("bond-composition", ok_composition, "all elements, all level pairs"),
     ]
 
 
-def _suite_preimage(tower, seed):
+def _suite_preimage(tower, points):
     checks = []
     for n in range(1, tower.depth + 1):
         level = tower.level(n)
@@ -169,7 +168,7 @@ def _suite_preimage(tower, seed):
     return checks
 
 
-def _suite_upset_core(tower, seed):
+def _suite_upset_core(tower, points):
     checks = []
     for n in range(1, tower.depth + 1):
         level = tower.level(n)
@@ -180,7 +179,7 @@ def _suite_upset_core(tower, seed):
     return checks
 
 
-def _suite_upset_acyclic(tower, seed):
+def _suite_upset_acyclic(tower, points):
     checks = []
     for n in range(1, tower.depth + 1):
         level = tower.level(n)
@@ -197,7 +196,7 @@ def _suite_upset_acyclic(tower, seed):
     return checks
 
 
-def _suite_openness(tower, seed):
+def _suite_openness(tower, points):
     """The image of every open star of stage m is an up-set of level n.
 
     An open union of open simplices is a union of open stars, images commute
@@ -217,7 +216,7 @@ def _suite_openness(tower, seed):
     return checks
 
 
-def _suite_roundtrip(tower, seed):
+def _suite_roundtrip(tower, points):
     ok_threads = True
     count = 0
     for N in range(1, tower.depth + 1):
@@ -230,17 +229,17 @@ def _suite_roundtrip(tower, seed):
             count += 1
     ok_points = True
     top = tower.stage(tower.depth)
-    for p in sample_points(tower.base, 50, seed):
+    for p in points:
         for stage in top.stage_chain():
             if stage.embed_point(lift_point(stage, p)) != p:
                 ok_points = False
     return [
         Check("decode-encode-round-trip", ok_threads, f"{count} threads"),
-        Check("coordinate-embed-round-trip", ok_points, "50 sampled points"),
+        Check("coordinate-embed-round-trip", ok_points, f"{len(points)} sampled points"),
     ]
 
 
-def _suite_homology(tower, seed):
+def _suite_homology(tower, points):
     reference = betti(tower.base)
     checks = [Check("stage-0-profile", True,
                     f"betti={list(reference.betti)}")]
@@ -252,22 +251,21 @@ def _suite_homology(tower, seed):
     return checks
 
 
-def _suite_naturality(tower, seed):
+def _suite_naturality(tower, points):
     K, depth = tower.base, tower.depth
     maps = [
         ("identity", SimplicialMap.identity(K)),
         ("constant", SimplicialMap.constant(K, K, K.vertices[0])),
     ]
-    samples = sample_points(K, 100, seed)
     checks = []
     for name, g in maps:
         ok = all(
-            check_naturality(g, n, samples, tower, tower)
+            check_naturality(g, n, points, tower, tower)
             for n in range(1, depth + 1))
         ok_order = all(
             induce_level_map(g, n, tower, tower).is_order_preserving()
             for n in range(1, depth + 1))
-        checks.append(Check(f"{name}-naturality", ok, "100 sampled points"))
+        checks.append(Check(f"{name}-naturality", ok, f"{len(points)} sampled points"))
         checks.append(Check(f"{name}-level-maps-order-preserving", ok_order))
     return checks
 
@@ -285,12 +283,25 @@ SUITES: dict[str, Callable] = {
 }
 
 
+# How many seeded points each sampling suite checks; the other suites check none.
+_SAMPLE_SIZES = {"bond-commutation": 200, "naturality": 100, "roundtrip": 50}
+
+
 def _reports(names, K: SimplicialComplex, depth: int, seed: int) -> list:
+    """Run the named suites on one tower and one seeded sample.
+
+    ``sample_points(K, c, seed)`` is a prefix of ``sample_points(K, c', seed)``
+    for c <= c' (the same draws in the same order), so one sample of the
+    largest size asked for gives each suite exactly the points it would draw.
+    """
     if not K.simplices:
         raise InvalidComplex("cannot verify the empty complex")
     depth_guard(K, depth)
     tower = Tower.build(K, depth)
-    return [VerificationReport(name, depth, seed, tuple(SUITES[name](tower, seed)))
+    sizes = {name: _SAMPLE_SIZES.get(name, 0) for name in names}
+    count = max(sizes.values())
+    points = sample_points(K, count, seed) if count else []
+    return [VerificationReport(name, depth, seed, tuple(SUITES[name](tower, points[:sizes[name]])))
             for name in names]
 
 

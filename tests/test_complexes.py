@@ -2,6 +2,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from poset_tower import (
     support,
     validate_complex,
 )
+from poset_tower.complexes import _MAX_EXPONENT
 from poset_tower.errors import (
     InvalidComplex,
     InvalidPoint,
@@ -146,6 +149,38 @@ except PosetTowerError as exc:
             assert result.returncode == 0, result.stderr
             outputs.add(result.stdout)
         assert outputs == {"face Simplex({a}) of simplex Simplex({a,b}) is missing\n"}
+
+
+class TestUnchangedCheckMessages:
+    """The simplex and support checks raise the same types and messages under any hash seed."""
+
+    SCRIPT = """
+from poset_tower import RationalPoint, Simplex, SimplicialComplex
+from poset_tower.errors import PosetTowerError
+K = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"]])
+for make in (lambda: Simplex([]), lambda: Simplex(["b", "a", "b"]),
+             lambda: Simplex(["c", "b", "a", "c", "b"]),
+             lambda: RationalPoint(K, {"a": "1/2", "c": "1/2"})):
+    try:
+        make()
+    except PosetTowerError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+    def test_same_types_and_messages(self):
+        for seed in ("1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines() == [
+                "InvalidComplex a simplex needs at least one vertex",
+                "InvalidComplex duplicate vertex 'b' in simplex",
+                "InvalidComplex duplicate vertex 'b' in simplex",
+                "InvalidPoint support {a,c} is not a simplex of the complex",
+            ]
 
 
 class TestSupport:
@@ -330,6 +365,25 @@ class TestPointForm:
     def test_exponent_at_the_bound_is_read(self, E, value):
         with pytest.raises(InvalidPoint, match="sum to exactly 1"):
             RationalPoint(E, {"a": value, "b": "1"})
+
+    @pytest.mark.parametrize("value", ["1e-1000000", "1e+1000000", "4301e-4301", "1e4301"])
+    def test_huge_decimal_object_exponent_is_refused_at_once(self, E, value):
+        start = time.perf_counter()
+        with pytest.raises(InvalidPoint, match=f"coordinate at 'a' has a decimal exponent beyond {_MAX_EXPONENT}"):
+            RationalPoint(E, {"a": Decimal(value), "b": 1})
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("value", ["1e-4300", "1e4300", "0.5e0"])
+    def test_decimal_object_exponent_at_the_bound_is_read(self, E, value):
+        with pytest.raises(InvalidPoint, match="sum to exactly 1"):
+            RationalPoint(E, {"a": Decimal(value), "b": 1})
+        assert RationalPoint(E, {"a": Decimal("0.25"), "b": Decimal("75e-2")}).coords == {
+            "a": Fraction(1, 4), "b": Fraction(3, 4)}
+
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "Infinity", "sNaN"])
+    def test_decimal_nan_and_infinity_are_not_rational(self, E, value):
+        with pytest.raises(InvalidPoint, match="is not a rational number"):
+            RationalPoint(E, {"a": Decimal(value), "b": 1})
 
 
 class TestDistance:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -404,6 +405,67 @@ class TestThreads:
             for t in all_threads(tower, N):
                 region = tower.decode_thread(t)
                 assert tower.encode_thread(region.representative, N).entries == t.entries
+
+
+class TestRecordedCoherence:
+    """A thread's coherence is checked once and read back by validate and decode."""
+
+    @pytest.fixture
+    def bond_calls(self, monkeypatch):
+        calls = []
+        original = Tower._bond
+
+        def counted(tower, x, m, n):
+            calls.append(tower)
+            return original(tower, x, m, n)
+
+        monkeypatch.setattr(Tower, "_bond", counted)
+        return calls
+
+    def test_decode_after_validate_runs_no_second_pass(self, tower_E3, bond_calls):
+        t = tower_E3.thread(["b{a,b}", "{a,b{a,b}}", "{a,b{a,b{a,b}}}"])
+        assert tower_E3.validate_thread(t)
+        assert len(bond_calls) == 2
+        region = tower_E3.decode_thread(t)
+        assert tower_E3.validate_thread(t)
+        assert len(bond_calls) == 2
+        assert region == tower_E3.decode_thread(tower_E3.thread(t.entries))
+
+    def test_incoherent_thread_still_refused(self, tower_E3):
+        t = tower_E3.thread(["a", "b"])
+        assert not tower_E3.validate_thread(t)
+        for _ in range(2):
+            with pytest.raises(IncoherentThread):
+                tower_E3.decode_thread(t)
+        with pytest.raises(IncoherentThread):
+            tower_E3.decode_thread(tower_E3.thread(["a", "b"]))
+
+    def test_missing_entry_refused_on_every_call(self, tower_E3):
+        t = tower_module.ThreadPrefix(tower_E3, ("a", "nope"))
+        for check in (tower_E3.validate_thread, tower_E3.decode_thread,
+                      tower_E3.validate_thread):
+            with pytest.raises(ElementNotFound, match="'nope' at level 2"):
+                check(t)
+
+    def test_deeper_tower_checks_afresh(self, E, bond_calls):
+        shallow, deep = Tower.build(E, 2), Tower.build(E, 3)
+        t = shallow.thread(["b{a,b}", "{a,b{a,b}}"])
+        assert shallow.validate_thread(t)
+        del bond_calls[:]
+        assert deep.validate_thread(t)
+        assert bond_calls == [deep]
+        longer = tower_module.ThreadPrefix(shallow, ("a", "a", "a"))
+        assert deep.validate_thread(longer)
+        with pytest.raises(LevelOutOfRange):
+            shallow.validate_thread(longer)
+
+    def test_fields_equality_hash_and_repr_unchanged(self, tower_E3):
+        checked = tower_E3.thread(["b{a,b}", "{a,b{a,b}}"])
+        assert tower_E3.validate_thread(checked)
+        fresh = tower_E3.thread(["b{a,b}", "{a,b{a,b}}"])
+        assert [f.name for f in dataclasses.fields(checked)] == ["tower", "entries"]
+        assert checked == fresh and hash(checked) == hash(fresh)
+        assert repr(checked) == repr(fresh) == "ThreadPrefix(b{a,b}, b{a,b{a,b}})"
 
 
 class TestNumeratorLift:

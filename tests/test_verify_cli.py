@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from poset_tower import subdivision
+from poset_tower import subdivision, verify
 from poset_tower.cli import main
 from poset_tower.complexes import SimplicialComplex
 from poset_tower.errors import (
@@ -17,9 +18,9 @@ from poset_tower.errors import (
 )
 from poset_tower.fixtures import chain, circle, edge
 from poset_tower.tower import Tower
-from poset_tower.verify import SUITES, depth_guard, verify_all, verify_suite
+from poset_tower.verify import SUITES, depth_guard, sample_points, verify_all, verify_suite
 
-from conftest import COMPLEXES
+from conftest import COMPLEXES, small_complexes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
@@ -82,6 +83,29 @@ class TestSuites:
         monkeypatch.setattr(Tower, "build", classmethod(counting_build))
         assert len(verify_all(E, 2)) == len(SUITES)
         assert calls == [2]
+
+    def test_one_sample_per_run(self, E, monkeypatch):
+        calls = []
+        draw = verify.sample_points
+
+        def counting_sample(K, count, seed):
+            calls.append(count)
+            return draw(K, count, seed)
+
+        monkeypatch.setattr(verify, "sample_points", counting_sample)
+        verify_all(E, 2, seed=5)
+        assert calls == [200]
+        for suite, count in [("roundtrip", 50), ("naturality", 100),
+                             ("bond-commutation", 200), ("openness", None)]:
+            del calls[:]
+            verify_suite(suite, E, 2, seed=5)
+            assert calls == ([] if count is None else [count])
+
+    @given(small_complexes(), st.integers(0, 40), st.integers(0, 40), st.integers(0, 10 ** 6))
+    @settings(max_examples=60)
+    def test_shorter_sample_is_a_prefix(self, K, c, c2, seed):
+        c, c2 = sorted((c, c2))
+        assert sample_points(K, c, seed) == sample_points(K, c2, seed)[:c]
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("name", sorted(COMPLEXES))
