@@ -28,7 +28,6 @@ from .subdivision import (
     _barycenter_label,
     _carrier_mean,
     _numerators,
-    _point,
     _weighted_sum,
     extend_subdivision,
     lift_point,
@@ -75,7 +74,7 @@ class SimplicialMap:
         for v, a in numerators.items():
             w = self.vertex_map[v]
             acc[w] = acc.get(w, 0) + a
-        return _point(self.target, D, acc)
+        return RationalPoint._from_numerators(self.target, D, acc)
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
@@ -210,8 +209,8 @@ class PLMap:
             raise ValueError("point must be over the map's defining stage")
         D, images = self._image_numerators
         Dp, weights = _numerators(p)
-        return _point(self.target, Dp * D,
-                      _weighted_sum((w, images[v]) for v, w in weights.items()))
+        return RationalPoint._from_numerators(
+            self.target, Dp * D, _weighted_sum((w, images[v]) for v, w in weights.items()))
 
     def evaluate_base(self, p: RationalPoint) -> RationalPoint:
         """Value at a stage-0 point of the source."""

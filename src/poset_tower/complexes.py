@@ -248,25 +248,20 @@ class RationalPoint:
     __slots__ = ("complex", "_denominator", "_numerators", "_coords")
 
     def __init__(self, complex: SimplicialComplex, coords: Mapping[str, Fraction]):
-        clean = {}
-        for v, a in coords.items():
-            if type(a) is not Fraction:
-                a = _rational(v, a)
-            # a Fraction's denominator is positive, so its numerator carries the sign
-            if a.numerator < 0:
-                raise InvalidPoint(f"negative coordinate {a} at {v!r}")
-            if a.numerator:
-                clean[v] = a
-        # reduced fractions over their lcm D: a prime of D divides no numerator
-        # of the denominator it came from, so the pair is already canonical
-        D = lcm(*[a.denominator for a in clean.values()])
-        self._store(complex, D, {v: a.numerator * (D // a.denominator) for v, a in clean.items()})
-        self._coords = MappingProxyType(clean)
+        exact = {v: a if type(a) is Fraction else _rational(v, a) for v, a in coords.items()}
+        D = lcm(*[a.denominator for a in exact.values()])
+        self._store(complex, D, {v: a.numerator * (D // a.denominator) for v, a in exact.items()})
 
     @classmethod
     def _from_numerators(cls, complex: SimplicialComplex, D: int,
                          numerators: Mapping[str, int]) -> "RationalPoint":
         """The point with coordinates ``numerators[v] / D``, with every check of the constructor."""
+        p = cls.__new__(cls)
+        p._store(complex, D, numerators)
+        return p
+
+    def _store(self, complex: SimplicialComplex, D: int, numerators: Mapping[str, int]) -> None:
+        """Check that ``numerators`` over D are a point of ``complex``, then keep them reduced."""
         clean = {}
         for v, a in numerators.items():
             if a < 0:
@@ -277,21 +272,15 @@ class RationalPoint:
         if g > 1:
             D //= g
             clean = {v: a // g for v, a in clean.items()}
-        p = cls.__new__(cls)
-        p._store(complex, D, clean)
-        p._coords = None
-        return p
-
-    def _store(self, complex: SimplicialComplex, D: int, numerators: dict) -> None:
-        """Check that positive ``numerators`` over D are a point of ``complex``, then keep them."""
-        if D < 1 or sum(numerators.values()) != D:
+        if D < 1 or sum(clean.values()) != D:
             raise InvalidPoint("coordinates must sum to exactly 1")
-        supp = Simplex(numerators.keys())
+        supp = Simplex(clean.keys())
         if supp not in complex.simplices:
             raise InvalidPoint(f"support {supp.label()} is not a simplex of the complex")
         self.complex = complex
         self._denominator = D
-        self._numerators = numerators
+        self._numerators = clean
+        self._coords = None
 
     @property
     def coords(self) -> Mapping[str, Fraction]:

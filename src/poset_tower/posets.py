@@ -38,43 +38,34 @@ class FinitePoset:
     def from_pairs(cls, elements: Iterable[str], pairs: Iterable[tuple]) -> "FinitePoset":
         """Build from arbitrary (a, b) pairs meaning a <= b.
 
-        The reflexive-transitive closure is computed; a cycle through distinct
-        elements raises NotAPartialOrder.
+        The reflexive-transitive closure is computed as down-sets; a cycle
+        through distinct elements raises NotAPartialOrder.
         """
         els = set(elements)
-        adj: dict[str, set[str]] = {}
+        below: dict[str, set[str]] = {}
         for a, b in pairs:
             els.add(a)
             els.add(b)
-            adj.setdefault(a, set()).add(b)
-        ordered = tuple(sorted(els))
-        up = {}
-        for x in ordered:
+            below.setdefault(b, set()).add(a)
+        down = {}
+        for x in els:
             seen = {x}
             stack = [x]
             while stack:
-                cur = stack.pop()
-                for nxt in adj.get(cur, ()):
+                for nxt in below.get(stack.pop(), ()):
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-            up[x] = frozenset(seen)
-        for x in ordered:
-            for y in up[x]:
-                if y != x and x in up[y]:
-                    raise NotAPartialOrder(f"{x!r} and {y!r} are mutually comparable")
-        down: dict[str, set[str]] = {x: {x} for x in ordered}
-        for x in ordered:
-            for y in up[x]:
-                down[y].add(x)
-        return cls(ordered, {x: frozenset(s) for x, s in down.items()}, up)
+            down[x] = frozenset(seen)
+        return cls.from_down_sets(els, down)
 
     @classmethod
     def from_down_sets(cls, elements: Iterable[str], down: Mapping[str, frozenset]) -> "FinitePoset":
         """Build from down-sets that are already reflexive and transitively closed.
 
         Reflexivity and antisymmetry are verified; transitivity is trusted, so
-        only use this for relations closed by construction.
+        only use this for relations closed by construction.  A fault names the
+        least offending pair in canonical order, not in hash order.
         """
         ordered = tuple(sorted(elements))
         dn = {x: frozenset(down[x]) for x in ordered}
@@ -87,6 +78,7 @@ class FinitePoset:
         for x in ordered:
             for y in dn[x]:
                 if y != x and x in dn[y]:
+                    y = min(z for z in dn[x] if z != x and x in dn[z])
                     raise NotAPartialOrder(f"{x!r} and {y!r} are mutually comparable")
         return cls(ordered, dn, {x: frozenset(s) for x, s in up.items()})
 
@@ -147,13 +139,6 @@ class FinitePoset:
     def is_up_set(self, subset) -> bool:
         subset = set(subset)
         return all(self._up[x] <= subset for x in subset)
-
-    def pairs(self):
-        """All non-reflexive (a, b) with a < b, in canonical order."""
-        for b in self.elements:
-            for a in sorted(self._down[b]):
-                if a != b:
-                    yield (a, b)
 
     def to_json_obj(self):
         return {

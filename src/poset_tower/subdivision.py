@@ -76,7 +76,8 @@ class SubdividedComplex:
 
     def embed_vertex(self, label: str) -> RationalPoint:
         """The stage-0 point of a stage-n vertex, computed exactly."""
-        return _point(self.base, self._denominator, self._embed_numerators(label))
+        return RationalPoint._from_numerators(
+            self.base, self._denominator, self._embed_numerators(label))
 
     def _embed_numerators(self, label: str) -> dict:
         """``embed_vertex`` as ``{base vertex: numerator}`` over L**n, cached."""
@@ -98,15 +99,15 @@ class SubdividedComplex:
 
     def _barycenter_point(self, verts) -> RationalPoint:
         """The stage-0 point of the barycenter of these stage-n vertices."""
-        return _point(self.base, self._denominator * self._scale,
-                      self._barycenter_numerators(verts))
+        return RationalPoint._from_numerators(
+            self.base, self._denominator * self._scale, self._barycenter_numerators(verts))
 
     def embed_point(self, p: RationalPoint) -> RationalPoint:
         """Expand a point over this stage into exact stage-0 coordinates."""
         if p.complex != self.complex:
             raise ValueError("point is not expressed over this stage")
         D, numerators = _numerators(p)
-        return _point(self.base, D * self._denominator, _weighted_sum(
+        return RationalPoint._from_numerators(self.base, D * self._denominator, _weighted_sum(
             (a, self._embed_numerators(v)) for v, a in numerators.items()))
 
     def to_json_obj(self):
@@ -149,12 +150,8 @@ def _carrier_mean(members, value_below, scale: int) -> dict:
     ``scale``.  A map that is affine on the carrier takes its barycenter to the
     average of the members' values.
     """
-    total = {}
-    for m in members:
-        for v, a in value_below(m).items():
-            total[v] = total.get(v, 0) + a
     w = scale // len(members)
-    return {v: a * w for v, a in total.items()}
+    return _weighted_sum((w, value_below(m)) for m in members)
 
 
 def _weighted_sum(terms) -> dict:
@@ -225,17 +222,12 @@ def _sd_step(numerators: dict) -> dict:
     return out
 
 
-def _point(complex: SimplicialComplex, D: int, numerators: dict) -> RationalPoint:
-    """The point of ``complex`` with these numerators over D, validated."""
-    return RationalPoint._from_numerators(complex, D, numerators)
-
-
 def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Re-express a stage-(n-1) point over the stage-n vertices (one ``_sd_step``)."""
     if stage.previous is None or p.complex != stage.previous.complex:
         raise ValueError("point must be expressed over the previous stage")
     D, numerators = _numerators(p)
-    return _point(stage.complex, D, _sd_step(numerators))
+    return RationalPoint._from_numerators(stage.complex, D, _sd_step(numerators))
 
 
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
@@ -247,7 +239,7 @@ def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     D, numerators = _numerators(p)
     for _ in range(stage.stage):
         numerators = _sd_step(numerators)
-    return _point(stage.complex, D, numerators)
+    return RationalPoint._from_numerators(stage.complex, D, numerators)
 
 
 def embed_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:

@@ -11,21 +11,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .approx import SimplicialMap, check_naturality, induce_level_map
+from .approx import SimplicialMap, SystemMorphism, _bond_square_commutes
 from .complexes import (
     RationalPoint,
     SimplicialComplex,
-    dist_sq,
     open_star,
     star,
 )
 from .errors import DepthTooLarge, InvalidComplex, UnknownSuite
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
-from .subdivision import _point, lift_point
+from .subdivision import lift_point
 from .tower import Tower
 
 
@@ -83,37 +81,9 @@ def sample_points(K: SimplicialComplex, count: int, seed: int):
         weights = [rng.randint(0, 6) for _ in s.verts]
         if not any(weights):
             weights[rng.randrange(len(weights))] = 1
-        points.append(_point(K, sum(weights), dict(zip(s.verts, weights))))
+        points.append(RationalPoint._from_numerators(K, sum(weights),
+                                                     dict(zip(s.verts, weights))))
     return points
-
-
-def sample_separated_pairs(K: SimplicialComplex, count: int, seed: int):
-    """Point pairs in a common simplex with squared distance at least 1/2.
-
-    Each pair concentrates most weight on two distinct vertices, so the
-    first-stage separation bound stays within a depth-3 tower.
-    """
-    rng = random.Random(seed)
-    sims = [s for s in K.sorted_simplices() if len(s.verts) >= 2]
-    pairs = []
-    while len(pairs) < count:
-        s = rng.choice(sims)
-        u, v = rng.sample(list(s.verts), 2)
-        eps_u = Fraction(1, rng.randint(5, 12))
-        eps_v = Fraction(1, rng.randint(5, 12))
-        rest = [w for w in s.verts if w != u]
-        p = {u: 1 - eps_u}
-        for w in rest:
-            p[w] = eps_u / len(rest)
-        rest = [w for w in s.verts if w != v]
-        q = {v: 1 - eps_v}
-        for w in rest:
-            q[w] = eps_v / len(rest)
-        pp = RationalPoint(K, p)
-        qq = RationalPoint(K, q)
-        if dist_sq(pp, qq) >= Fraction(1, 2):
-            pairs.append((pp, qq))
-    return pairs
 
 
 # -- suites -------------------------------------------------------------------
@@ -252,6 +222,7 @@ def _suite_homology(tower, points):
 
 
 def _suite_naturality(tower, points):
+    """Each point is mapped once; the projections of x and g(x) are compared level by level."""
     K, depth = tower.base, tower.depth
     maps = [
         ("identity", SimplicialMap.identity(K)),
@@ -259,12 +230,15 @@ def _suite_naturality(tower, points):
     ]
     checks = []
     for name, g in maps:
+        m = SystemMorphism.build(g, tower, tower)
         ok = all(
-            check_naturality(g, n, points, tower, tower)
-            for n in range(1, depth + 1))
-        ok_order = all(
-            induce_level_map(g, n, tower, tower).is_order_preserving()
-            for n in range(1, depth + 1))
+            gn(x) == y
+            for p in points
+            for gn, x, y in zip(m.levels, tower._projections(p, depth),
+                                tower._projections(g.apply_point(p), depth))
+        ) and all(_bond_square_commutes(m.level(n), m.level(n - 1), n, tower, tower)
+                  for n in range(2, depth + 1))
+        ok_order = all(level_map.is_order_preserving() for level_map in m.levels)
         checks.append(Check(f"{name}-naturality", ok, f"{len(points)} sampled points"))
         checks.append(Check(f"{name}-level-maps-order-preserving", ok_order))
     return checks

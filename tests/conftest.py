@@ -14,6 +14,7 @@ from poset_tower import (
     Simplex,
     SimplicialComplex,
     Tower,
+    dist_sq,
     open_star,
     stage_vertex_label,
 )
@@ -230,6 +231,35 @@ def open_families_exhaustive(cx: SimplicialComplex, limit: int):
         if all(t in chosen for t in cx.cofaces(s)):
             stack.append((i + 1, chosen | {s}))
     return families
+
+
+def sample_separated_pairs(K: SimplicialComplex, count: int, seed: int):
+    """Point pairs in a common simplex with squared distance at least 1/2.
+
+    Each pair concentrates most weight on two distinct vertices, so the
+    first-stage separation bound stays within a depth-3 tower.
+    """
+    rng = random.Random(seed)
+    sims = [s for s in K.sorted_simplices() if len(s.verts) >= 2]
+    pairs = []
+    while len(pairs) < count:
+        s = rng.choice(sims)
+        u, v = rng.sample(list(s.verts), 2)
+        eps_u = Fraction(1, rng.randint(5, 12))
+        eps_v = Fraction(1, rng.randint(5, 12))
+        rest = [w for w in s.verts if w != u]
+        p = {u: 1 - eps_u}
+        for w in rest:
+            p[w] = eps_u / len(rest)
+        rest = [w for w in s.verts if w != v]
+        q = {v: 1 - eps_v}
+        for w in rest:
+            q[w] = eps_v / len(rest)
+        pp = RationalPoint(K, p)
+        qq = RationalPoint(K, q)
+        if dist_sq(pp, qq) >= Fraction(1, 2):
+            pairs.append((pp, qq))
+    return pairs
 
 
 def open_families_sampled(cx: SimplicialComplex, count: int, seed: int):

@@ -32,13 +32,14 @@ from poset_tower import (
     validate_simplicial,
 )
 from poset_tower.fixtures import circle, edge, point, tetra_boundary, triangle
-from poset_tower.verify import (
-    sample_points,
-    sample_separated_pairs,
-    verify_all,
-)
+from poset_tower.verify import sample_points, verify_all
 
-from conftest import cached_tower, open_families_exhaustive, open_families_sampled
+from conftest import (
+    cached_tower,
+    open_families_exhaustive,
+    open_families_sampled,
+    sample_separated_pairs,
+)
 
 FIXTURES = ["point", "edge", "circle", "triangle", "tetra-boundary"]
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"

@@ -313,9 +313,11 @@ class TestPointForm:
         K = data.draw(small_complexes())
         verts = data.draw(st.lists(st.sampled_from(K.vertices), min_size=1, unique=True))
         numerators = {v: data.draw(st.integers(0, 6)) for v in verts}
-        fault = data.draw(st.sampled_from(["none", "negative", "sum"]))
+        fault = data.draw(st.sampled_from(["none", "negative", "sum", "support"]))
         if fault == "negative":
             numerators[data.draw(st.sampled_from(verts))] = -data.draw(st.integers(1, 6))
+        if fault == "support":
+            numerators["z"] = data.draw(st.integers(1, 6))
         D = max(sum(numerators.values()), 1)
         if fault == "sum":
             D += data.draw(st.integers(1, 5))

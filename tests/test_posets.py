@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from poset_tower import (
     FinitePoset,
@@ -62,6 +63,38 @@ class TestRelation:
         obj = X.to_json_obj()
         assert obj == {"elements": ["a", "b", "m"], "leq": [["a", "m"], ["b", "m"]]}
         assert FinitePoset.from_json_obj(obj) == X
+
+
+def warshall_closure(labels, pairs) -> dict:
+    """``(x, y) -> x <= y`` for the reflexive-transitive closure, by Warshall's algorithm."""
+    leq = {(x, y): x == y or (x, y) in pairs for x in labels for y in labels}
+    for k in labels:
+        for x in labels:
+            for y in labels:
+                if leq[x, k] and leq[k, y]:
+                    leq[x, y] = True
+    return leq
+
+
+class TestClosureOracle:
+    """``from_pairs`` against a closure written from the definition."""
+
+    @given(elements=st.lists(st.sampled_from("abcdef"), unique=True),
+           pairs=st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef"))))
+    def test_from_pairs_matches_warshall(self, elements, pairs):
+        labels = sorted({*elements, *(x for pair in pairs for x in pair)})
+        leq = warshall_closure(labels, set(pairs))
+        cycles = sorted((x, y) for x in labels for y in labels
+                        if x != y and leq[x, y] and leq[y, x])
+        if cycles:
+            x, y = cycles[0]
+            with pytest.raises(NotAPartialOrder) as exc:
+                FinitePoset.from_pairs(elements, pairs)
+            assert str(exc.value) == f"{x!r} and {y!r} are mutually comparable"
+            return
+        X = FinitePoset.from_pairs(elements, pairs)
+        assert X.elements == tuple(labels)
+        assert all(X.leq(x, y) == leq[x, y] for x in labels for y in labels)
 
 
 class TestOrderPreserving:

@@ -38,11 +38,7 @@ from poset_tower.errors import (
     NotSeparated,
     StageTooCoarse,
 )
-from poset_tower.verify import (
-    sample_points,
-    sample_separated_pairs,
-    verify_suite,
-)
+from poset_tower.verify import sample_points, verify_suite
 
 from conftest import (
     COMPLEXES,
@@ -52,6 +48,7 @@ from conftest import (
     open_families_exhaustive,
     open_subset_is_open,
     rational_points,
+    sample_separated_pairs,
     sd_reference,
     small_complexes,
 )

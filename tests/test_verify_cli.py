@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poset_tower import subdivision, verify
+from poset_tower.approx import SimplicialMap
 from poset_tower.cli import main
-from poset_tower.complexes import SimplicialComplex
+from poset_tower.complexes import RationalPoint, SimplicialComplex
 from poset_tower.errors import (
     DepthTooLarge,
     InvalidComplex,
@@ -106,6 +107,33 @@ class TestSuites:
     def test_shorter_sample_is_a_prefix(self, K, c, c2, seed):
         c, c2 = sorted((c, c2))
         assert sample_points(K, c, seed) == sample_points(K, c2, seed)[:c]
+
+    def test_naturality_fails_on_a_wrong_image(self, E, monkeypatch):
+        """Every g(x) projecting to b breaks both maps' projection squares."""
+        monkeypatch.setattr(SimplicialMap, "apply_point",
+                            lambda g, p: RationalPoint.vertex(g.target, "b"))
+        checks = {c.name: c.passed for c in verify_suite("naturality", E, 2).checks}
+        assert checks == {
+            "identity-naturality": False, "identity-level-maps-order-preserving": True,
+            "constant-naturality": False, "constant-level-maps-order-preserving": True}
+
+    def test_naturality_compares_every_level(self, E, monkeypatch):
+        """An image that matches at level 1 but not at level 2 fails only at depth 2."""
+        apply_point = SimplicialMap.apply_point
+        off = RationalPoint(E, {"a": "1/3", "b": "2/3"})
+        monkeypatch.setattr(SimplicialMap, "apply_point", lambda g, p:
+                            off if len(p.support()) == 2 else apply_point(g, p))
+        passed = {depth: {c.name: c.passed for c in verify_suite("naturality", E, depth).checks}
+                  for depth in (1, 2)}
+        assert passed[1]["identity-naturality"] and not passed[2]["identity-naturality"]
+
+    def test_naturality_fails_on_a_wrong_bond(self, E, monkeypatch):
+        """Only the constant map's bond square reads the bond of a from level 2."""
+        bond = Tower.bond
+        monkeypatch.setattr(Tower, "bond", lambda t, x, m, n:
+                            "b" if (x, m, n) == ("a", 2, 1) else bond(t, x, m, n))
+        checks = {c.name: c.passed for c in verify_suite("naturality", E, 2).checks}
+        assert checks["identity-naturality"] and not checks["constant-naturality"]
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("name", sorted(COMPLEXES))
@@ -437,6 +465,15 @@ class TestInputErrors:
             paths[key] = write_json(tmp_path / f"{key}.json", obj)
         result = self.run_module(*(arg.format(**paths) for arg in cmd))
         self.assert_clean_error(result, needle)
+
+    @pytest.mark.parametrize("seed", ["0", "2", "3", "5", "6"])
+    def test_cycle_names_least_pair(self, tmp_path, seed):
+        """The witness of a cyclic ``leq`` does not depend on the hash seed."""
+        path = write_json(tmp_path / "cycle.json", {
+            "elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"], ["c", "a"]]})
+        result = self.run_module("poset", "core", path, PYTHONHASHSEED=seed)
+        assert result.returncode == 1
+        assert result.stderr == "error: 'a' and 'b' are mutually comparable\n"
 
     @pytest.mark.parametrize("value", ["x", "-1"])
     def test_bad_simplex_cap(self, tmp_path, value):
