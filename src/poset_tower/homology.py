@@ -12,12 +12,25 @@ column.  Each such pivot is an invariant factor 1, and because the pivot is a
 unit every entry stays an integer.  A dense Smith normal form sweep then runs
 only on the nonzero rows and columns that are left, which for boundary
 matrices of complexes is small or empty.
+
+``betti`` does less elimination, by two exact facts.  It reduces the boundary
+matrices from the top degree down and clears, as in Chen and Kerber,
+*Persistent homology computation with a twist* (EuroCG 2011): a unit pivot of
+the degree-(k+1) matrix is taken on a column that is a boundary with ±1 at
+the pivot row and 0 on every earlier pivot row, so by reverse induction the
+degree-k columns at the pivot rows are integer combinations of the others.
+Leaving them out keeps the image lattice, and with it every invariant factor.
+The degree-1 matrix is a graph's incidence matrix, which is totally
+unimodular (Schrijver, *Theory of Linear and Integer Programming*, 1986,
+ch. 19), so its factors are all 1 and its rank is the vertex count less the
+number of components, counted by a union-find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 
 from .complexes import SimplicialComplex
 
@@ -60,28 +73,33 @@ class BettiProfile:
         return (self.betti[0] - 1,) + self.betti[1:]
 
     def is_reduced_trivial(self) -> bool:
-        return (all(b == 0 for b in self.reduced())
+        """Whether reduced homology vanishes.  The empty complex has reduced
+        homology Z in degree -1, so it is not acyclic."""
+        return (bool(self.betti) and all(b == 0 for b in self.reduced())
                 and all(not t for t in self.torsion))
 
 
-def _boundary_columns(K: SimplicialComplex):
-    """Simplex counts and sparse boundary columns, one list per degree k >= 1.
-
-    Each dimension is ordered by its sorted vertex tuples, the canonical
-    order; the face opposite vertex i of ``vs`` gets the sign ``(-1)**i``.
-    """
-    by_dim = [[] for _ in range(K.dim + 1)]
+def _simplices_by_dim(K: SimplicialComplex) -> list:
+    """The vertex tuples of K's simplices, one list per dimension, in canonical order."""
+    levels = [[] for _ in range(K.dim + 1)]
     for s in K.simplices:
-        by_dim[len(s.verts) - 1].append(s.verts)
-    for level in by_dim:
+        levels[len(s.verts) - 1].append(s.verts)
+    for level in levels:
         level.sort()
-    columns = []
-    for k in range(1, len(by_dim)):
-        index = {vs: i for i, vs in enumerate(by_dim[k - 1])}
-        columns.append([
-            {index[vs[:i] + vs[i + 1:]]: -1 if i % 2 else 1 for i in range(len(vs))}
-            for vs in by_dim[k]])
-    return tuple(len(level) for level in by_dim), columns
+    return levels
+
+
+def _boundary_columns(levels: list, k: int, skip=frozenset()) -> list:
+    """Sparse columns of the degree-k boundary matrix, leaving out those in ``skip``.
+
+    Rows and columns are indexed by position in ``levels``; the face opposite
+    vertex i of ``vs`` gets the sign ``(-1)**i``.  ``combinations`` yields the
+    faces in lexicographic order, which is opposite vertex k, k-1, ..., 0.
+    """
+    index = {vs: i for i, vs in enumerate(levels[k - 1])}.__getitem__
+    signs = [-1 if (k - i) % 2 else 1 for i in range(k + 1)]
+    return [dict(zip(map(index, combinations(vs, k)), signs))
+            for j, vs in enumerate(levels[k]) if j not in skip]
 
 
 def _columns(matrix) -> list:
@@ -96,11 +114,12 @@ def _columns(matrix) -> list:
 
 def chain_complex(K: SimplicialComplex) -> ChainComplexZ:
     """Boundary matrices with signs from the canonical vertex order."""
-    dims, columns = _boundary_columns(K)
+    levels = _simplices_by_dim(K)
+    dims = tuple(len(level) for level in levels)
     boundaries = []
-    for k, cols in enumerate(columns):
-        matrix = [[0] * len(cols) for _ in range(dims[k])]
-        for j, col in enumerate(cols):
+    for k in range(1, len(levels)):
+        matrix = [[0] * dims[k] for _ in range(dims[k - 1])]
+        for j, col in enumerate(_boundary_columns(levels, k)):
             for i, v in col.items():
                 matrix[i][j] = v
         boundaries.append(tuple(tuple(r) for r in matrix))
@@ -108,7 +127,8 @@ def chain_complex(K: SimplicialComplex) -> ChainComplexZ:
 
 
 def _sparse_invariant_factors(cols: list, nrows: int) -> tuple:
-    """Invariant factors of the matrix with the given sparse columns.
+    """Invariant factors of the matrix with the given sparse columns, and the
+    set of rows of its unit pivots.
 
     The column dicts are consumed.  Unit pivots are eliminated first; the
     leftover block goes to the dense sweep.
@@ -119,7 +139,7 @@ def _sparse_invariant_factors(cols: list, nrows: int) -> tuple:
             rows[i].add(j)
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapify(heap)
-    units = 0
+    pivots = set()
     while heap:
         size, j = heappop(heap)
         col = cols[j]
@@ -154,11 +174,11 @@ def _sparse_invariant_factors(cols: list, nrows: int) -> tuple:
             if target:
                 heappush(heap, (len(target), k))
         rows[r] = set()
-        units += 1
+        pivots.add(r)
     left = [col for col in cols if col]
     kept = sorted({i for col in left for i in col})
     block = [[col.get(i, 0) for col in left] for i in kept]
-    return (1,) * units + _dense_invariant_factors(block)
+    return (1,) * len(pivots) + _dense_invariant_factors(block), pivots
 
 
 def _dense_invariant_factors(matrix) -> tuple:
@@ -230,26 +250,50 @@ def _dense_invariant_factors(matrix) -> tuple:
 
 def smith_invariant_factors(matrix) -> tuple:
     """Invariant factors (positive, divisibility-ordered) of an integer matrix."""
-    return _sparse_invariant_factors(_columns(matrix), len(matrix))
+    return _sparse_invariant_factors(_columns(matrix), len(matrix))[0]
+
+
+def _forest_rank(edges: list, nverts: int) -> int:
+    """Rank of a graph's incidence matrix, given as its boundary columns.
+
+    It is the number of successful unions of a union-find over the edges in
+    order, with path halving.
+    """
+    parent = list(range(nverts))
+    unions = 0
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            unions += 1
+    return unions
 
 
 def betti(K: SimplicialComplex) -> BettiProfile:
-    """Betti numbers and torsion of K over the integers."""
-    dims, columns = _boundary_columns(K)
-    dim = len(dims) - 1
-    factors = [_sparse_invariant_factors(cols, dims[k]) for k, cols in enumerate(columns)]
-    ranks = [len(fs) for fs in factors]
-    numbers = []
-    torsion = []
-    for k in range(dim + 1):
-        rank_k = ranks[k - 1] if k >= 1 else 0
-        rank_k1 = ranks[k] if k < dim else 0
-        numbers.append(dims[k] - rank_k - rank_k1)
-        if k < dim:
-            torsion.append(tuple(f for f in factors[k] if f > 1))
-        else:
-            torsion.append(())
-    return BettiProfile(tuple(numbers), tuple(torsion))
+    """Betti numbers and torsion of K over the integers.
+
+    Degrees are reduced from the top down; each skips the columns that the
+    unit pivots of the degree above clear, and degree 1 is ranked by
+    union-find (see the module docstring).
+    """
+    levels = _simplices_by_dim(K)
+    dims = tuple(len(level) for level in levels)
+    factors = [()] * len(levels)  # factors[k]: those of the degree-(k+1) matrix
+    cleared = frozenset()
+    for k in range(len(levels) - 1, 1, -1):
+        factors[k - 1], cleared = _sparse_invariant_factors(
+            _boundary_columns(levels, k, cleared), dims[k - 1])
+    if len(levels) > 1:
+        factors[0] = (1,) * _forest_rank(_boundary_columns(levels, 1, cleared), dims[0])
+    ranks = [0] + [len(fs) for fs in factors]
+    return BettiProfile(
+        tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims))),
+        tuple(tuple(f for f in fs if f > 1) for fs in factors))
 
 
 def euler_characteristic(profile: BettiProfile) -> int:

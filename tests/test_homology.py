@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poset_tower import betti, chain_complex, subdivide
+from poset_tower import SimplicialComplex, betti, chain_complex, subdivide
 from poset_tower.homology import (
+    BettiProfile,
     ChainComplexZ,
     euler_characteristic,
     smith_invariant_factors,
@@ -55,6 +58,76 @@ def betti_by_rank(K):
         rk1 = ranks[k] if k < dim else 0
         out.append(cc.dims[k] - rk - rk1)
     return tuple(out)
+
+
+def determinant(rows):
+    """Exact determinant of a square integer matrix, by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for t in range(len(a)):
+        pivot = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if pivot is None:
+            return 0
+        if pivot != t:
+            a[t], a[pivot] = a[pivot], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, len(a)):
+            f = a[i][t] / a[t][t]
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return int(det)
+
+
+def factors_by_minors(matrix):
+    """Invariant factors from determinantal divisors: d_k is the gcd of the
+    k x k minors, and the k-th factor is d_k / d_(k-1)."""
+    m, n = len(matrix), len(matrix[0])
+    factors = []
+    previous = 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                d = gcd(d, determinant([[matrix[i][j] for j in cs] for i in rs]))
+        if not d:
+            break
+        factors.append(d // previous)
+        previous = d
+    return tuple(factors)
+
+
+def betti_by_smith(K):
+    """The profile read from the public dense path: the invariant factors of
+    each of ``chain_complex(K)``'s boundary matrices."""
+    cc = chain_complex(K)
+    factors = [smith_invariant_factors(b) for b in cc.boundaries]
+    if cc.dims:
+        factors.append(())
+    ranks = [0] + [len(fs) for fs in factors]
+    return BettiProfile(
+        tuple(d - ranks[k] - ranks[k + 1] for k, d in enumerate(cc.dims)),
+        tuple(tuple(f for f in fs if f > 1) for fs in factors))
+
+
+@st.composite
+def complexes_to_dim3(draw):
+    """At most six vertices, dimension at most three."""
+    verts = "abcdef"[:draw(st.integers(1, 6))]
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=6))
+    return SimplicialComplex.from_maximal(facets)
+
+
+def three_sphere():
+    """The boundary of the 4-simplex."""
+    return SimplicialComplex.from_maximal(combinations("01234", 4))
+
+
+def circle_edge_point():
+    """A circle, an edge and a point, pairwise disjoint."""
+    return SimplicialComplex.from_maximal(
+        [["0", "1"], ["1", "2"], ["0", "2"], ["a", "b"], ["p"]])
 
 
 class TestChainComplex:
@@ -122,6 +195,10 @@ class TestSmith:
         assert smith_invariant_factors(matrix) == tuple(
             abs(int(f)) for f in expected if f)
 
+    @given(small_matrices())
+    def test_matches_determinantal_divisors(self, matrix):
+        assert smith_invariant_factors(matrix) == factors_by_minors(matrix)
+
     def test_empty_matrix(self):
         assert smith_invariant_factors(()) == ()
 
@@ -179,6 +256,10 @@ class TestBetti:
         assert not betti(circle()).is_reduced_trivial()
         assert not betti(projective_plane()).is_reduced_trivial()
 
+    def test_empty_complex_is_not_acyclic(self):
+        # reduced homology of the empty complex is Z in degree -1
+        assert not betti(SimplicialComplex([], [])).is_reduced_trivial()
+
     def test_projective_plane_deep_subdivision(self):
         profile = betti(subdivide(projective_plane(), 2).complex)
         assert profile.betti == (1, 0, 0)
@@ -188,3 +269,27 @@ class TestBetti:
         K = subdivide(tetra_boundary(), 3).complex
         assert len(K.simplices) == 2594
         assert betti(K) == betti(tetra_boundary())
+
+
+class TestBettiOracle:
+    """``betti`` clears columns top-down and ranks degree 1 by union-find; the
+    oracle reduces every full boundary matrix of the public dense path."""
+
+    @given(complexes_to_dim3())
+    @settings(max_examples=200)
+    def test_matches_smith_oracle(self, K):
+        assert betti(K) == betti_by_smith(K)
+
+    @pytest.mark.parametrize("make, betti_numbers, torsion", [
+        (projective_plane, (1, 0, 0), ((), (2,), ())),
+        (lambda: subdivide(projective_plane(), 1).complex, (1, 0, 0), ((), (2,), ())),
+        (lambda: subdivide(projective_plane(), 2).complex, (1, 0, 0), ((), (2,), ())),
+        (three_sphere, (1, 0, 0, 1), ((), (), (), ())),
+        (circle_edge_point, (3, 1), ((), ())),
+        (point, (1,), ((),)),
+        (lambda: SimplicialComplex([], []), (), ()),
+    ], ids=["rp2-stage0", "rp2-stage1", "rp2-stage2", "s3", "circle-edge-point",
+            "point", "empty"])
+    def test_fixed_cases(self, make, betti_numbers, torsion):
+        K = make()
+        assert betti(K) == betti_by_smith(K) == BettiProfile(betti_numbers, torsion)
