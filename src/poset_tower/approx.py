@@ -243,6 +243,11 @@ class PLMap:
                 f"PL map images must be an object of vertex points, not {raw_images!r}")
         images = {v: RationalPoint.from_json_obj(target, raw)
                   for v, raw in raw_images.items()}
+        # base vertices persist through every stage, so a missing one is
+        # refused before the source is subdivided
+        for v in source.vertices:
+            if v not in images:
+                raise ElementNotFound(f"no image for vertex {v!r}")
         return cls(subdivide(source, n), target, images)
 
     def __repr__(self):

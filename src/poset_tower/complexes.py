@@ -1,8 +1,8 @@
 """Abstract simplicial complexes with exact rational barycentric points.
 
-Vertices are plain string labels; the canonical order everywhere is the
-lexicographic order on labels, which keeps every enumeration and every
-serialized artifact reproducible.  Coordinates are exact: integer numerators
+Vertices are plain string labels; the canonical order is the lexicographic
+order on labels, and every output, serialized artifact and error message
+follows it, so they are reproducible.  Coordinates are exact: integer numerators
 over a common denominator, read as ``fractions.Fraction``; the package never
 touches floating point.
 """
@@ -118,7 +118,7 @@ class SimplicialComplex:
         for v in self.vertices:
             if (v,) not in present:
                 raise MissingFace(Simplex((v,)))
-        self._dim = max((s.dim for s in self.simplices), default=-1)
+        self._dim = max(map(len, present), default=0) - 1
 
     @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":

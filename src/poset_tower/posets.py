@@ -69,18 +69,22 @@ class FinitePoset:
         """
         ordered = tuple(sorted(elements))
         dn = {x: frozenset(down[x]) for x in ordered}
-        up: dict[str, set[str]] = {x: {x} for x in ordered}
+        # lists, frozen in place below, so no up-set is held twice at once;
+        # x reaches its own list from its reflexive down-set
+        up: dict = {x: [] for x in ordered}
         for x in ordered:
             if x not in dn[x]:
                 raise NotAPartialOrder(f"{x!r} missing from its own down-set")
             for y in dn[x]:
-                up[y].add(x)
+                up[y].append(x)
         for x in ordered:
             for y in dn[x]:
                 if y != x and x in dn[y]:
                     y = min(z for z in dn[x] if z != x and x in dn[z])
                     raise NotAPartialOrder(f"{x!r} and {y!r} are mutually comparable")
-        return cls(ordered, dn, {x: frozenset(s) for x, s in up.items()})
+        for x in ordered:
+            up[x] = frozenset(up[x])
+        return cls(ordered, dn, up)
 
     def _check(self, x):
         if x not in self._down:

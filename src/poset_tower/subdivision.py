@@ -35,7 +35,8 @@ class SubdividedComplex:
 
     ``previous`` links back to the prior stage (None at stage 0), and
     ``provenance`` maps every stage-n vertex label to the stage-(n-1) simplex
-    it is the barycenter of (the previous stage's ``_barycenters``).
+    it is the barycenter of (the previous stage's ``_barycenters``).  It
+    iterates in an unspecified order; ``complex.vertices`` is the canonical one.
     """
 
     def __init__(self, base, stage, complex, provenance, previous):
@@ -131,10 +132,25 @@ class SubdividedComplex:
 
 
 def barycenters(cx: SimplicialComplex) -> dict:
-    """Each simplex of ``cx`` by barycenter label, in canonical order; rejects clashing labels."""
+    """Each simplex of ``cx`` by barycenter label; rejects clashing labels.
+
+    The table iterates in an unspecified order (that of ``cx.simplices``);
+    sort it where order shows.  Once a collision is known, the simplices are
+    walked again in canonical order, so the error names the least pair under
+    any hash seed.
+    """
+    try:
+        return _label_table(cx.simplices)
+    except InvalidComplex:
+        _label_table(cx.sorted_simplices())
+        raise
+
+
+def _label_table(simplices) -> dict:
+    """``{barycenter label: simplex}``; raises at the first label seen twice."""
     out = {}
-    for s in cx.sorted_simplices():
-        lab = stage_vertex_label(s)
+    for s in simplices:
+        lab = _barycenter_label(s.verts)
         if out.setdefault(lab, s) is not s:
             raise InvalidComplex(
                 f"stage vertex label {lab!r} names both {out[lab].label()}"

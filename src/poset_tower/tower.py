@@ -43,7 +43,8 @@ class TowerLevel:
     """One level of the tower: the poset of stage-n vertices.
 
     ``carrier`` maps each element to its stage-(n-1) simplex; it is the same
-    dict as stage n's ``provenance``.  Membership, bonds and the thread codec
+    dict as stage n's ``provenance`` and iterates in an unspecified order, while
+    ``elements`` is the canonical one.  Membership, bonds and the thread codec
     read only ``carrier``; the order ``poset`` is built on first read.
     """
 

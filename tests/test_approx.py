@@ -25,6 +25,7 @@ from poset_tower import (
     validate_simplicial,
 )
 from poset_tower.errors import (
+    ElementNotFound,
     IncoherentThread,
     InvalidInput,
     InvalidPLMap,
@@ -104,6 +105,17 @@ class TestPLMaps:
         obj["stage"] = stage
         with pytest.raises(InvalidInput, match=f"not {stage!r}$"):
             PLMap.from_json_obj(obj)
+
+    def test_missing_base_image_is_refused_before_subdividing(self, monkeypatch, TRI):
+        calls = []
+        subdivide = approx.subdivide
+        monkeypatch.setattr(approx, "subdivide",
+                            lambda K, n: calls.append(n) or subdivide(K, n))
+        obj = {"source": TRI.to_json_obj(), "target": TRI.to_json_obj(),
+               "stage": 6, "images": {}}
+        with pytest.raises(ElementNotFound, match=r"^no image for vertex '0'$"):
+            PLMap.from_json_obj(obj)
+        assert calls == []
 
 
 class TestDeterministicErrors:

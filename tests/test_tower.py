@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,6 +56,8 @@ from conftest import (
     sd_reference,
     small_complexes,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def frac(a, b=1):
@@ -143,12 +149,42 @@ class TestLevels:
         sorted(TRI.simplices)
         assert calls
 
+    def test_build_sorts_no_stage(self, monkeypatch, TRI):
+        calls = []
+        sort = SimplicialComplex.sorted_simplices
+        monkeypatch.setattr(SimplicialComplex, "sorted_simplices",
+                            lambda cx: calls.append(cx) or sort(cx))
+        Tower.build(TRI, 6)
+        assert calls == []
+
     def test_label_collision(self):
         K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
         for build in (Tower.build, build_level):
             with pytest.raises(InvalidComplex,
                                match=r"'b\{a,b\}' names both \{b\{a,b\}\} and \{a,b\}"):
                 build(K, 1)
+
+    COLLISIONS = """
+from poset_tower import SimplicialComplex, Tower, build_level, subdivide
+from poset_tower.errors import PosetTowerError
+K = SimplicialComplex.from_maximal([["a", "b"], ["c", "d"], ["b{a,b}"], ["b{c,d}"]])
+for build in (Tower.build, build_level, subdivide):
+    try:
+        build(K, 1)
+    except PosetTowerError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+    def test_two_collisions_name_the_least_pair_under_every_hash_seed(self):
+        for seed in ("1", "2", "3", "4", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+            result = subprocess.run([sys.executable, "-c", self.COLLISIONS], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines() == [
+                "InvalidComplex stage vertex label 'b{a,b}' names both {b{a,b}} and {a,b}"] * 3
 
 
 class TestLazyOrders:
