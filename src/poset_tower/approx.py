@@ -426,7 +426,6 @@ def limit_map(m: SystemMorphism, t: ThreadPrefix) -> ThreadPrefix:
         raise ValueError("thread does not belong to the morphism's source tower")
     if len(t.entries) > m.depth:
         raise IncoherentThread("thread deeper than the morphism's levels")
-    if not m.source_tower.validate_thread(t):
-        raise IncoherentThread(f"bond mismatch in {t.entries}")
+    m.source_tower._require_coherent(t)
     entries = tuple(m.level(n)(x) for n, x in enumerate(t.entries, start=1))
     return ThreadPrefix(m.target_tower, entries)

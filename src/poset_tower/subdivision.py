@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm
+from operator import itemgetter
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
 from .errors import ElementNotFound, InvalidComplex
@@ -220,13 +221,15 @@ def _numerators(p: RationalPoint):
 def _sd_step(numerators: dict) -> dict:
     """One subdivision step on ``{label: numerator}`` with positive numerators.
 
-    Sort the numerators in descending order (ties by label); the weight on the
+    Sort the numerators in descending order (ties by label: a sort by label,
+    then a stable one by numerator, so no key runs in Python); the weight on the
     barycenter of the j-th prefix of the support is j*(a_j - a_{j+1}).  Ties
     produce zero weights, which are dropped, so the result's support is the
     strict-descent chain regardless of tie order.  The weights telescope to the
     same total, so the common denominator never changes and stays implicit.
     """
-    items = sorted(numerators.items(), key=lambda kv: (-kv[1], kv[0]))
+    items = sorted(numerators.items())
+    items.sort(key=itemgetter(1), reverse=True)
     out = {}
     prefix = []
     for j, (label, a) in enumerate(items, start=1):

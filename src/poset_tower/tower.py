@@ -44,13 +44,18 @@ class TowerLevel:
 
     ``carrier`` maps each element to its stage-(n-1) simplex; it is the same
     dict as stage n's ``provenance`` and iterates in an unspecified order, while
-    ``elements`` is the canonical one.  Membership, bonds and the thread codec
-    read only ``carrier``; the order ``poset`` is built on first read.
+    ``elements`` is the canonical one.  ``below`` is level n-1's carrier table
+    (stage n-1's provenance, empty at level 1).  Membership, bonds and the
+    thread codec read only these tables; the order ``poset`` is built on first
+    read.  ``_parent`` maps each element to its one-step bond at level n-1,
+    filled one element at a time on first read.  An entry depends only on
+    ``carrier`` and ``below``, so towers that share a level share its table.
     """
 
-    def __init__(self, n: int, carrier: dict):
+    def __init__(self, n: int, carrier: dict, below: dict):
         self.n = n
         self.carrier = carrier
+        self._parent = _ParentTable(carrier, below)
 
     @cached_property
     def poset(self) -> FinitePoset:
@@ -69,11 +74,31 @@ class TowerLevel:
         return f"TowerLevel(n={self.n}, {len(self.carrier)} elements)"
 
 
+class _ParentTable(dict):
+    """``{element: one-step bond}`` of one level, each entry computed on first read.
+
+    A missing element of the level gets the member of its carrier with the
+    largest carrier one level down; a label outside the level raises KeyError.
+    """
+
+    __slots__ = ("carrier", "below")
+
+    def __init__(self, carrier: dict, below: dict):
+        super().__init__()
+        self.carrier = carrier
+        self.below = below
+
+    def __missing__(self, x: str) -> str:
+        parent = self[x] = _largest_carrier(self.carrier[x].verts, self.below)
+        return parent
+
+
 def build_level(K: SimplicialComplex, n: int) -> TowerLevel:
     """Standalone level construction; subdivides the base up to stage n-1."""
     if n < 1:
         raise LevelOutOfRange("levels start at 1")
-    return TowerLevel(n, subdivide(K, n - 1)._barycenters)
+    stage = subdivide(K, n - 1)
+    return TowerLevel(n, stage._barycenters, stage.provenance)
 
 
 @dataclass(frozen=True)
@@ -93,11 +118,12 @@ class ThreadPrefix:
         return f"ThreadPrefix({', '.join(self.entries)})"
 
     @cached_property
-    def _coherent(self) -> bool:
-        """Whether ``tower`` matches consecutive entries by its bonds, checked once.
+    def _mismatch(self):
+        """The first level whose entry ``tower`` does not bond to the entry before, checked once.
 
-        ``ElementNotFound`` escapes the property, so an entry outside its level
-        is refused on every read and nothing is recorded.
+        None for a coherent thread.  ``ElementNotFound`` escapes the property,
+        so an entry outside its level is refused on every read and nothing is
+        recorded.
         """
         return self.tower._check_thread(self.entries)
 
@@ -145,7 +171,8 @@ class Tower:
         stages = extend_subdivision(self._stages[-1], depth - 1).stage_chain()
         levels = list(self.levels)
         for n in range(self.depth + 1, depth + 1):
-            levels.append(TowerLevel(n, stages[n - 1]._barycenters))
+            stage = stages[n - 1]
+            levels.append(TowerLevel(n, stage._barycenters, stage.provenance))
         return Tower(self.base, depth, stages, levels)
 
     def stage(self, k: int) -> SubdividedComplex:
@@ -174,7 +201,8 @@ class Tower:
 
         One step takes the carrier chain of the element and returns the member
         with the largest carrier: the vertex of the previous stage sitting in
-        the open simplex that contains this one's barycenter.
+        the open simplex that contains this one's barycenter.  Each level keeps
+        its one-step bonds in a table filled on first use (``TowerLevel``).
         """
         if not 1 <= n <= m <= self.depth:
             raise LevelOutOfRange(f"need 1 <= {n} <= {m} <= depth {self.depth}")
@@ -183,10 +211,13 @@ class Tower:
         return self._bond(x, m, n)
 
     def _bond(self, x: str, m: int, n: int) -> str:
-        """``bond`` without its checks: x must be an element of level m, n <= m."""
+        """``bond`` without its checks: x must be an element of level m, n <= m.
+
+        m - n reads of the levels' one-step bond tables, from level m down.
+        """
         levels = self.levels
         for k in range(m - 1, n - 1, -1):
-            x = _largest_carrier(levels[k].carrier[x].verts, levels[k - 1].carrier)
+            x = levels[k]._parent[x]
         return x
 
     def basic_preimage(self, x: str, n: int) -> set:
@@ -239,12 +270,13 @@ class Tower:
     def _resolve_label(self, raw: str, n: int) -> str:
         if not isinstance(raw, str):
             raise InvalidInput(f"thread entry {raw!r} at level {n} is not a label")
-        if raw in self.level(n):
+        carrier = self.levels[n - 1].carrier
+        if raw in carrier:
             return raw
         members = _set_members(raw)
         if members is not None:
             label = _barycenter_label(members)
-            if label in self.level(n):
+            if label in carrier:
                 return label
         raise ElementNotFound(f"{raw!r} at level {n}")
 
@@ -254,20 +286,41 @@ class Tower:
         A thread of this tower records the answer on itself; a thread of
         another tower is checked against this one afresh.
         """
+        return self._first_mismatch(t) is None
+
+    def _first_mismatch(self, t: ThreadPrefix):
+        """The first level whose entry does not bond to the entry before, or None."""
         if t.tower is self:
-            return t._coherent
+            return t._mismatch
         return self._check_thread(t.entries)
 
-    def _check_thread(self, entries: tuple) -> bool:
-        for n, x in enumerate(entries, start=1):
-            if x not in self.level(n):
-                raise ElementNotFound(f"{x!r} at level {n}")
-        return all(self._bond(entries[k], k + 1, k) == entries[k - 1]
-                   for k in range(1, len(entries)))
+    def _check_thread(self, entries: tuple):
+        """``_first_mismatch`` of these entries, read from the bond tables.
+
+        Every entry must be an element of its level, checked level by level,
+        before a thread longer than the tower is refused.
+        """
+        levels = self.levels
+        for level, x in zip(levels, entries):
+            if x not in level.carrier:
+                raise ElementNotFound(f"{x!r} at level {level.n}")
+        if len(entries) > len(levels):
+            raise LevelOutOfRange(f"level {len(levels) + 1} outside 1..{self.depth}")
+        for level, x, below in zip(levels[1:], entries[1:], entries):
+            if level._parent[x] != below:
+                return level.n
+        return None
+
+    def _require_coherent(self, t: ThreadPrefix) -> None:
+        """Raise ``IncoherentThread`` naming the first level whose bond misses."""
+        n = self._first_mismatch(t)
+        if n is not None:
+            x = t.entries[n - 1]
+            raise IncoherentThread(f"level {n} entry {x!r} bonds to "
+                                   f"{self._bond(x, n, n - 1)!r}, not {t.entries[n - 2]!r}")
 
     def decode_thread(self, t: ThreadPrefix) -> DecodedRegion:
-        if not self.validate_thread(t):
-            raise IncoherentThread(f"bond mismatch in {t.entries}")
+        self._require_coherent(t)
         N = len(t.entries)
         chain = tuple(frozenset(level.carrier[x].verts)
                       for level, x in zip(self.levels, t.entries))

@@ -393,6 +393,13 @@ class TestSystemMorphisms:
         with pytest.raises(IncoherentThread):
             limit_map(m, tower.thread(["a", "b"]))
 
+    def test_incoherent_input_names_the_first_failing_level(self, E):
+        tower = cached_tower("edge", 3)
+        m = SystemMorphism.build(SimplicialMap.identity(E), tower, tower)
+        with pytest.raises(IncoherentThread,
+                           match=r"^level 3 entry 'b' bonds to 'b', not 'b\{a,b\{a,b\}\}'$"):
+            limit_map(m, tower.thread(["b{a,b}", "{a,b{a,b}}", "b"]))
+
     def test_coherence_preserved_on_all_threads(self, S1):
         tower = cached_tower("circle", 3)
         rot = SimplicialMap(S1, S1, {"0": "1", "1": "2", "2": "0"})

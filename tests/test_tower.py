@@ -422,6 +422,16 @@ class TestThreads:
         with pytest.raises(IncoherentThread):
             tower_E3.decode_thread(tower_E3.thread(["a", "b"]))
 
+    @pytest.mark.parametrize("entries, message", [
+        (["b{a,b}", "{a,b{a,b}}", "b"], "level 3 entry 'b' bonds to 'b', not 'b{a,b{a,b}}'"),
+        (["a", "b", "a"], "level 2 entry 'b' bonds to 'b', not 'a'"),
+    ])
+    def test_decode_names_the_first_failing_level(self, tower_E3, entries, message):
+        t = tower_E3.thread(entries)
+        for check in (tower_E3.decode_thread, Tower.build(tower_E3.base, 3).decode_thread):
+            with pytest.raises(IncoherentThread, match=f"^{re.escape(message)}$"):
+                check(t)
+
     def test_representative_lies_in_last_carrier(self, tower_S13):
         for t in all_threads(tower_S13, 3):
             region = tower_S13.decode_thread(t)
@@ -444,24 +454,24 @@ class TestRecordedCoherence:
     """A thread's coherence is checked once and read back by validate and decode."""
 
     @pytest.fixture
-    def bond_calls(self, monkeypatch):
+    def check_calls(self, monkeypatch):
         calls = []
-        original = Tower._bond
+        original = Tower._check_thread
 
-        def counted(tower, x, m, n):
+        def counted(tower, entries):
             calls.append(tower)
-            return original(tower, x, m, n)
+            return original(tower, entries)
 
-        monkeypatch.setattr(Tower, "_bond", counted)
+        monkeypatch.setattr(Tower, "_check_thread", counted)
         return calls
 
-    def test_decode_after_validate_runs_no_second_pass(self, tower_E3, bond_calls):
+    def test_decode_after_validate_runs_no_second_pass(self, tower_E3, check_calls):
         t = tower_E3.thread(["b{a,b}", "{a,b{a,b}}", "{a,b{a,b{a,b}}}"])
         assert tower_E3.validate_thread(t)
-        assert len(bond_calls) == 2
+        assert len(check_calls) == 1
         region = tower_E3.decode_thread(t)
         assert tower_E3.validate_thread(t)
-        assert len(bond_calls) == 2
+        assert len(check_calls) == 1
         assert region == tower_E3.decode_thread(tower_E3.thread(t.entries))
 
     def test_incoherent_thread_still_refused(self, tower_E3):
@@ -480,17 +490,24 @@ class TestRecordedCoherence:
             with pytest.raises(ElementNotFound, match="'nope' at level 2"):
                 check(t)
 
-    def test_deeper_tower_checks_afresh(self, E, bond_calls):
+    def test_deeper_tower_checks_afresh(self, E, check_calls):
         shallow, deep = Tower.build(E, 2), Tower.build(E, 3)
         t = shallow.thread(["b{a,b}", "{a,b{a,b}}"])
         assert shallow.validate_thread(t)
-        del bond_calls[:]
+        del check_calls[:]
         assert deep.validate_thread(t)
-        assert bond_calls == [deep]
+        assert check_calls == [deep]
         longer = tower_module.ThreadPrefix(shallow, ("a", "a", "a"))
         assert deep.validate_thread(longer)
         with pytest.raises(LevelOutOfRange):
             shallow.validate_thread(longer)
+
+    def test_foreign_entry_is_refused_before_an_over_long_thread(self, E):
+        shallow = Tower.build(E, 2)
+        for entries in [("nope", "a", "a"), ("a", "nope", "a")]:
+            longer = tower_module.ThreadPrefix(shallow, entries)
+            with pytest.raises(ElementNotFound, match=f"'nope' at level {entries.index('nope') + 1}"):
+                shallow.validate_thread(longer)
 
     def test_fields_equality_hash_and_repr_unchanged(self, tower_E3):
         checked = tower_E3.thread(["b{a,b}", "{a,b{a,b}}"])

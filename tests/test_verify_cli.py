@@ -135,6 +135,20 @@ class TestSuites:
         checks = {c.name: c.passed for c in verify_suite("naturality", E, 2).checks}
         assert checks["identity-naturality"] and not checks["constant-naturality"]
 
+    def test_wrong_one_step_bond_fails_the_vertex_check(self, TRI, monkeypatch):
+        """A bond to the member with the smallest carrier obeys the composition law but is caught."""
+        tower = Tower.build(TRI, 3)
+        level, below = tower.level(3), tower.level(2)
+        x = next(x for x in level.elements if len(level.carrier[x].verts) > 1)
+        smallest = min(level.carrier[x].verts, key=lambda u: len(below.carrier[u].verts))
+        assert smallest != tower.bond(x, 3, 2)
+        monkeypatch.setitem(level._parent, x, smallest)
+        assert all(tower.bond(x, 3, n) == tower.bond(tower.bond(x, 3, k), k, n)
+                   for k in range(1, 4) for n in range(1, k + 1))
+        monkeypatch.setattr(Tower, "build", classmethod(lambda cls, K, depth: tower))
+        checks = {c.name: c.passed for c in verify_suite("bond-commutation", TRI, 3, seed=0).checks}
+        assert checks["bond-matches-vertex-projection"] is False
+
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("name", sorted(COMPLEXES))
     def test_verify_all_matches_each_suite(self, name, depth):
