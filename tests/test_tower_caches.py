@@ -1,7 +1,7 @@
 """A stateful test of the tower's caches.
 
 Towers over one base are built, deepened and read in random order: stages,
-bonds, and threads that are encoded, parsed, validated and decoded, also by
+level orders, bonds, and threads that are encoded, parsed, validated and decoded, also by
 another tower over the same base.  Each answer is compared with a fresh
 ``Tower.build`` of the same base and depth, which no rule touches, and each
 bond with a walk of ``_largest_carrier`` that reads no bond table.
@@ -82,6 +82,13 @@ class TowerCaches(RuleBasedStateMachine):
         stage = tower.stage(k)
         assert stage.complex == ref.complex
         assert stage.provenance == ref.provenance
+
+    @rule(tower=towers, data=st.data())
+    def read_level_order(self, tower, data):
+        n = data.draw(st.integers(1, tower.depth), label="n")
+        x = data.draw(st.sampled_from(tower.level(n).elements), label="x")
+        ref = self.reference(tower.depth).level(n)
+        assert tower.level(n).poset.up_set(x) == ref.poset.up_set(x)
 
     @rule(tower=towers, data=st.data())
     def bond(self, tower, data):
