@@ -47,6 +47,13 @@ class Simplex:
         """Build a simplex from labels that may repeat (repeats collapse)."""
         return cls(set(verts))
 
+    @classmethod
+    def _of_sorted(cls, verts: tuple) -> "Simplex":
+        """The simplex on ``verts``, a sorted tuple of distinct labels, built unchecked."""
+        s = object.__new__(cls)
+        s.verts = verts
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.verts) - 1
@@ -55,10 +62,9 @@ class Simplex:
         return "{" + ",".join(self.verts) + "}"
 
     def faces(self):
-        """All proper nonempty faces."""
+        """All proper nonempty faces, unchecked: subsets of sorted, distinct labels."""
         for k in range(1, len(self.verts)):
-            for combo in combinations(self.verts, k):
-                yield Simplex(combo)
+            yield from map(Simplex._of_sorted, combinations(self.verts, k))
 
     def faces_with_self(self):
         yield from self.faces()
@@ -98,16 +104,15 @@ class SimplicialComplex:
     codimension-1 faces in the set (induct down any chain of faces), so only
     those faces are looked up, as vertex tuples.  Once a fault is known, the
     simplices are walked again in canonical order, so the fault reported does
-    not depend on hash order.
+    not depend on hash order.  The private ``_face_closed`` skips the check
+    for sets closed by construction: the chains of a strict order (a subchain
+    of a chain is a chain), and a star or link of a valid complex.
     """
 
     __slots__ = ("vertices", "simplices", "_dim", "_cofaces", "_sorted")
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
-        self.vertices = tuple(sorted(set(vertices)))
-        self.simplices = frozenset(simplices)
-        self._cofaces = None
-        self._sorted = None
+        self._store(set(vertices), simplices)
         vset = set(self.vertices)
         present = {s.verts for s in self.simplices}
         try:
@@ -118,7 +123,20 @@ class SimplicialComplex:
         for v in self.vertices:
             if (v,) not in present:
                 raise MissingFace(Simplex((v,)))
-        self._dim = max(map(len, present), default=0) - 1
+
+    @classmethod
+    def _face_closed(cls, vertices: Iterable[str], simplices: Iterable[Simplex]) -> "SimplicialComplex":
+        """The complex on distinct ``vertices`` and a face-closed simplex set, built unchecked."""
+        cx = cls.__new__(cls)
+        cx._store(vertices, simplices)
+        return cx
+
+    def _store(self, vertices, simplices) -> None:
+        self.vertices = tuple(sorted(vertices))
+        self.simplices = frozenset(simplices)
+        self._dim = max([len(s.verts) for s in self.simplices], default=0) - 1
+        self._cofaces = None
+        self._sorted = None
 
     @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -374,7 +392,7 @@ def star(K: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     """
     sims = {f for t in open_star(K, simplex) for f in t.faces_with_self()}
     verts = {v for t in sims for v in t.verts}
-    return SimplicialComplex(verts, sims)
+    return SimplicialComplex._face_closed(verts, sims)
 
 
 def link(K: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
@@ -383,7 +401,7 @@ def link(K: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     forbidden = set(simplex.verts)
     sims = {t for t in st.simplices if not (set(t.verts) & forbidden)}
     verts = {v for t in sims for v in t.verts}
-    return SimplicialComplex(verts, sims)
+    return SimplicialComplex._face_closed(verts, sims)
 
 
 def open_star(K: SimplicialComplex, simplex: Simplex) -> set:

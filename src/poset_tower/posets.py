@@ -265,6 +265,7 @@ def _chains(below: Mapping, what: str) -> list:
 
     ``below`` maps each element to all elements strictly below it, so each
     chain is walked once, down from its top; ``what`` names it in the error.
+    A chain of a strict order has distinct members, so it is only sorted.
     """
     cap = _simplex_cap()
     chains = []
@@ -272,7 +273,7 @@ def _chains(below: Mapping, what: str) -> list:
         stack = [(x, (x,))]
         while stack:
             top, path = stack.pop()
-            chains.append(Simplex(path))
+            chains.append(Simplex._of_sorted(tuple(sorted(path))))
             if cap is not None and len(chains) > cap:
                 raise ResourceLimit(f"{what} exceeds POSET_TOWER_MAX_SIMPLICES={cap}")
             for y in below[top]:
@@ -283,7 +284,7 @@ def _chains(below: Mapping, what: str) -> list:
 def order_complex(X: FinitePoset) -> SimplicialComplex:
     """The complex whose simplices are the nonempty chains of X."""
     below = {x: X.strict_down(x) for x in X.elements}
-    return SimplicialComplex(X.elements, _chains(below, "order complex"))
+    return SimplicialComplex._face_closed(X.elements, _chains(below, "order complex"))
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:

@@ -195,7 +195,8 @@ def _face_table(carrier: dict) -> dict:
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
     """One barycentric subdivision step: the chains of the previous stage's face order."""
     provenance = prev._barycenters
-    complex = SimplicialComplex(provenance.keys(), _chains(_face_table(provenance), "subdivision"))
+    complex = SimplicialComplex._face_closed(
+        provenance.keys(), _chains(_face_table(provenance), "subdivision"))
     return SubdividedComplex(prev.base, prev.stage + 1, complex, provenance, prev)
 
 

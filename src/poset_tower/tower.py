@@ -145,8 +145,9 @@ class Tower:
     """The inverse system of level posets over a fixed base complex.
 
     Construction is a pure function of (base, depth).  ``build`` makes
-    stages 0..depth-1 eagerly, each with its face-closure check, and each
-    level's carrier table, with its label-collision check.  Stage ``depth``
+    stages 0..depth-1 eagerly, as chain complexes that are face closed by
+    construction and so not checked again, and each level's carrier table,
+    with its label-collision check.  Stage ``depth``
     and each level's order (``TowerLevel.poset``) are built on first access;
     the thread codec never reads an order.
     """

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from poset_tower import (
     core,
     dist_sq,
     face_poset,
+    link,
     mesh_sq_bound,
     open_star,
     order_complex,
@@ -28,8 +30,9 @@ from poset_tower import (
     sd_coordinates,
     stage_vertex_label,
     star,
+    validate_complex,
 )
-from poset_tower import subdivision
+from poset_tower import complexes, subdivision
 from poset_tower import tower as tower_module
 from poset_tower.errors import (
     ElementNotFound,
@@ -48,6 +51,7 @@ from conftest import (
     COMPLEXES,
     FIXTURE_DEPTHS,
     cached_tower,
+    is_complex,
     lifted_image,
     open_families_exhaustive,
     open_subset_is_open,
@@ -157,6 +161,19 @@ class TestLevels:
         Tower.build(TRI, 6)
         assert calls == []
 
+    def test_build_checks_no_face_closure(self, monkeypatch, TRI):
+        calls = []
+        check = complexes._check_faces
+        monkeypatch.setattr(complexes, "_check_faces",
+                            lambda *args: calls.append(1) or check(*args))
+        Tower.build(TRI, 6)
+        assert calls == []
+        validate_complex(["a", "b"], [["a"], ["b"], ["a", "b"]])
+        assert calls
+        calls.clear()
+        SimplicialComplex.from_maximal([["a", "b"]])
+        assert calls
+
     def test_label_collision(self):
         K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
         for build in (Tower.build, build_level):
@@ -185,6 +202,44 @@ for build in (Tower.build, build_level, subdivide):
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines() == [
                 "InvalidComplex stage vertex label 'b{a,b}' names both {b{a,b}} and {a,b}"] * 3
+
+
+def chain_count(X: FinitePoset) -> int:
+    """The number of nonempty chains of X: each element tops one plus those below it."""
+    topped = {}
+    for x in sorted(X.elements, key=lambda x: len(X.min_open(x))):
+        topped[x] = 1 + sum(topped[y] for y in X.strict_down(x))
+    return sum(topped.values())
+
+
+class TestTrustedComplexes:
+    """Complexes built without the constructor's check pass it, and chains are complete."""
+
+    def assert_valid(self, cx, X=None):
+        rebuilt = SimplicialComplex(cx.vertices, cx.simplices)
+        assert is_complex(cx.vertices, [s.verts for s in cx.simplices])
+        assert cx == rebuilt and cx.dim == rebuilt.dim
+        if X is not None:
+            assert cx.vertices == X.elements
+            assert all(X.leq(a, b) or X.leq(b, a)
+                       for s in cx.simplices for a, b in combinations(s.verts, 2))
+            assert len(cx.simplices) == chain_count(X)
+
+    @given(small_complexes())
+    @settings(max_examples=25)
+    def test_stages_up_set_order_complexes_stars_and_links(self, K):
+        tower = Tower.build(K, 3)
+        for n in range(1, 4):
+            X = tower.level(n).poset
+            self.assert_valid(tower.stage(n).complex, X)
+            for x in X.elements:
+                up = X.restrict(X.up_set(x))
+                self.assert_valid(order_complex(up), up)
+        for k in range(4):
+            cx = tower.stage(k).complex
+            for s in cx.simplices:
+                self.assert_valid(star(cx, s))
+                self.assert_valid(link(cx, s))
 
 
 class TestLazyOrders:
