@@ -132,6 +132,7 @@ class SimplicialComplex:
         return cx
 
     def _store(self, vertices, simplices) -> None:
+        """Keep the sorted vertices, the simplex set and its dimension, with empty caches."""
         self.vertices = tuple(sorted(vertices))
         self.simplices = frozenset(simplices)
         self._dim = max([len(s.verts) for s in self.simplices], default=0) - 1

@@ -147,9 +147,9 @@ class Tower:
     Construction is a pure function of (base, depth).  ``build`` makes
     stages 0..depth-1 eagerly, as chain complexes that are face closed by
     construction and so not checked again, and each level's carrier table,
-    with its label-collision check.  Stage ``depth``
-    and each level's order (``TowerLevel.poset``) are built on first access;
-    the thread codec never reads an order.
+    with its label-collision check.  Stage ``depth`` and each level's order
+    (``TowerLevel.poset``) are built on first access; the thread codec never
+    reads an order.
     """
 
     def __init__(self, base: SimplicialComplex, depth: int,
