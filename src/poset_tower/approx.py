@@ -226,7 +226,8 @@ class PLMap:
         }
 
     @classmethod
-    def from_json_obj(cls, obj) -> "PLMap":
+    def from_json_obj(cls, obj, guard=None) -> "PLMap":
+        """Parse a PL map; ``guard(source, stage)``, if given, runs before subdividing."""
         if not isinstance(obj, dict):
             raise InvalidInput(f"a PL map must be a JSON object, not {type(obj).__name__}")
         for key in ("source", "target"):
@@ -248,6 +249,8 @@ class PLMap:
         for v in source.vertices:
             if v not in images:
                 raise ElementNotFound(f"no image for vertex {v!r}")
+        if guard is not None:
+            guard(source, n)
         return cls(subdivide(source, n), target, images)
 
     def __repr__(self):

@@ -194,7 +194,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    h = PLMap.from_json_obj(_read_json(args.map))
+    h = PLMap.from_json_obj(_read_json(args.map), None if args.allow_deep else depth_guard)
     stage, f = _approximate_stage(h, args.cap)
     samples = homotopy_sample_points(stage.complex)
     _emit({
@@ -294,6 +294,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="simplicial approximation of a PL map")
     p.add_argument("--map", required=True)
     p.add_argument("--cap", type=int, default=4)
+    add_allow_deep(p)
     p.set_defaults(func=_cmd_approx)
 
     return parser

@@ -38,14 +38,19 @@ class SubdividedComplex:
     ``provenance`` maps every stage-n vertex label to the stage-(n-1) simplex
     it is the barycenter of (the previous stage's ``_barycenters``).  It
     iterates in an unspecified order; ``complex.vertices`` is the canonical one.
+    A stage keeps its simplices as a list: past stage 0, the chains of the
+    previous stage's face order.  ``complex`` (the base itself at stage 0)
+    and the label table ``_barycenters`` are each built from that list on
+    first read, and neither builds the other, so the thread codec builds no
+    complex and a stage read only as a complex is never labelled.
     """
 
-    def __init__(self, base, stage, complex, provenance, previous):
+    def __init__(self, base, stage, simplices, provenance, previous):
         self.base = base
         self.stage = stage
-        self.complex = complex
         self.provenance = provenance
         self.previous = previous
+        self._simplices = simplices
         # L = lcm(1, ..., dim K + 1): every carrier has at most dim K + 1
         # members, so each carrier mean scales numerators by an integer L/|members|
         # and a stage-n embedding has integer numerators over L**n.
@@ -54,9 +59,16 @@ class SubdividedComplex:
         self._embed: dict[str, dict] = {}
 
     @cached_property
+    def complex(self) -> SimplicialComplex:
+        """This stage as a complex, built once on first read; chains are face closed."""
+        if self.previous is None:
+            return self.base
+        return SimplicialComplex._face_closed(self.provenance.keys(), self._simplices)
+
+    @cached_property
     def _barycenters(self) -> dict:
         """``barycenters`` of this stage, computed once; the next stage's provenance."""
-        return barycenters(self.complex)
+        return barycenters(self._simplices)
 
     def carrier(self, label: str) -> Simplex:
         """The stage-(n-1) simplex whose barycenter this vertex is."""
@@ -129,21 +141,23 @@ class SubdividedComplex:
         }
 
     def __repr__(self):
-        return f"SubdividedComplex(stage={self.stage}, {self.complex!r})"
+        vertices = len(self.provenance) if self.stage else len(self.base.vertices)
+        return (f"SubdividedComplex(stage={self.stage}, SimplicialComplex("
+                f"{vertices} vertices, {len(self._simplices)} simplices))")
 
 
-def barycenters(cx: SimplicialComplex) -> dict:
-    """Each simplex of ``cx`` by barycenter label; rejects clashing labels.
+def barycenters(simplices) -> dict:
+    """Each of these distinct simplices by barycenter label; rejects clashing labels.
 
-    The table iterates in an unspecified order (that of ``cx.simplices``);
-    sort it where order shows.  Once a collision is known, the simplices are
-    walked again in canonical order, so the error names the least pair under
-    any hash seed.
+    ``simplices`` is a complex's simplex set or a stage's chain list.  The
+    table iterates in their order, which may be unspecified; sort it where
+    order shows.  Once a collision is known, the simplices are walked again
+    in canonical order, so the error names the least pair under any hash seed.
     """
     try:
-        return _label_table(cx.simplices)
+        return _label_table(simplices)
     except InvalidComplex:
-        _label_table(cx.sorted_simplices())
+        _label_table(sorted(simplices))
         raise
 
 
@@ -195,16 +209,15 @@ def _face_table(carrier: dict) -> dict:
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
     """One barycentric subdivision step: the chains of the previous stage's face order."""
     provenance = prev._barycenters
-    complex = SimplicialComplex._face_closed(
-        provenance.keys(), _chains(_face_table(provenance), "subdivision"))
-    return SubdividedComplex(prev.base, prev.stage + 1, complex, provenance, prev)
+    chains = _chains(_face_table(provenance), "subdivision")
+    return SubdividedComplex(prev.base, prev.stage + 1, chains, provenance, prev)
 
 
 def subdivide(K: SimplicialComplex, n: int) -> SubdividedComplex:
     """The n-th barycentric subdivision with the full provenance chain."""
     if n < 0:
         raise ValueError("subdivision stage must be >= 0")
-    return extend_subdivision(SubdividedComplex(K, 0, K, {}, None), n)
+    return extend_subdivision(SubdividedComplex(K, 0, K.simplices, {}, None), n)
 
 
 def extend_subdivision(stage: SubdividedComplex, n: int) -> SubdividedComplex:

@@ -145,11 +145,10 @@ class Tower:
     """The inverse system of level posets over a fixed base complex.
 
     Construction is a pure function of (base, depth).  ``build`` makes
-    stages 0..depth-1 eagerly, as chain complexes that are face closed by
-    construction and so not checked again, and each level's carrier table,
-    with its label-collision check.  Stage ``depth`` and each level's order
-    (``TowerLevel.poset``) are built on first access; the thread codec never
-    reads an order.
+    stages 0..depth-1 eagerly, each as its list of chains, and each level's
+    carrier table, with its label-collision check.  A stage's ``complex``,
+    stage ``depth`` and each level's order (``TowerLevel.poset``) are built
+    on first access; ``build`` and the thread codec read none of them.
     """
 
     def __init__(self, base: SimplicialComplex, depth: int,
@@ -163,7 +162,7 @@ class Tower:
     def build(cls, K: SimplicialComplex, depth: int) -> "Tower":
         if depth < 1:
             raise LevelOutOfRange("tower depth must be >= 1")
-        return cls(K, 0, [SubdividedComplex(K, 0, K, {}, None)], []).deepened(depth)
+        return cls(K, 0, [SubdividedComplex(K, 0, K.simplices, {}, None)], []).deepened(depth)
 
     def deepened(self, depth: int) -> "Tower":
         """A deeper tower sharing this one's stage chain."""

@@ -203,6 +203,30 @@ for build in (Tower.build, build_level, subdivide):
             assert result.stdout.splitlines() == [
                 "InvalidComplex stage vertex label 'b{a,b}' names both {b{a,b}} and {a,b}"] * 3
 
+    CHAIN_COLLISIONS = """
+from poset_tower import SimplicialComplex, Tower, build_level, subdivide
+from poset_tower.errors import PosetTowerError
+K = SimplicialComplex.from_maximal([["a", "b"], ["c", "d"], ["b{a,b{a,b}}"], ["b{c,b{c,d}}"]])
+for build in (Tower.build, build_level, subdivide):
+    try:
+        build(K, 2)
+    except PosetTowerError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+    def test_collisions_among_chains_name_the_least_pair_under_every_hash_seed(self):
+        """Stage 1 is labelled from its chain list, which is walked again sorted."""
+        for seed in ("1", "2", "3", "4", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+            result = subprocess.run([sys.executable, "-c", self.CHAIN_COLLISIONS], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines() == [
+                "InvalidComplex stage vertex label 'b{a,b{a,b}}' names both"
+                " {b{a,b{a,b}}} and {a,b{a,b}}"] * 3
+
 
 def chain_count(X: FinitePoset) -> int:
     """The number of nonempty chains of X: each element tops one plus those below it."""
@@ -275,6 +299,41 @@ class TestLazyOrders:
                        for y in reference.elements)
         # four level orders, each built once, and four reference face posets
         assert len(calls) == 8
+
+
+class TestLazyStageComplexes:
+    def test_build_and_codec_build_no_complex(self, monkeypatch, TRI):
+        calls = []
+        store = SimplicialComplex._store
+        monkeypatch.setattr(SimplicialComplex, "_store",
+                            lambda cx, *args: calls.append(cx) or store(cx, *args))
+        p = RationalPoint(TRI, {"0": frac(1, 7), "1": frac(2, 7), "2": frac(4, 7)})
+        tower = Tower.build(TRI, 6)
+        parsed = tower.thread(list(tower.encode_thread(p, 6).entries))
+        assert tower.validate_thread(parsed)
+        tower.decode_thread(parsed)
+        assert calls == []
+        cx = tower.stage(5).complex
+        assert tower.stage(5).complex is cx
+        assert calls == [cx]
+
+    def test_stage_complexes_match_in_either_read_order(self, TRI):
+        """The tower's stages are labelled before their complexes are read, fresh ones after.
+
+        Stage 6 is never labelled: its labels name the vertices of stage 7.
+        """
+        tower = Tower.build(TRI, 6)
+        fresh = subdivision.subdivide(TRI, 0)
+        for k in range(7):
+            fresh = subdivision.extend_subdivision(fresh, k)
+            want = fresh.complex
+            stage = tower.stage(k)
+            got = stage.complex
+            assert (got.vertices, got.simplices, got.dim) == (
+                want.vertices, want.simplices, want.dim)
+            assert stage.complex is got
+            if k < 6:
+                assert fresh._barycenters == stage._barycenters
 
 
 class TestNoCofaceIndex:

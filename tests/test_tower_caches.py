@@ -1,10 +1,11 @@
 """A stateful test of the tower's caches.
 
 Towers over one base are built, deepened and read in random order: stages,
-level orders, bonds, and threads that are encoded, parsed, validated and decoded, also by
-another tower over the same base.  Each answer is compared with a fresh
-``Tower.build`` of the same base and depth, which no rule touches, and each
-bond with a walk of ``_largest_carrier`` that reads no bond table.
+stage complexes, level orders, bonds, and threads that are encoded, parsed,
+validated and decoded, also by another tower over the same base.  Each
+answer is compared with a fresh ``Tower.build`` of the same base and depth,
+which no rule touches, and each bond with a walk of ``_largest_carrier``
+that reads no bond table.
 """
 
 import json
@@ -82,6 +83,15 @@ class TowerCaches(RuleBasedStateMachine):
         stage = tower.stage(k)
         assert stage.complex == ref.complex
         assert stage.provenance == ref.provenance
+
+    @rule(tower=towers, data=st.data())
+    def read_stage_complex(self, tower, data):
+        """A stage's complex, built on its first read, whenever that read comes."""
+        k = data.draw(st.integers(0, tower.depth), label="k")
+        cx = tower.stage(k).complex
+        ref = Tower.build(self.base, tower.depth).stage(k).complex
+        assert (cx.vertices, cx.simplices, cx.dim) == (ref.vertices, ref.simplices, ref.dim)
+        assert tower.stage(k).complex is cx
 
     @rule(tower=towers, data=st.data())
     def read_level_order(self, tower, data):

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poset_tower import subdivision, verify
+from poset_tower import approx, subdivision, verify
 from poset_tower.approx import SimplicialMap
 from poset_tower.cli import main
 from poset_tower.complexes import RationalPoint, SimplicialComplex
@@ -352,6 +352,27 @@ class TestApproxCommand:
         path = write_json(tmp_path / "map.json", obj)
         code, _, err = run_cli(capsys, "approx", "--map", path, "--cap", "1")
         assert code == 1 and "stage 1" in err
+
+    def test_deep_map_stage_is_refused_before_subdividing(self, capsys, tmp_path, monkeypatch, TRI):
+        calls = []
+        subdivide = approx.subdivide
+        monkeypatch.setattr(approx, "subdivide",
+                            lambda K, n: calls.append(n) or subdivide(K, n))
+        obj = {"source": TRI.to_json_obj(), "target": TRI.to_json_obj(), "stage": 6,
+               "images": {v: {"coords": {v: "1"}} for v in TRI.vertices}}
+        code, out, err = run_cli(capsys, "approx", "--map", write_json(tmp_path / "map.json", obj))
+        assert (code, out) == (1, "")
+        assert err == "error: depth 6 exceeds the guard (3) for a 2-complex\n"
+        assert calls == []
+        E = edge()
+        stage = subdivide(E, 5)
+        obj = {"source": E.to_json_obj(), "target": E.to_json_obj(), "stage": 5,
+               "images": {v: stage.embed_vertex(v).to_json_obj() for v in stage.complex.vertices}}
+        path = write_json(tmp_path / "edge-map.json", obj)
+        code, _, err = run_cli(capsys, "approx", "--map", path, "--cap", "5")
+        assert code == 1 and "guard (4)" in err and calls == []
+        code, out, _ = run_cli(capsys, "approx", "--map", path, "--cap", "5", "--allow-deep")
+        assert code == 0 and json.loads(out)["n"] == 5 and calls == [5]
 
 
 class TestRepeatedMain:
