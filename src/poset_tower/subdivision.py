@@ -41,8 +41,9 @@ class SubdividedComplex:
     A stage keeps its simplices as a list: past stage 0, the chains of the
     previous stage's face order.  ``complex`` (the base itself at stage 0)
     and the label table ``_barycenters`` are each built from that list on
-    first read, and neither builds the other, so the thread codec builds no
-    complex and a stage read only as a complex is never labelled.
+    first read, and neither builds the other: the thread codec builds no
+    complex, and the last stage of a chain read only as a complex is never
+    labelled.
     """
 
     def __init__(self, base, stage, simplices, provenance, previous):
