@@ -150,10 +150,8 @@ def iterated_sd_map(g: SimplicialMap, n: int,
     require_simplicial(g)
     if n < 1:
         return g
-    if source_tower is not None:
-        sources = [source_tower.stage(k) for k in range(1, n + 1)]
-    else:
-        sources = subdivide(g.source, n).stage_chain()[1:]
+    sources = (source_tower.stage(n) if source_tower is not None
+               else subdivide(g.source, n)).stage_chain()[1:]
     target = target_tower.stage(n) if target_tower is not None else subdivide(g.target, n)
     assignment = g.vertex_map
     for stage in sources:

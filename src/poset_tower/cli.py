@@ -24,7 +24,7 @@ from .errors import InvalidInput, PosetTowerError
 from .homology import betti
 from .posets import FinitePoset, core, face_poset, order_complex, to_dot
 from .subdivision import subdivide
-from .tower import Tower
+from .tower import ThreadPrefix, Tower
 from .verify import SUITES, depth_guard, verify_all, verify_suite
 
 
@@ -95,8 +95,7 @@ def _cmd_poset_face_poset(args) -> int:
 
 
 def _cmd_poset_dot(args) -> int:
-    sys.stdout.write(to_dot(_load_poset(args.file)))
-    return 0
+    return _emit_poset(_load_poset(args.file), "dot")
 
 
 def _guarded_tower(args, K: SimplicialComplex, depth: int) -> Tower:
@@ -135,20 +134,20 @@ def _cmd_tower_encode(args) -> int:
     return 0
 
 
-def _load_thread_entries(path: str) -> list:
-    obj = _read_json(path)
+def _load_thread(args) -> ThreadPrefix:
+    """The thread file's entries, resolved in a tower just deep enough for them."""
+    K = _load_complex(args.complex)
+    obj = _read_json(args.thread)
     entries = obj.get("entries", []) if isinstance(obj, dict) else None
     if not isinstance(entries, list):
         raise InvalidInput(
             f'a thread must be a JSON object {{"entries": [label, ...]}}, not {obj!r}')
-    return entries
+    return _guarded_tower(args, K, max(len(entries), 1)).thread(entries)
 
 
 def _cmd_tower_decode(args) -> int:
-    K = _load_complex(args.complex)
-    raw = _load_thread_entries(args.thread)
-    tower = _guarded_tower(args, K, max(len(raw), 1))
-    region = tower.decode_thread(tower.thread(raw))
+    t = _load_thread(args)
+    region = t.tower.decode_thread(t)
     _emit({
         "chain": [sorted(c) for c in region.chain],
         "representative": region.representative.to_json_obj(),
@@ -158,10 +157,8 @@ def _cmd_tower_decode(args) -> int:
 
 
 def _cmd_tower_validate(args) -> int:
-    K = _load_complex(args.complex)
-    raw = _load_thread_entries(args.thread)
-    tower = _guarded_tower(args, K, max(len(raw), 1))
-    ok = tower.validate_thread(tower.thread(raw))
+    t = _load_thread(args)
+    ok = t.tower.validate_thread(t)
     _emit({"coherent": ok})
     return 0 if ok else 1
 
@@ -251,34 +248,21 @@ def _parser() -> argparse.ArgumentParser:
 
     p_tower = sub.add_parser("tower", help="build towers, encode/decode threads")
     sub_tower = p_tower.add_subparsers(dest="subcommand", required=True)
-    p = sub_tower.add_parser("build")
-    p.add_argument("complex")
-    p.add_argument("--depth", type=int, required=True)
-    add_allow_deep(p)
-    p.set_defaults(func=_cmd_tower_build)
-    p = sub_tower.add_parser("encode")
-    p.add_argument("complex")
-    p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    add_allow_deep(p)
-    p.set_defaults(func=_cmd_tower_encode)
-    p = sub_tower.add_parser("decode")
-    p.add_argument("complex")
-    p.add_argument("--thread", required=True)
-    add_allow_deep(p)
-    p.set_defaults(func=_cmd_tower_decode)
-    p = sub_tower.add_parser("validate")
-    p.add_argument("complex")
-    p.add_argument("--thread", required=True)
-    add_allow_deep(p)
-    p.set_defaults(func=_cmd_tower_validate)
-    p = sub_tower.add_parser("separate")
-    p.add_argument("complex")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    add_allow_deep(p)
-    p.set_defaults(func=_cmd_tower_separate)
+
+    def tower_command(name, func, **options):
+        """Declare ``tower NAME COMPLEX``, a required ``--OPTION`` of each given type, --allow-deep."""
+        p = sub_tower.add_parser(name)
+        p.add_argument("complex")
+        for option, kind in options.items():
+            p.add_argument(f"--{option}", type=kind, required=True)
+        add_allow_deep(p)
+        p.set_defaults(func=func)
+
+    tower_command("build", _cmd_tower_build, depth=int)
+    tower_command("encode", _cmd_tower_encode, point=str, depth=int)
+    tower_command("decode", _cmd_tower_decode, thread=str)
+    tower_command("validate", _cmd_tower_validate, thread=str)
+    tower_command("separate", _cmd_tower_separate, p=str, q=str, depth=int)
     p = sub_tower.add_parser("verify")
     p.add_argument("complex")
     p.add_argument("--suite", default="all",

@@ -1,4 +1,4 @@
-"""Small reference complexes and posets used by the verification suites."""
+"""Small reference complexes and posets for tests and examples."""
 
 from __future__ import annotations
 
@@ -36,15 +36,6 @@ def projective_plane() -> SimplicialComplex:
         ["0", "3", "5"], ["1", "2", "3"], ["1", "2", "5"], ["1", "3", "4"],
         ["2", "4", "5"], ["3", "4", "5"],
     ])
-
-
-STANDARD = {
-    "point": point,
-    "edge": edge,
-    "circle": circle,
-    "triangle": triangle,
-    "tetra-boundary": tetra_boundary,
-}
 
 
 def fence3() -> FinitePoset:

@@ -40,22 +40,23 @@ from .subdivision import (
 
 
 class TowerLevel:
-    """One level of the tower: the poset of stage-n vertices.
+    """One level of the tower: the poset of stage-n vertices, read from stage n-1.
 
-    ``carrier`` maps each element to its stage-(n-1) simplex; it is the same
-    dict as stage n's ``provenance`` and iterates in an unspecified order, while
-    ``elements`` is the canonical one.  ``below`` is level n-1's carrier table
-    (stage n-1's provenance, empty at level 1).  Membership, bonds and the
-    thread codec read only these tables; the order ``poset`` is built on first
-    read.  ``_parent`` maps each element to its one-step bond at level n-1,
-    filled one element at a time on first read.  An entry depends only on
-    ``carrier`` and ``below``, so towers that share a level share its table.
+    ``carrier`` maps each element to its stage-(n-1) simplex; it is stage
+    n-1's label table, the same dict as stage n's ``provenance``, and iterates
+    in an unspecified order, while ``elements`` is the canonical one.  Bonds
+    look down into stage n-1's provenance, level n-1's carrier table (empty at
+    level 1).  Membership, bonds and the thread codec read only these tables;
+    the order ``poset`` is built on first read.  ``_parent`` maps each element
+    to its one-step bond at level n-1, filled one element at a time on first
+    read.  An entry depends only on the two tables, so towers that share a
+    level share its table.
     """
 
-    def __init__(self, n: int, carrier: dict, below: dict):
+    def __init__(self, n: int, stage: SubdividedComplex):
         self.n = n
-        self.carrier = carrier
-        self._parent = _ParentTable(carrier, below)
+        self.carrier = stage._barycenters
+        self._parent = _ParentTable(self.carrier, stage.provenance)
 
     @cached_property
     def poset(self) -> FinitePoset:
@@ -97,8 +98,7 @@ def build_level(K: SimplicialComplex, n: int) -> TowerLevel:
     """Standalone level construction; subdivides the base up to stage n-1."""
     if n < 1:
         raise LevelOutOfRange("levels start at 1")
-    stage = subdivide(K, n - 1)
-    return TowerLevel(n, stage._barycenters, stage.provenance)
+    return TowerLevel(n, subdivide(K, n - 1))
 
 
 @dataclass(frozen=True)
@@ -162,17 +162,15 @@ class Tower:
     def build(cls, K: SimplicialComplex, depth: int) -> "Tower":
         if depth < 1:
             raise LevelOutOfRange("tower depth must be >= 1")
-        return cls(K, 0, [SubdividedComplex(K, 0, K.simplices, {}, None)], []).deepened(depth)
+        return cls(K, 0, [subdivide(K, 0)], []).deepened(depth)
 
     def deepened(self, depth: int) -> "Tower":
         """A deeper tower sharing this one's stage chain."""
         if depth <= self.depth:
             return self
         stages = extend_subdivision(self._stages[-1], depth - 1).stage_chain()
-        levels = list(self.levels)
-        for n in range(self.depth + 1, depth + 1):
-            stage = stages[n - 1]
-            levels.append(TowerLevel(n, stage._barycenters, stage.provenance))
+        levels = self.levels + [TowerLevel(n, stages[n - 1])
+                                for n in range(self.depth + 1, depth + 1)]
         return Tower(self.base, depth, stages, levels)
 
     def stage(self, k: int) -> SubdividedComplex:

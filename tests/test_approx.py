@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,14 @@ class TestSimplicialMaps:
         assert validate_simplicial(SimplicialMap(S1, target_ok, vm))
         target_bad = SimplicialComplex.from_maximal([["0", "2"], ["1", "2"], ["0"], ["1"], ["2"]])
         assert not validate_simplicial(SimplicialMap(S1, target_bad, vm))
+
+    @pytest.mark.parametrize("vertex_map,message", [
+        ({"a": "a"}, "no image for vertex 'b'"),
+        ({"a": "a", "b": "z"}, "image 'z' not in target"),
+    ], ids=["missing-image", "image-outside-target"])
+    def test_map_needs_every_image_in_the_target(self, E, vertex_map, message):
+        with pytest.raises(ElementNotFound, match=f"^{re.escape(message)}$"):
+            SimplicialMap(E, E, vertex_map)
 
     def test_apply_point(self, E):
         swap = SimplicialMap(E, E, {"a": "b", "b": "a"})
@@ -386,6 +395,13 @@ class TestSystemMorphisms:
         t = tower.encode_thread(
             RationalPoint(E, {"a": Fraction(2, 3), "b": Fraction(1, 3)}), 3)
         assert limit_map(m, t).entries == t.entries
+
+    def test_thread_deeper_than_the_morphism_rejected(self, E):
+        source = cached_tower("edge", 3)
+        m = SystemMorphism.build(SimplicialMap.identity(E), source, Tower.build(E, 1))
+        assert m.depth == 1
+        with pytest.raises(IncoherentThread, match="^thread deeper than the morphism's levels$"):
+            limit_map(m, source.thread(["a", "a"]))
 
     def test_incoherent_input_rejected(self, E):
         tower = cached_tower("edge", 3)

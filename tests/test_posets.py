@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +114,19 @@ class TestOrderPreserving:
         X = fence3()
         f = PosetMap(X, X, {"a": "m", "m": "a", "b": "b"})
         assert not f.is_order_preserving()
+
+    @pytest.mark.parametrize("assignment,message", [
+        ({"a": "a", "b": "a"}, "no image for 'm'"),
+        ({"a": "a", "b": "a", "m": "z"}, "image 'z' not in target poset"),
+    ], ids=["missing-image", "image-outside-target"])
+    def test_map_needs_every_image_in_the_target(self, assignment, message):
+        X = fence3()
+        with pytest.raises(ElementNotFound, match=f"^{re.escape(message)}$"):
+            PosetMap(X, X, assignment)
+
+    def test_down_set_must_hold_its_element(self):
+        with pytest.raises(NotAPartialOrder, match="^'b' missing from its own down-set$"):
+            FinitePoset.from_down_sets(["a", "b"], {"a": {"a"}, "b": {"a"}})
 
 
 class TestCore:

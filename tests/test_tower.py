@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from poset_tower import (
     FinitePoset,
+    PosetMap,
     RationalPoint,
     Simplex,
     SimplicialComplex,
@@ -33,6 +34,7 @@ from poset_tower import (
     validate_complex,
 )
 from poset_tower import complexes, subdivision
+from poset_tower import posets as posets_module
 from poset_tower import tower as tower_module
 from poset_tower.errors import (
     ElementNotFound,
@@ -43,6 +45,7 @@ from poset_tower.errors import (
     InvalidPoint,
     LevelOutOfRange,
     NotSeparated,
+    SimplexNotInComplex,
     StageTooCoarse,
 )
 from poset_tower.verify import sample_points, verify_suite
@@ -818,6 +821,54 @@ class TestTowerPlumbing:
     def test_thread_entry_must_be_a_label(self, tower_E3, entry):
         with pytest.raises(InvalidInput):
             tower_E3.thread(["a", entry])
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda T, p: T.encode_thread(p, 0), LevelOutOfRange, "depth 0 outside 1..3"),
+        (lambda T, p: T.encode_thread(p, 4), LevelOutOfRange, "depth 4 outside 1..3"),
+        (lambda T, p: T.thread(["a"] * 4), LevelOutOfRange, "thread longer than tower depth 3"),
+        (lambda T, p: T.image_of_open([Simplex(["a", "b"])], 1, 1), SimplexNotInComplex, "{a,b}"),
+        (lambda T, p: build_level(T.base, 0), LevelOutOfRange, "levels start at 1"),
+    ], ids=["encode-depth-0", "encode-too-deep", "thread-too-long", "open-outside-stage",
+            "level-0"])
+    def test_typed_errors(self, tower_E3, E, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(tower_E3, RationalPoint.vertex(E, "a"))
+
+
+WRAPPERS = [
+    (tower_module, "project_point", ("T", "p", 3)),
+    (tower_module, "bond", ("T", "x", 3, 1)),
+    (tower_module, "basic_preimage", ("T", "y", 2)),
+    (tower_module, "encode_thread", ("T", "p", 3)),
+    (tower_module, "validate_thread", ("t",)),
+    (tower_module, "decode_thread", ("t",)),
+    (tower_module, "separation_stage", ("T", "p", "q")),
+    (tower_module, "image_of_open", ("T", "opens", 2, 2)),
+    (posets_module, "is_order_preserving", ("f",)),
+    (posets_module, "up_set", ("X", "y")),
+    (posets_module, "min_open", ("X", "y")),
+]
+
+
+class TestFreeFunctions:
+    """Each public free function returns what the method it wraps returns."""
+
+    @pytest.mark.parametrize("module,name,args", WRAPPERS, ids=[w[1] for w in WRAPPERS])
+    def test_wrapper_matches_method(self, E, module, name, args):
+        T = cached_tower("edge", 3)
+        p = RationalPoint(E, {"a": frac(2, 3), "b": frac(1, 3)})
+        X = T.level(2).poset
+        values = {
+            "T": T, "p": p, "q": RationalPoint(E, {"a": frac(1, 3), "b": frac(2, 3)}),
+            "t": T.encode_thread(p, 3), "x": T.project_point(p, 3), "y": "b{a,b}",
+            "opens": list(T.stage(2).complex.simplices), "X": X,
+            "f": PosetMap(X, X, {x: x for x in X}),
+        }
+        resolved = [values[a] if isinstance(a, str) else a for a in args]
+        receiver, *rest = resolved
+        if isinstance(receiver, tower_module.ThreadPrefix):
+            receiver, rest = receiver.tower, [receiver]
+        assert getattr(module, name)(*resolved) == getattr(receiver, name)(*rest)
 
 
 # -- properties on random small complexes ---------------------------------------

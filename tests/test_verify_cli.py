@@ -478,6 +478,8 @@ class TestInputErrors:
         (["poset", "core", "{poset}"], {"poset": ["a"]}, "list"),
         (["poset", "core", "{poset}"],
          {"poset": {"elements": ["a", "b"], "leq": [["a", "b", "c"]]}}, "['a', 'b', 'c']"),
+        (["poset", "core", "{poset}"],
+         {"poset": {"elements": [], "leq": 5}}, "poset leq must be an array of pairs, not 5"),
         (["approx", "--map", "{map}"], {"map": ["a"]}, "list"),
         (["approx", "--map", "{map}"], {"map": {"target": EDGE}}, "'source'"),
         (["approx", "--map", "{map}"],
@@ -491,7 +493,7 @@ class TestInputErrors:
         (["approx", "--map", "{map}"],
          {"map": {"source": EDGE, "target": EDGE, "stage": "1"}}, "not '1'"),
     ], ids=["decode-list-thread", "validate-list-thread", "number-entry",
-            "list-poset", "long-leq-pair", "list-map", "map-without-source",
+            "list-poset", "long-leq-pair", "number-leq", "list-map", "map-without-source",
             "map-stage-x", "map-images-list", "map-stage-float", "map-stage-bool",
             "map-stage-string"])
     def test_wrong_json_shape(self, tmp_path, cmd, files, needle):
