@@ -306,17 +306,18 @@ def _stage_values(h: PLMap, last: int):
     ``values`` maps each stage vertex to its image under h as
     ``{target vertex: numerator}`` over D.  h is affine on the carrier of a new
     vertex, so the vertex's value is the carrier mean of the values one stage
-    down, and D gains a factor L per stage.
+    down, and D gains a factor L per stage.  The means are taken by vertex id.
     """
     stage = h.source_stage
-    D, values = h._image_numerators
+    D, images = h._image_numerators
+    values = [images[v] for v in stage._vertex_names()]
     for n in range(h.stage, last + 1):
         if n > stage.stage:
             stage = extend_subdivision(stage, n)
-            values = {v: _carrier_mean(stage.carrier(v).verts, values.__getitem__, stage._scale)
-                      for v in stage.provenance}
+            values = [_carrier_mean(s, values.__getitem__, stage._scale)
+                      for s in stage.previous._simplices]
             D *= stage._scale
-        yield stage, D, values
+        yield stage, D, dict(zip(stage._vertex_names(), values))
 
 
 def carrier_homotopy_check(h: PLMap, f: SimplicialMap,

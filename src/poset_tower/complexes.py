@@ -364,8 +364,10 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def _rational(v: str, a) -> Fraction:
-    """Coordinate ``a`` at ``v`` as a ``Fraction``, or ``InvalidPoint``."""
+    """Coordinate ``a`` at ``v`` as a ``Fraction``, or ``InvalidPoint``; a bool is no number."""
     too_large = False
+    if isinstance(a, bool):
+        raise InvalidPoint(f"coordinate {a!r} at {v!r} is not a rational number")
     if isinstance(a, str):
         m = _EXPONENT.search(a)
         if m is not None:

@@ -34,96 +34,220 @@ def _barycenter_label(verts) -> str:
 class SubdividedComplex:
     """One stage of the barycentric subdivision chain of a base complex.
 
-    ``previous`` links back to the prior stage (None at stage 0), and
-    ``provenance`` maps every stage-n vertex label to the stage-(n-1) simplex
-    it is the barycenter of (the previous stage's ``_barycenters``).  It
-    iterates in an unspecified order; ``complex.vertices`` is the canonical one.
-    A stage keeps its simplices as a list: past stage 0, the chains of the
-    previous stage's face order.  ``complex`` (the base itself at stage 0)
-    and the label table ``_barycenters`` are each built from that list on
-    first read, and neither builds the other: the thread codec builds no
-    complex, and the last stage of a chain read only as a complex is never
-    labelled.
+    Vertices are numbered: stage-0 ids follow the canonical vertex order, and
+    the stage-(n+1) vertex i is the barycenter of stage-n simplex i.  A stage
+    keeps its simplices as a list of sorted id tuples, each after all of its
+    faces: at stage 0 by size, past it the chains of the previous stage's
+    face order as ``posets._chains`` lists them.  ``previous`` links back to
+    the prior stage (None at stage 0).
+
+    Labels only name vertices.  A barycenter's label is rendered on first
+    use and kept (``_name``), and ``_barycenter_id`` turns a label back into
+    an id.  ``provenance`` maps every stage-n vertex label to the
+    stage-(n-1) simplex it is the barycenter of (the previous stage's
+    ``_barycenters``); it iterates in an unspecified order, while
+    ``complex.vertices`` is the canonical one.  ``complex`` (the base itself
+    at stage 0) and the label table ``_barycenters`` are each built on first
+    read, and neither builds the other: the thread codec builds neither.
+
+    Over a base with no vertex name that is empty or holds ``{``, ``}`` or
+    ``,``, labels parse uniquely and a label that is new at stage n has
+    nesting depth exactly n, so no two vertices of a stage share a label.
+    Over any other base (``_eager``), each stage is labelled in full through
+    ``barycenters``, which refuses a clash, before it is subdivided or read
+    as a level.
     """
 
-    def __init__(self, base, stage, simplices, provenance, previous):
+    def __init__(self, base, stage, simplices, previous):
         self.base = base
         self.stage = stage
-        self.provenance = provenance
         self.previous = previous
         self._simplices = simplices
+        if previous is None:
+            self._below = ()
+            self._base_ids = _base_ids(base)
+            self._eager = "" in base.vertices or not _ATOM.isdisjoint("".join(base.vertices))
+        else:
+            self._below = previous._below + (previous,)
+            self._base_ids = previous._base_ids
+            self._eager = previous._eager
         # L = lcm(1, ..., dim K + 1): every carrier has at most dim K + 1
         # members, so each carrier mean scales numerators by an integer L/|members|
         # and a stage-n embedding has integer numerators over L**n.
         self._scale = lcm(*range(1, base.dim + 2))
         self._denominator = self._scale ** stage
-        self._embed: dict[str, dict] = {}
+        self._embed: dict[int, dict] = {}
+        self._names = None
+        self._ids: dict[str, int] = {}
+        self._verts: dict[int, tuple] = {}
+
+    @property
+    def provenance(self) -> dict:
+        """``{stage-n vertex label: stage-(n-1) simplex}``; empty at stage 0."""
+        return {} if self.previous is None else self.previous._barycenters
 
     @cached_property
     def complex(self) -> SimplicialComplex:
         """This stage as a complex, built once on first read; chains are face closed."""
         if self.previous is None:
             return self.base
-        return SimplicialComplex._face_closed(self.provenance.keys(), self._simplices)
+        return SimplicialComplex._face_closed(self._vertex_names(), self._carriers)
 
     @cached_property
     def _barycenters(self) -> dict:
-        """``barycenters`` of this stage, computed once; the next stage's provenance."""
-        return barycenters(self._simplices)
+        """``{barycenter label: simplex}`` of this stage, built once; the next stage's provenance."""
+        if self._eager:
+            return barycenters(self._carriers)
+        return dict(zip(self._labels, self._carriers))
+
+    @cached_property
+    def _carriers(self) -> list:
+        """Each simplex of this stage as a ``Simplex`` of vertex labels, by id."""
+        return list(map(Simplex._of_sorted, _sorted_labels(self._simplices, self._vertex_names())))
+
+    @cached_property
+    def _labels(self) -> list:
+        """Every barycenter label of this stage, by simplex id, rendered once."""
+        if self._eager:
+            names = list(self._barycenters)
+        else:
+            names = [verts[0] if len(verts) == 1 else "b{" + ",".join(verts) + "}"
+                     for verts in _sorted_labels(self._simplices, self._vertex_names())]
+            if self._names is not None:
+                # keep the labels already rendered, which the memo's keys hold
+                names = [old or new for old, new in zip(self._names, names)]
+        self._names = names
+        return names
+
+    def _name(self, i: int) -> str:
+        """The label of the barycenter of simplex i, rendered on first use and kept."""
+        names = self._names
+        if names is not None and names[i] is not None:
+            return names[i]
+        if self._eager:
+            return self._labels[i]
+        if names is None:
+            names = self._names = [None] * len(self._simplices)
+        label = names[i] = _barycenter_label(self._carrier_verts(i))
+        self._ids[label] = i
+        return label
+
+    def _carrier_verts(self, i: int) -> tuple:
+        """The sorted vertex labels of simplex i, kept once computed: decoding reads them."""
+        verts = self._verts.get(i)
+        if verts is None:
+            verts = self._verts[i] = tuple(sorted(self._member_names(self._simplices[i])))
+        return verts
+
+    def _member_names(self, simplex) -> list:
+        """The labels of these vertices of this stage."""
+        name = self.base.vertices.__getitem__ if self.previous is None else self.previous._name
+        return list(map(name, simplex))
+
+    def _vertex_names(self):
+        """Every vertex label of this stage, by id."""
+        return self.base.vertices if self.previous is None else self.previous._labels
+
+    def _barycenter_id(self, label):
+        """The id of the simplex of this stage whose barycenter has this label, or None.
+
+        Once the whole stage is labelled, a miss enters every label at once
+        and the lookup is final.  Before that, a label not seen yet is parsed
+        (``_born``) and kept only if its id renders back to it.
+        """
+        i = self._ids.get(label)
+        if i is not None or not isinstance(label, str):
+            return i
+        if self._eager or "_labels" in self.__dict__:
+            return self._label_ids().get(label)
+        stages = self._below + (self,)
+        born = _born(stages, label)
+        if born is None:
+            return None
+        i = _persist(stages, *born, self.stage + 1)
+        if self._name(i) != label:
+            return None
+        self._ids[label] = i
+        return i
+
+    def _label_ids(self) -> dict:
+        """``{barycenter label: simplex id}`` over the whole stage, which it labels if need be."""
+        if len(self._ids) < len(self._simplices):
+            self._ids = dict(zip(self._labels, range(len(self._simplices))))
+        return self._ids
+
+    def _vertex_ids(self) -> dict:
+        """``{vertex label: id}`` over the whole stage."""
+        return self._base_ids if self.previous is None else self.previous._label_ids()
+
+    def _vertex_id(self, label) -> int:
+        """The id of the vertex of this stage with this label; ``ElementNotFound`` if none."""
+        v = self._base_ids.get(label) if self.previous is None else self.previous._barycenter_id(label)
+        if v is None:
+            raise ElementNotFound(repr(label))
+        return v
+
+    @cached_property
+    def _index(self) -> dict:
+        """``{simplex: id}`` over this stage's sorted id tuples."""
+        return {s: i for i, s in enumerate(self._simplices)}
+
+    @cached_property
+    def _base_index(self) -> dict:
+        """``{simplex: id}`` over sorted tuples of base labels, so a base point steps without ids.
+
+        Read at stage 0, whose ids follow the canonical vertex order.
+        """
+        name = self._vertex_names().__getitem__
+        return {tuple(map(name, s)): i for s, i in self._index.items()}
 
     def carrier(self, label: str) -> Simplex:
         """The stage-(n-1) simplex whose barycenter this vertex is."""
         if self.stage == 0:
             raise ElementNotFound("stage 0 vertices have no carrier")
-        try:
-            return self.provenance[label]
-        except KeyError:
-            raise ElementNotFound(repr(label)) from None
+        return Simplex._of_sorted(self.previous._carrier_verts(self._vertex_id(label)))
 
     def stage_chain(self):
         """Stages 0..n in order."""
-        chain = []
-        cur = self
-        while cur is not None:
-            chain.append(cur)
-            cur = cur.previous
-        return list(reversed(chain))
+        return [*self._below, self]
 
     def embed_vertex(self, label: str) -> RationalPoint:
         """The stage-0 point of a stage-n vertex, computed exactly."""
-        return RationalPoint._from_numerators(
-            self.base, self._denominator, self._embed_numerators(label))
+        return self._vertex_point(self._vertex_id(label))
 
-    def _embed_numerators(self, label: str) -> dict:
-        """``embed_vertex`` as ``{base vertex: numerator}`` over L**n, cached."""
-        cached = self._embed.get(label)
+    def _vertex_point(self, v: int) -> RationalPoint:
+        """``embed_vertex`` of vertex v."""
+        return RationalPoint._from_numerators(self.base, self._denominator, self._embed_numerators(v))
+
+    def _embed_numerators(self, v: int) -> dict:
+        """``embed_vertex`` of vertex v as ``{base vertex: numerator}`` over L**n, cached."""
+        cached = self._embed.get(v)
         if cached is not None:
             return cached
-        if self.stage == 0:
-            if not self.complex.has_vertex(label):
-                raise ElementNotFound(repr(label))
-            numerators = {label: 1}
+        if self.previous is None:
+            numerators = {self.base.vertices[v]: 1}
         else:
-            numerators = self.previous._barycenter_numerators(self.carrier(label).verts)
-        self._embed[label] = numerators
+            numerators = self.previous._barycenter_numerators(self.previous._simplices[v])
+        self._embed[v] = numerators
         return numerators
 
-    def _barycenter_numerators(self, verts) -> dict:
+    def _barycenter_numerators(self, members) -> dict:
         """The stage-0 point of the barycenter of these stage-n vertices, over L**(n+1)."""
-        return _carrier_mean(verts, self._embed_numerators, self._scale)
+        return _carrier_mean(members, self._embed_numerators, self._scale)
 
-    def _barycenter_point(self, verts) -> RationalPoint:
+    def _barycenter_point(self, members) -> RationalPoint:
         """The stage-0 point of the barycenter of these stage-n vertices."""
         return RationalPoint._from_numerators(
-            self.base, self._denominator * self._scale, self._barycenter_numerators(verts))
+            self.base, self._denominator * self._scale, self._barycenter_numerators(members))
 
     def embed_point(self, p: RationalPoint) -> RationalPoint:
         """Expand a point over this stage into exact stage-0 coordinates."""
         if p.complex != self.complex:
             raise ValueError("point is not expressed over this stage")
         D, numerators = _numerators(p)
+        ids = self._vertex_ids()
         return RationalPoint._from_numerators(self.base, D * self._denominator, _weighted_sum(
-            (a, self._embed_numerators(v)) for v, a in numerators.items()))
+            (a, self._embed_numerators(ids[v])) for v, a in numerators.items()))
 
     def to_json_obj(self):
         return {
@@ -142,9 +266,96 @@ class SubdividedComplex:
         }
 
     def __repr__(self):
-        vertices = len(self.provenance) if self.stage else len(self.base.vertices)
+        vertices = len(self.previous._simplices) if self.previous else len(self.base.vertices)
         return (f"SubdividedComplex(stage={self.stage}, SimplicialComplex("
                 f"{vertices} vertices, {len(self._simplices)} simplices))")
+
+
+def _sorted_labels(simplices, names):
+    """Each simplex's vertex labels, sorted, as a tuple; ``names`` maps a vertex id to its label.
+
+    Most simplices have one or two vertices, which need no sort.
+    """
+    for s in simplices:
+        if len(s) == 1:
+            yield (names[s[0]],)
+        elif len(s) == 2:
+            a, b = names[s[0]], names[s[1]]
+            yield (a, b) if a < b else (b, a)
+        else:
+            yield tuple(sorted([names[v] for v in s]))
+
+
+# characters that keep a vertex name from reading as one atom inside a label
+_ATOM = frozenset("{},")
+
+
+def _base_ids(K: SimplicialComplex) -> dict:
+    """``{vertex: stage-0 id}``: ids follow the canonical vertex order."""
+    return {v: i for i, v in enumerate(K.vertices)}
+
+
+def _set_members(raw: str):
+    """The sorted top-level members of a carrier-set entry ``{...}`` or ``b{...}``, or None.
+
+    Commas split members only outside nested braces.  An entry that is not
+    wrapped in braces, or has an empty or repeated member, is not a set: None.
+    """
+    if raw.startswith("{") and raw.endswith("}"):
+        inner = raw[1:-1]
+    elif raw.startswith("b{") and raw.endswith("}"):
+        inner = raw[2:-1]
+    else:
+        return None
+    members = []
+    depth = start = 0
+    for i, ch in enumerate(inner):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            members.append(inner[start:i])
+            start = i + 1
+    members.append(inner[start:])
+    if "" in members or len(set(members)) < len(members):
+        return None
+    return sorted(members)
+
+
+def _born(stages, label: str):
+    """``(j, v)``: the first stage j whose vertex v has this label, or None.
+
+    A base name is an atom, born at stage 0.  Any other label is a set of two
+    or more members, each parsed the same way.  A label that is new at stage
+    j + 1 is the barycenter of a stage-j simplex, and j is the last stage at
+    which one of its members is born, so its nesting depth is its birth
+    stage.  ``stages`` are stages 0..k, and j runs up to k + 1.
+    """
+    v = stages[0]._base_ids.get(label)
+    if v is not None:
+        return 0, v
+    members = _set_members(label)
+    if members is None or len(members) < 2:
+        return None
+    born = []
+    for m in members:
+        b = _born(stages, m)
+        if b is None:
+            return None
+        born.append(b)
+    j = max(k for k, _ in born)
+    if j >= len(stages):
+        return None
+    i = stages[j]._index.get(tuple(sorted(_persist(stages, k, u, j) for k, u in born)))
+    return None if i is None else (j + 1, i)
+
+
+def _persist(stages, j: int, v: int, k: int) -> int:
+    """The stage-k id of vertex v of stage j <= k: the barycenter of its one-vertex simplex."""
+    for stage in stages[j:k]:
+        v = stage._index[(v,)]
+    return v
 
 
 def barycenters(simplices) -> dict:
@@ -177,7 +388,7 @@ def _label_table(simplices) -> dict:
 def _carrier_mean(members, value_below, scale: int) -> dict:
     """The value at the barycenter of a carrier: the mean of ``value_below`` over its members.
 
-    Values are ``{label: numerator}`` over a common denominator D; the mean is
+    Values are ``{vertex: numerator}`` over a common denominator D; the mean is
     returned over D * scale, which is exact when ``len(members)`` divides
     ``scale``.  A map that is affine on the carrier takes its barycenter to the
     average of the members' values.
@@ -195,30 +406,41 @@ def _weighted_sum(terms) -> dict:
     return total
 
 
-def _face_table(carrier: dict) -> dict:
-    """Each label of a carrier table mapped to the labels of its carrier's proper faces.
+def _face_table(index: dict) -> dict:
+    """Each simplex id of a stage mapped to the ids of its proper faces, in increasing order.
 
-    Face closure makes every proper subset of a carrier a carrier too, so the
-    faces come from ``combinations`` through one ``{verts: label}`` lookup.
+    ``index`` is the stage's ``{simplex: id}``.  Face closure makes every
+    proper subset of a simplex a simplex too, so the faces come from
+    ``combinations`` through it.
     """
-    label_of = {s.verts: lab for lab, s in carrier.items()}
-    return {lab: [label_of[f] for k in range(1, len(s.verts))
-                  for f in combinations(s.verts, k)]
-            for lab, s in carrier.items()}
+    get = index.__getitem__
+    table = {}
+    for s, i in index.items():
+        if len(s) == 1:
+            table[i] = []
+        elif len(s) == 2:
+            table[i] = sorted((get(s[:1]), get(s[1:])))
+        else:
+            table[i] = sorted([get(f) for k in range(1, len(s)) for f in combinations(s, k)])
+    return table
 
 
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
     """One barycentric subdivision step: the chains of the previous stage's face order."""
-    provenance = prev._barycenters
-    chains = _chains(_face_table(provenance), "subdivision")
-    return SubdividedComplex(prev.base, prev.stage + 1, chains, provenance, prev)
+    if prev._eager:
+        prev._labels
+    chains = _chains(_face_table(prev._index), "subdivision")
+    return SubdividedComplex(prev.base, prev.stage + 1, chains, prev)
 
 
 def subdivide(K: SimplicialComplex, n: int) -> SubdividedComplex:
     """The n-th barycentric subdivision with the full provenance chain."""
     if n < 0:
         raise ValueError("subdivision stage must be >= 0")
-    return extend_subdivision(SubdividedComplex(K, 0, K.simplices, {}, None), n)
+    get = _base_ids(K).__getitem__
+    simplices = sorted([tuple(map(get, s.verts)) for s in K.simplices])
+    simplices.sort(key=len)
+    return extend_subdivision(SubdividedComplex(K, 0, simplices, None), n)
 
 
 def extend_subdivision(stage: SubdividedComplex, n: int) -> SubdividedComplex:
@@ -233,35 +455,44 @@ def _numerators(p: RationalPoint):
     return p._denominator, p._numerators
 
 
-def _sd_step(numerators: dict) -> dict:
-    """One subdivision step on ``{label: numerator}`` with positive numerators.
+def _sd_step(numerators: dict, index: dict) -> dict:
+    """One subdivision step on ``{vertex id: numerator}`` with positive numerators.
 
-    Sort the numerators in descending order (ties by label: a sort by label,
-    then a stable one by numerator, so no key runs in Python); the weight on the
-    barycenter of the j-th prefix of the support is j*(a_j - a_{j+1}).  Ties
-    produce zero weights, which are dropped, so the result's support is the
-    strict-descent chain regardless of tie order.  The weights telescope to the
-    same total, so the common denominator never changes and stays implicit.
+    Sort the numerators in descending order; the weight on the barycenter of
+    the j-th prefix of the support is j*(a_j - a_{j+1}), keyed by the
+    prefix's id in ``index``, the stage's ``{simplex: id}``.  Ties produce
+    zero weights, which are dropped, so the result's support is the
+    strict-descent chain regardless of tie order.  The weights telescope to
+    the same total, so the common denominator never changes and stays
+    implicit.
     """
-    items = sorted(numerators.items())
-    items.sort(key=itemgetter(1), reverse=True)
+    items = sorted(numerators.items(), key=itemgetter(1), reverse=True)
     out = {}
     prefix = []
-    for j, (label, a) in enumerate(items, start=1):
-        prefix.append(label)
+    for j, (v, a) in enumerate(items, start=1):
+        prefix.append(v)
         below = items[j][1] if j < len(items) else 0
         w = j * (a - below)
         if w:
-            out[_barycenter_label(sorted(prefix))] = w
+            out[index[tuple(sorted(prefix))]] = w
     return out
+
+
+def _over_stage(stage: SubdividedComplex, D: int, numerators: dict) -> RationalPoint:
+    """The point of ``stage.complex`` (past stage 0) with these numerators over D, keyed by vertex id."""
+    cx = stage.complex
+    names = stage.previous._labels
+    return RationalPoint._from_numerators(cx, D, {names[v]: a for v, a in numerators.items()})
 
 
 def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Re-express a stage-(n-1) point over the stage-n vertices (one ``_sd_step``)."""
-    if stage.previous is None or p.complex != stage.previous.complex:
+    prev = stage.previous
+    if prev is None or p.complex != prev.complex:
         raise ValueError("point must be expressed over the previous stage")
     D, numerators = _numerators(p)
-    return RationalPoint._from_numerators(stage.complex, D, _sd_step(numerators))
+    ids = prev._vertex_ids()
+    return _over_stage(stage, D, _sd_step({ids[v]: a for v, a in numerators.items()}, prev._index))
 
 
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
@@ -271,9 +502,11 @@ def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     if stage.stage == 0:
         return p
     D, numerators = _numerators(p)
-    for _ in range(stage.stage):
-        numerators = _sd_step(numerators)
-    return RationalPoint._from_numerators(stage.complex, D, numerators)
+    below = stage._below
+    numerators = _sd_step(numerators, below[0]._base_index)
+    for prev in below[1:]:
+        numerators = _sd_step(numerators, prev._index)
+    return _over_stage(stage, D, numerators)
 
 
 def embed_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:

@@ -32,6 +32,7 @@ from .subdivision import (
     _face_table,
     _numerators,
     _sd_step,
+    _set_members,
     extend_subdivision,
     mesh_sq_bound,
     stage_vertex_label,
@@ -42,55 +43,68 @@ from .subdivision import (
 class TowerLevel:
     """One level of the tower: the poset of stage-n vertices, read from stage n-1.
 
-    ``carrier`` maps each element to its stage-(n-1) simplex; it is stage
-    n-1's label table, the same dict as stage n's ``provenance``, and iterates
-    in an unspecified order, while ``elements`` is the canonical one.  Bonds
-    look down into stage n-1's provenance, level n-1's carrier table (empty at
-    level 1).  Membership, bonds and the thread codec read only these tables;
-    the order ``poset`` is built on first read.  ``_parent`` maps each element
-    to its one-step bond at level n-1, filled one element at a time on first
-    read.  An entry depends only on the two tables, so towers that share a
-    level share its table.
+    Level n's element i is the stage-n vertex i, the barycenter of stage-(n-1)
+    simplex i.  Membership, bonds and the thread codec read stage n-1's id
+    tables and render a label only where they return one.  ``carrier`` maps
+    each element to its stage-(n-1) simplex; it is stage n-1's label table,
+    the same dict as stage n's ``provenance``, and iterates in an unspecified
+    order, while ``elements`` is the canonical one.  ``carrier``,
+    ``elements`` and the order ``poset`` are each built on first read, and
+    none of them builds another.  ``_parent`` maps each element id to the id
+    of its one-step bond at level n-1, filled one element at a time on first
+    read.  An entry depends only on the stages, so towers that share a level
+    share its table.
     """
 
     def __init__(self, n: int, stage: SubdividedComplex):
         self.n = n
-        self.carrier = stage._barycenters
-        self._parent = _ParentTable(self.carrier, stage.provenance)
+        self._stage = stage
+        if stage._eager:
+            stage._labels
+        below = stage.previous._simplices if stage.previous is not None else ()
+        self._parent = _ParentTable(stage._simplices, below)
+
+    @property
+    def carrier(self) -> dict:
+        return self._stage._barycenters
 
     @cached_property
     def poset(self) -> FinitePoset:
         """Elements ordered by inclusion of their closed carriers (the face table's order)."""
-        down = {lab: frozenset((lab, *faces)) for lab, faces in _face_table(self.carrier).items()}
-        return FinitePoset.from_down_sets(self.carrier.keys(), down)
+        names = self._stage._labels
+        down = {names[i]: frozenset([names[i], *map(names.__getitem__, faces)])
+                for i, faces in _face_table(self._stage._index).items()}
+        return FinitePoset.from_down_sets(names, down)
 
     @cached_property
     def elements(self) -> tuple:
-        return tuple(sorted(self.carrier))
+        return tuple(sorted(self._stage._labels))
 
     def __contains__(self, x):
-        return x in self.carrier
+        return x in self._stage._ids or self._stage._barycenter_id(x) is not None
 
     def __repr__(self):
-        return f"TowerLevel(n={self.n}, {len(self.carrier)} elements)"
+        return f"TowerLevel(n={self.n}, {len(self._stage._simplices)} elements)"
 
 
 class _ParentTable(dict):
-    """``{element: one-step bond}`` of one level, each entry computed on first read.
+    """``{element id: one-step bond id}`` of one level, each entry computed on first read.
 
-    A missing element of the level gets the member of its carrier with the
-    largest carrier one level down; a label outside the level raises KeyError.
+    A missing element gets the member of its carrier with the largest carrier
+    one level down (members of a chain have carriers of distinct sizes); an id
+    outside the level raises IndexError.
     """
 
-    __slots__ = ("carrier", "below")
+    __slots__ = ("simplices", "below")
 
-    def __init__(self, carrier: dict, below: dict):
+    def __init__(self, simplices: list, below):
         super().__init__()
-        self.carrier = carrier
+        self.simplices = simplices
         self.below = below
 
-    def __missing__(self, x: str) -> str:
-        parent = self[x] = _largest_carrier(self.carrier[x].verts, self.below)
+    def __missing__(self, x: int) -> int:
+        below = self.below
+        parent = self[x] = max(self.simplices[x], key=lambda u: len(below[u]))
         return parent
 
 
@@ -127,6 +141,11 @@ class ThreadPrefix:
         """
         return self.tower._check_thread(self.entries)
 
+    @cached_property
+    def _entry_ids(self) -> list:
+        """The entries' element ids in ``tower``; ``Tower.thread`` records them."""
+        return self.tower._entry_ids(self.entries)
+
 
 @dataclass(frozen=True)
 class DecodedRegion:
@@ -145,10 +164,11 @@ class Tower:
     """The inverse system of level posets over a fixed base complex.
 
     Construction is a pure function of (base, depth).  ``build`` makes
-    stages 0..depth-1 eagerly, each as its list of chains, and each level's
-    carrier table, with its label-collision check.  A stage's ``complex``,
-    stage ``depth`` and each level's order (``TowerLevel.poset``) are built
-    on first access; ``build`` and the thread codec read none of them.
+    stages 0..depth-1 eagerly, each as its list of chains over vertex ids.
+    Labels are rendered where the public API returns them, and stage
+    ``depth``, a stage's ``complex`` and each level's ``carrier`` and order
+    (``TowerLevel.poset``) are built on first access; ``build`` and the
+    thread codec read none of them.
     """
 
     def __init__(self, base: SimplicialComplex, depth: int,
@@ -185,6 +205,19 @@ class Tower:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
         return self.levels[n - 1]
 
+    def _entry_ids(self, entries) -> list:
+        """The ids of elements of levels 1, 2, ...; ``ElementNotFound`` names the first outsider."""
+        ids = []
+        for level, x in zip(self.levels, entries):
+            try:
+                ids.append(level._stage._ids[x])
+            except KeyError:
+                i = level._stage._barycenter_id(x)
+                if i is None:
+                    raise ElementNotFound(f"{x!r} at level {level.n}") from None
+                ids.append(i)
+        return ids
+
     # -- projections and bonds ------------------------------------------------
 
     def project_point(self, p: RationalPoint, n: int) -> str:
@@ -204,12 +237,13 @@ class Tower:
         """
         if not 1 <= n <= m <= self.depth:
             raise LevelOutOfRange(f"need 1 <= {n} <= {m} <= depth {self.depth}")
-        if x not in self.level(m):
+        i = self.levels[m - 1]._stage._barycenter_id(x)
+        if i is None:
             raise ElementNotFound(repr(x))
-        return self._bond(x, m, n)
+        return self.levels[n - 1]._stage._name(self._bond(i, m, n))
 
-    def _bond(self, x: str, m: int, n: int) -> str:
-        """``bond`` without its checks: x must be an element of level m, n <= m.
+    def _bond(self, x: int, m: int, n: int) -> int:
+        """``bond`` on ids, without its checks: x must be an element id of level m, n <= m.
 
         m - n reads of the levels' one-step bond tables, from level m down.
         """
@@ -233,27 +267,35 @@ class Tower:
         return ThreadPrefix(self, tuple(self._projections(p, N)))
 
     def _projections(self, p: RationalPoint, N: int):
-        """Lazily, the level-1..N elements whose open carriers contain p.
+        """Lazily, the labels of the level-1..N elements whose open carriers contain p.
 
-        Level n's element is the barycenter label of p's support at stage n-1,
-        read from the keys of p's integer numerators over one common
-        denominator D.  Past stage 0, where p itself is a checked point of the
-        base, each label must be an element of its level, and the numerators
-        must still sum to D.  The base check runs on the first ``next``, so
-        every caller iterates at once.
+        Level 1's element is the barycenter of p's support, a simplex of the
+        base, named from p's base labels.  Past it, level n's element is p's
+        support at stage n-1 over the keys of p's integer numerators over one
+        common denominator D, vertex ids, looked up in that stage's
+        ``{simplex: id}`` index; only its label is rendered.  The first step
+        reads base labels through ``_base_index``.  Past stage 0, where p
+        itself is a checked point of the base, each support must be a simplex
+        of its stage, and the numerators must still sum to D.  The base check
+        runs on the first ``next``, so every caller iterates at once.
         """
         if p.complex != self.base:
             raise ValueError("point is not over the tower's base complex")
         D, numerators = _numerators(p)
         yield _barycenter_label(sorted(numerators))
+        index = self._stages[0]._base_index
         for level in self.levels[1:N]:
-            numerators = _sd_step(numerators)
-            label = _barycenter_label(sorted(numerators))
-            if label not in level.carrier:
+            numerators = _sd_step(numerators, index)
+            stage = level._stage
+            index = stage._index
+            support = tuple(sorted(numerators))
+            x = index.get(support)
+            if x is None:
+                label = _barycenter_label(sorted(stage._member_names(support)))
                 raise ElementNotFound(f"{label!r} at level {level.n}")
             if sum(numerators.values()) != D:
                 raise InvalidPoint(f"stage {level.n - 1} coordinates do not sum to 1")
-            yield label
+            yield stage._name(x)
 
     def thread(self, entries: Sequence[str]) -> ThreadPrefix:
         """Build a thread from raw labels, accepting carrier-set notation too."""
@@ -261,21 +303,31 @@ class Tower:
             raise IncoherentThread("a thread needs at least one entry")
         if len(entries) > self.depth:
             raise LevelOutOfRange(f"thread longer than tower depth {self.depth}")
-        resolved = tuple(self._resolve_label(raw, n + 1)
-                         for n, raw in enumerate(entries))
-        return ThreadPrefix(self, resolved)
+        labels, ids = [], []
+        for n, raw in enumerate(entries, start=1):
+            label, i = self._resolve_label(raw, n)
+            labels.append(label)
+            ids.append(i)
+        t = ThreadPrefix(self, tuple(labels))
+        t.__dict__["_entry_ids"] = ids
+        return t
 
-    def _resolve_label(self, raw: str, n: int) -> str:
+    def _resolve_label(self, raw: str, n: int) -> tuple:
+        """``(label, id)`` of a level-n entry, given by its label or its set of members."""
         if not isinstance(raw, str):
             raise InvalidInput(f"thread entry {raw!r} at level {n} is not a label")
-        carrier = self.levels[n - 1].carrier
-        if raw in carrier:
-            return raw
+        stage = self.levels[n - 1]._stage
+        i = stage._ids.get(raw)
+        if i is None:
+            i = stage._barycenter_id(raw)
+        if i is not None:
+            return raw, i
         members = _set_members(raw)
         if members is not None:
             label = _barycenter_label(members)
-            if label in carrier:
-                return label
+            i = stage._barycenter_id(label)
+            if i is not None:
+                return label, i
         raise ElementNotFound(f"{raw!r} at level {n}")
 
     def validate_thread(self, t: ThreadPrefix) -> bool:
@@ -299,32 +351,36 @@ class Tower:
         before a thread longer than the tower is refused.
         """
         levels = self.levels
-        for level, x in zip(levels, entries):
-            if x not in level.carrier:
-                raise ElementNotFound(f"{x!r} at level {level.n}")
+        ids = self._entry_ids(entries)
         if len(entries) > len(levels):
             raise LevelOutOfRange(f"level {len(levels) + 1} outside 1..{self.depth}")
-        for level, x, below in zip(levels[1:], entries[1:], entries):
+        for level, x, below in zip(levels[1:], ids[1:], ids):
             if level._parent[x] != below:
                 return level.n
         return None
+
+    def _thread_ids(self, t: ThreadPrefix) -> list:
+        """The element ids of a thread's entries in this tower."""
+        return t._entry_ids if t.tower is self else self._entry_ids(t.entries)
 
     def _require_coherent(self, t: ThreadPrefix) -> None:
         """Raise ``IncoherentThread`` naming the first level whose bond misses."""
         n = self._first_mismatch(t)
         if n is not None:
             x = t.entries[n - 1]
-            raise IncoherentThread(f"level {n} entry {x!r} bonds to "
-                                   f"{self._bond(x, n, n - 1)!r}, not {t.entries[n - 2]!r}")
+            below = self._bond(self._thread_ids(t)[n - 1], n, n - 1)
+            raise IncoherentThread(
+                f"level {n} entry {x!r} bonds to "
+                f"{self.levels[n - 2]._stage._name(below)!r}, not {t.entries[n - 2]!r}")
 
     def decode_thread(self, t: ThreadPrefix) -> DecodedRegion:
         self._require_coherent(t)
-        N = len(t.entries)
-        chain = tuple(frozenset(level.carrier[x].verts)
-                      for level, x in zip(self.levels, t.entries))
-        carrier = self.level(N).carrier[t.entries[-1]]
-        rep = self.stage(N - 1)._barycenter_point(carrier.verts)
-        return DecodedRegion(chain, rep, mesh_sq_bound(self.base, N - 1))
+        ids = self._thread_ids(t)
+        chain = tuple(frozenset(level._stage._carrier_verts(i))
+                      for level, i in zip(self.levels, ids))
+        stage = self.levels[len(ids) - 1]._stage
+        rep = stage._barycenter_point(stage._simplices[ids[-1]])
+        return DecodedRegion(chain, rep, mesh_sq_bound(self.base, len(ids) - 1))
 
     def separation_stage(self, p: RationalPoint, q: RationalPoint) -> int:
         """Least level at which two distinct points project differently."""
@@ -353,51 +409,27 @@ class Tower:
         if m < n - 1:
             raise StageTooCoarse(f"stage {m} is coarser than level {n} needs")
         stage = self.stage(m)
+        simplices = stage.complex.simplices
+        if m >= n:
+            ids = stage._vertex_ids()
+            carriers = stage.previous._simplices
+            name = self.levels[n - 1]._stage._name
+
+            def carrier_size(v):
+                return len(carriers[ids[v]])
         out = set()
         for s in opens:
-            if s not in stage.complex.simplices:
+            if s not in simplices:
                 raise SimplexNotInComplex(s.label())
             if m == n - 1:
                 out.add(stage_vertex_label(s))
             else:
-                out.add(self._bond(_largest_carrier(s.verts, self.levels[m - 1].carrier), m, n))
+                x = max(s.verts, key=carrier_size)
+                out.add(x if m == n else name(self._bond(ids[x], m, n)))
         return frozenset(out)
 
     def __repr__(self):
         return f"Tower(base={self.base!r}, depth={self.depth})"
-
-
-def _set_members(raw: str):
-    """The sorted top-level members of a carrier-set entry ``{...}`` or ``b{...}``, or None.
-
-    Commas split members only outside nested braces.  An entry that is not
-    wrapped in braces, or has an empty or repeated member, is not a set: None.
-    """
-    if raw.startswith("{") and raw.endswith("}"):
-        inner = raw[1:-1]
-    elif raw.startswith("b{") and raw.endswith("}"):
-        inner = raw[2:-1]
-    else:
-        return None
-    members = []
-    depth = start = 0
-    for i, ch in enumerate(inner):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            members.append(inner[start:i])
-            start = i + 1
-    members.append(inner[start:])
-    if "" in members or len(set(members)) < len(members):
-        return None
-    return sorted(members)
-
-
-def _largest_carrier(members, carrier: dict) -> str:
-    """The member whose simplex in ``carrier`` (a level's carrier table) is largest."""
-    return max(members, key=lambda u: len(carrier[u].verts))
 
 
 def project_point(T: Tower, p: RationalPoint, n: int) -> str:

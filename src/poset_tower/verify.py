@@ -122,9 +122,9 @@ def _suite_bond_commutation(tower, points):
     pairs = 0
     for m in range(1, depth + 1):
         stage = tower.stage(m)
-        for x in tower.level(m).carrier:
-            for n, y in enumerate(tower._projections(stage.embed_vertex(x), m), start=1):
-                if tower.bond(x, m, n) != y:
+        for x in range(len(stage.previous._simplices)):
+            for n, y in enumerate(tower._projections(stage._vertex_point(x), m), start=1):
+                if tower.levels[n - 1]._stage._name(tower._bond(x, m, n)) != y:
                     ok_vertices = False
                 pairs += 1
     return [

@@ -18,6 +18,7 @@ from poset_tower import (
     open_star,
     stage_vertex_label,
 )
+from poset_tower.subdivision import barycenters
 from poset_tower.fixtures import (
     circle,
     edge,
@@ -189,6 +190,91 @@ def sd_map_reference(vertex_map: dict, stage) -> dict:
         vertex_map = {label: stage_vertex_label(Simplex.of(vertex_map[v] for v in carrier.verts))
                       for label, carrier in s.provenance.items()}
     return vertex_map
+
+
+class LabelTower:
+    """The tower built on labels, as it was before stages numbered their vertices.
+
+    Each stage keeps its simplices as ``Simplex``es of labels and its
+    barycenter table ``{label: simplex}`` (``barycenters``, with its clash
+    check); the next stage is the chains of the table's face order, and a
+    bond walks to the member with the largest carrier.  Points are lifted on
+    ``{label: numerator}`` and embedded by carrier means of ``Fraction``s.
+    """
+
+    def __init__(self, K: SimplicialComplex, depth: int):
+        self.base = K
+        self.depth = depth
+        self.simplices = [list(K.simplices)]
+        self.carriers = []
+        for k in range(depth):
+            self.carriers.append(barycenters(self.simplices[k]))
+            self.simplices.append(label_chains(label_face_table(self.carriers[k])))
+
+    def complex(self, k: int) -> SimplicialComplex:
+        vertices = self.base.vertices if k == 0 else self.carriers[k - 1]
+        return SimplicialComplex(vertices, self.simplices[k])
+
+    def provenance(self, k: int) -> dict:
+        return {} if k == 0 else self.carriers[k - 1]
+
+    def down_sets(self, n: int) -> dict:
+        """Level n's order: each element's down-set, itself and its carrier's faces."""
+        return {x: frozenset((x, *faces))
+                for x, faces in label_face_table(self.carriers[n - 1]).items()}
+
+    def bond(self, x: str, m: int, n: int) -> str:
+        for k in range(m, n, -1):
+            x = largest_carrier(self.carriers[k - 1][x].verts, self.carriers[k - 2])
+        return x
+
+    def encode(self, p: RationalPoint, N: int) -> tuple:
+        coords = dict(p.coords)
+        entries = [stage_vertex_label(Simplex(coords))]
+        for _ in range(N - 1):
+            coords = sd_reference(coords)
+            entries.append(stage_vertex_label(Simplex(coords)))
+        return tuple(entries)
+
+    def decode(self, entries) -> tuple:
+        """The decoded chain and the representative's coordinates."""
+        chain = tuple(frozenset(self.carriers[n][x].verts) for n, x in enumerate(entries))
+        points = {v: {v: Fraction(1)} for v in self.base.vertices}
+        for carrier in self.carriers[:len(entries)]:
+            means = {}
+            for x, s in carrier.items():
+                mean = means[x] = {}
+                for m in s.verts:
+                    for v, a in points[m].items():
+                        mean[v] = mean.get(v, 0) + a / len(s.verts)
+            points = means
+        return chain, points[entries[-1]]
+
+
+def label_face_table(carrier: dict) -> dict:
+    """Each label of a carrier table mapped to the labels of its carrier's proper faces."""
+    label_of = {s.verts: lab for lab, s in carrier.items()}
+    return {lab: [label_of[f] for k in range(1, len(s.verts))
+                  for f in combinations(s.verts, k)]
+            for lab, s in carrier.items()}
+
+
+def label_chains(below: dict) -> list:
+    """Every nonempty chain of a strict order given by its strict down-sets, as ``Simplex``es."""
+    chains = []
+    for x in below:
+        stack = [(x, (x,))]
+        while stack:
+            top, path = stack.pop()
+            chains.append(Simplex(path))
+            for y in below[top]:
+                stack.append((y, path + (y,)))
+    return chains
+
+
+def largest_carrier(members, carrier: dict) -> str:
+    """The member whose simplex in ``carrier`` (a label table) is largest."""
+    return max(members, key=lambda u: len(carrier[u].verts))
 
 
 def lifted_image(tower: Tower, s: Simplex, m: int, n: int) -> str:

@@ -387,6 +387,12 @@ class TestPointForm:
         with pytest.raises(InvalidPoint, match="is not a rational number"):
             RationalPoint(E, {"a": Decimal(value), "b": 1})
 
+    @pytest.mark.parametrize("coords", [{"a": True}, {"a": True, "b": False},
+                                        {"a": 1, "b": False}])
+    def test_booleans_are_not_coordinates(self, E, coords):
+        with pytest.raises(InvalidPoint, match=r"coordinate (True|False) at '[ab]' is not a rational"):
+            RationalPoint(E, coords)
+
 
 class TestDistance:
     def test_zero_for_identical(self, E):

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import pytest
@@ -53,6 +54,7 @@ from poset_tower.verify import sample_points, verify_suite
 from conftest import (
     COMPLEXES,
     FIXTURE_DEPTHS,
+    LabelTower,
     cached_tower,
     is_complex,
     lifted_image,
@@ -86,12 +88,15 @@ def reference_chain(p: RationalPoint, steps: int) -> list:
 
 
 def numerator_chain(p: RationalPoint, steps: int) -> list:
-    """p's coordinates over stages 0..steps, by the numerator lift."""
+    """p's coordinates over stages 0..steps, by the numerator lift over vertex ids."""
+    stages = [level._stage for level in tower_of(p.complex, steps).levels]
     D, numerators = subdivision._numerators(p)
-    chain = [numerators]
-    for _ in range(steps):
-        chain.append(subdivision._sd_step(chain[-1]))
-    return [{v: frac(a, D) for v, a in lifted.items()} for lifted in chain]
+    chain = [{stages[0]._base_ids[v]: a for v, a in numerators.items()}]
+    for stage in stages:
+        chain.append(subdivision._sd_step(chain[-1], stage._index))
+    names = [stages[0]._member_names] + [lambda ids, s=s: map(s._name, ids) for s in stages]
+    return [{v: frac(a, D) for v, a in zip(name(lifted), lifted.values())}
+            for name, lifted in zip(names, chain)]
 
 
 def support_labels(chain) -> tuple:
@@ -138,14 +143,32 @@ class TestLevels:
         assert tower.stage(2).provenance is tower.level(2).carrier
 
     def test_each_stage_is_labelled_once(self, monkeypatch, TRI):
+        """``build`` renders no label; reading every level labels each stage once."""
+        calls = []
+        labels = subdivision.SubdividedComplex._labels.func
+        counted = cached_property(lambda stage: calls.append(stage.stage) or labels(stage))
+        counted.__set_name__(subdivision.SubdividedComplex, "_labels")
+        monkeypatch.setattr(subdivision.SubdividedComplex, "_labels", counted)
+        tower = Tower.build(TRI, 6)
+        assert calls == []
+        for level in tower.levels:
+            assert level.poset.elements == level.elements and level.carrier
+        assert sorted(calls) == [0, 1, 2, 3, 4, 5]
+        tower.stage(6).complex
+        assert sorted(calls) == [0, 1, 2, 3, 4, 5]
+
+    def test_names_with_braces_label_each_stage_once_at_build(self, monkeypatch):
         calls = []
         label = subdivision.barycenters
         monkeypatch.setattr(subdivision, "barycenters",
                             lambda cx: calls.append(cx) or label(cx))
-        tower = Tower.build(TRI, 6)
-        assert len(calls) == 6
-        tower.stage(6)
-        assert len(calls) == 6
+        K = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "b{a,c}"]])
+        tower = Tower.build(K, 3)
+        assert len(calls) == 3
+        for level in tower.levels:
+            assert level.carrier and level.elements
+        tower.stage(3)
+        assert len(calls) == 3
 
     def test_build_makes_no_simplex_comparisons(self, monkeypatch, TRI):
         calls = []
@@ -337,6 +360,140 @@ class TestLazyStageComplexes:
             assert stage.complex is got
             if k < 6:
                 assert fresh._barycenters == stage._barycenters
+
+
+class TestLazyLabels:
+    """Stages are built on vertex ids; a label is rendered only where one is read."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        labels = []
+        label = subdivision._barycenter_label
+        monkeypatch.setattr(subdivision, "_barycenter_label",
+                            lambda verts: labels.append(label(verts)) or labels[-1])
+        return labels
+
+    @pytest.fixture
+    def simplices(self, monkeypatch):
+        calls = []
+        of_sorted, init = Simplex._of_sorted.__func__, Simplex.__init__
+        monkeypatch.setattr(Simplex, "_of_sorted", classmethod(
+            lambda cls, verts: calls.append(verts) or of_sorted(cls, verts)))
+        monkeypatch.setattr(Simplex, "__init__",
+                            lambda s, verts: calls.append(verts) or init(s, verts))
+        return calls
+
+    def test_build_renders_no_label_and_builds_no_simplex(self, TRI, rendered, simplices):
+        tower = Tower.build(TRI, 6)
+        assert rendered == [] and simplices == []
+        assert all(stage._names is None and stage._ids == {} for stage in tower._stages)
+        assert len(tower.level(6)._stage._simplices) == 23425
+
+    def test_codec_round_renders_only_what_it_names(self, TRI, rendered):
+        """Labels are kept per stage and id, so a second round renders none."""
+        tower = Tower.build(TRI, 6)
+        p = RationalPoint(TRI, {"0": frac(1, 7), "1": frac(2, 7), "2": frac(4, 7)})
+        for _ in range(2):
+            thread = tower.encode_thread(p, 6)
+            parsed = tower.thread(json.loads(json.dumps(thread.to_json_obj()))["entries"])
+            assert tower.validate_thread(parsed)
+            region = tower.decode_thread(parsed)
+            assert set(rendered) <= set(thread.entries).union(*region.chain)
+            assert len(rendered) <= sum(map(len, region.chain))
+            assert rendered == [] or len(set(rendered)) == 8
+            del rendered[:]
+
+    def test_order_builds_no_carrier_table(self, TRI, simplices):
+        tower = Tower.build(TRI, 4)
+        for level in tower.levels:
+            assert len(level.poset) == len(level.elements)
+        assert simplices == []
+        assert all("_barycenters" not in level._stage.__dict__ for level in tower.levels)
+        assert tower.level(4).carrier is tower.stage(3)._barycenters
+
+
+class TestIdsMatchLabelReference:
+    """The id tables read as labels equal the label-keyed construction (``LabelTower``)."""
+
+    @given(st.data())
+    @settings(max_examples=25)
+    def test_stages_levels_bonds_and_codec(self, data):
+        K = data.draw(small_complexes())
+        depth = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        tower = Tower.build(K, depth)
+        ref = LabelTower(K, depth)
+        for p in sample_points(K, 6, seed):
+            entries = tower.encode_thread(p, depth).entries
+            assert entries == ref.encode(p, depth)
+            parsed = tower.thread(json.loads(json.dumps(list(entries))))
+            assert parsed.entries == entries and tower.validate_thread(parsed)
+            region = tower.decode_thread(parsed)
+            assert (region.chain, dict(region.representative.coords)) == ref.decode(entries)
+        for n in range(1, depth + 1):
+            level = tower.level(n)
+            assert level.elements == tuple(sorted(ref.carriers[n - 1]))
+            assert level.poset == FinitePoset.from_down_sets(ref.carriers[n - 1], ref.down_sets(n))
+            assert level.carrier == ref.carriers[n - 1]
+            assert all(tower.bond(x, n, m) == ref.bond(x, n, m)
+                       for x in level.elements for m in range(1, n + 1))
+        for k in range(depth + 1):
+            stage = tower.stage(k)
+            assert stage.complex == ref.complex(k)
+            assert stage.provenance == ref.provenance(k)
+            if k < depth:
+                assert stage._barycenters == ref.carriers[k]
+
+
+class TestNamesWithBraces:
+    """A base name may hold braces or commas; such a base is labelled in full at build."""
+
+    ATOM = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "b{a,c}"]])
+
+    def test_atom_builds_encodes_and_decodes_as_the_reference(self):
+        tower = Tower.build(self.ATOM, 3)
+        ref = LabelTower(self.ATOM, 3)
+        for n in range(1, 4):
+            assert tower.level(n).carrier == ref.carriers[n - 1]
+            assert tower.level(n).poset == FinitePoset.from_down_sets(
+                ref.carriers[n - 1], ref.down_sets(n))
+        for p in sample_points(self.ATOM, 20, 0):
+            entries = tower.encode_thread(p, 3).entries
+            assert entries == ref.encode(p, 3)
+            region = tower.decode_thread(tower.thread(list(entries)))
+            assert (region.chain, dict(region.representative.coords)) == ref.decode(entries)
+
+    def test_entry_names_the_atom(self):
+        tower = Tower.build(self.ATOM, 2)
+        atom = tower.thread(["b{a,c}", "b{a,c}"])
+        assert atom.entries == ("b{a,c}", "b{a,c}") and tower.validate_thread(atom)
+        assert tower.decode_thread(atom).chain == (frozenset({"b{a,c}"}), frozenset({"b{a,c}"}))
+        assert tower.thread(["{a,b{a,c}}"]).entries == ("b{a,b{a,c}}",)
+        assert tower.thread(["{c,a}"]).entries == ("b{a,c}",)
+        with pytest.raises(ElementNotFound, match=r"'b\{b\{a,c\},c\}' at level 1"):
+            tower.thread(["b{b{a,c},c}"])
+
+    COLLISION = """
+from poset_tower import SimplicialComplex, Tower, subdivide
+from poset_tower.errors import PosetTowerError
+K = SimplicialComplex.from_maximal([["a", "b"], ["a", "b{a,b}"]])
+for build in (Tower.build, subdivide):
+    try:
+        build(K, 1)
+    except PosetTowerError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+    @pytest.mark.parametrize("seed", ["1", "4242"])
+    def test_clash_next_to_its_edge_is_refused(self, seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", self.COLLISION], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "InvalidComplex stage vertex label 'b{a,b}' names both {b{a,b}} and {a,b}"] * 2
 
 
 class TestNoCofaceIndex:
@@ -669,8 +826,9 @@ class TestNumeratorLift:
     def test_support_label_missing_from_level_raises(self, TRI, monkeypatch):
         tower = Tower.build(TRI, 2)
         p = RationalPoint(TRI, {"0": frac(1, 2), "1": frac(1, 3), "2": frac(1, 6)})
-        x = tower.project_point(p, 2)
-        monkeypatch.delitem(tower.level(2).carrier, x)
+        stage = tower.stage(1)
+        support = stage._simplices[stage._barycenter_id(tower.project_point(p, 2))]
+        monkeypatch.delitem(stage._index, support)
         with pytest.raises(ElementNotFound, match="at level 2"):
             tower.encode_thread(p, 2)
         with pytest.raises(ElementNotFound):
@@ -681,8 +839,8 @@ class TestNumeratorLift:
         tower = Tower.build(TRI, 2)
         p = RationalPoint(TRI, {"0": frac(1, 2), "1": frac(1, 3), "2": frac(1, 6)})
         step = subdivision._sd_step
-        monkeypatch.setattr(tower_module, "_sd_step",
-                            lambda numerators: {v: 2 * a for v, a in step(numerators).items()})
+        monkeypatch.setattr(tower_module, "_sd_step", lambda numerators, index:
+                            {v: 2 * a for v, a in step(numerators, index).items()})
         with pytest.raises(InvalidPoint):
             tower.encode_thread(p, 2)
 

@@ -4,8 +4,10 @@ Towers over one base are built, deepened and read in random order: stages,
 stage complexes, level orders, bonds, and threads that are encoded, parsed,
 validated and decoded, also by another tower over the same base.  Each
 answer is compared with a fresh ``Tower.build`` of the same base and depth,
-which no rule touches, and each bond with a walk of ``_largest_carrier``
-that reads no bond table.
+which no rule touches, and each bond with a walk of ``largest_carrier``
+over the carrier tables that reads no bond table.  Labels are parsed back
+into element ids at random levels, and every label a stage has memoised must
+render back from its id.
 """
 
 import json
@@ -21,11 +23,12 @@ from hypothesis.stateful import (
 
 import pytest
 
-from poset_tower import tower as tower_module
-from poset_tower.errors import IncoherentThread, LevelOutOfRange
+from poset_tower import Simplex, stage_vertex_label
+from poset_tower.errors import ElementNotFound, IncoherentThread, LevelOutOfRange
+from poset_tower.subdivision import _set_members
 from poset_tower.tower import ThreadPrefix, Tower
 
-from conftest import rational_points, small_complexes
+from conftest import largest_carrier, rational_points, small_complexes
 
 MAX_DEPTH = 4
 depths = st.integers(1, MAX_DEPTH)
@@ -34,8 +37,7 @@ depths = st.integers(1, MAX_DEPTH)
 def walked_bond(tower: Tower, x: str, m: int, n: int) -> str:
     """``Tower.bond`` walked down the carrier tables, reading no bond table."""
     for k in range(m, n, -1):
-        x = tower_module._largest_carrier(tower.level(k).carrier[x].verts,
-                                          tower.level(k - 1).carrier)
+        x = largest_carrier(tower.level(k).carrier[x].verts, tower.level(k - 1).carrier)
     return x
 
 
@@ -156,12 +158,52 @@ class TowerCaches(RuleBasedStateMachine):
                 with pytest.raises(IncoherentThread, match=f"^level {bad} entry "):
                     tower.decode_thread(t)
 
+    @rule(tower=towers, data=st.data())
+    def resolve_label(self, tower, data):
+        """A rendered label, a carrier-set spelling of one, or a non-element, at a random level.
+
+        The entry is resolved by this tower, whose stages may be labelled in
+        full already, and by a fresh one, which has to parse it.  The answer
+        is read off a third tower's carrier table: an entry is its own label,
+        or the canonical label of its set of members.
+        """
+        n = data.draw(st.integers(1, tower.depth), label="n")
+        m = data.draw(st.integers(1, tower.depth), label="m")
+        table = Tower.build(self.base, tower.depth)
+        x = data.draw(st.sampled_from(table.level(m).elements), label="x")
+        members = table.level(m).carrier[x].verts[::-1]
+        raw = data.draw(st.sampled_from([
+            x, "{" + ",".join(members) + "}", "b{" + ",".join(members) + "}",
+            "b{" + x + "}", "b{" + x + "," + x + "}", x + "}", "nope",
+        ]), label="raw")
+        carrier = table.level(n).carrier
+        spelt = _set_members(raw)
+        expected = next((y for y in [raw, spelt and stage_vertex_label(Simplex(spelt))]
+                         if y in carrier), None)
+        for resolver in (tower, Tower.build(self.base, tower.depth)):
+            assert (raw in resolver.level(n)) is (raw in carrier)
+            if expected is None:
+                with pytest.raises(ElementNotFound, match=f"at level {n}"):
+                    resolver._resolve_label(raw, n)
+            else:
+                label, i = resolver._resolve_label(raw, n)
+                assert label == expected and resolver.levels[n - 1]._stage._name(i) == expected
+
     @invariant()
     def bond_tables_match_the_walk(self):
         for tower in getattr(self, "built", ()):
             for level in tower.levels[1:]:
+                below = tower.levels[level.n - 2]._stage
                 for x, parent in list(level._parent.items()):
-                    assert parent == walked_bond(tower, x, level.n, level.n - 1)
+                    assert below._name(parent) == walked_bond(
+                        tower, level._stage._name(x), level.n, level.n - 1)
+
+    @invariant()
+    def memoised_labels_render_from_their_ids(self):
+        for tower in getattr(self, "built", ()):
+            for stage in tower._stages:
+                for label, i in list(stage._ids.items()):
+                    assert stage._name(i) == label
 
 
 # The explain phase is left out: in Hypothesis 6.155 it can stop on an

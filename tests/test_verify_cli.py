@@ -142,7 +142,8 @@ class TestSuites:
         x = next(x for x in level.elements if len(level.carrier[x].verts) > 1)
         smallest = min(level.carrier[x].verts, key=lambda u: len(below.carrier[u].verts))
         assert smallest != tower.bond(x, 3, 2)
-        monkeypatch.setitem(level._parent, x, smallest)
+        monkeypatch.setitem(level._parent, level._stage._barycenter_id(x),
+                            below._stage._barycenter_id(smallest))
         assert all(tower.bond(x, 3, n) == tower.bond(tower.bond(x, 3, k), k, n)
                    for k in range(1, 4) for n in range(1, k + 1))
         monkeypatch.setattr(Tower, "build", classmethod(lambda cls, K, depth: tower))
@@ -492,10 +493,18 @@ class TestInputErrors:
          {"map": {"source": EDGE, "target": EDGE, "stage": True}}, "not True"),
         (["approx", "--map", "{map}"],
          {"map": {"source": EDGE, "target": EDGE, "stage": "1"}}, "not '1'"),
+        (["tower", "encode", "{complex}", "--point", "{point}", "--depth", "2"],
+         {"point": {"coords": {"a": True}}}, "coordinate True at 'a' is not a rational number"),
+        (["tower", "encode", "{complex}", "--point", "{point}", "--depth", "2"],
+         {"point": {"coords": {"a": True, "b": False}}}, "coordinate True at 'a'"),
+        (["approx", "--map", "{map}"],
+         {"map": {"source": EDGE, "target": EDGE,
+                  "images": {"a": {"coords": {"a": True}}, "b": {"coords": {"b": 1}}}}},
+         "coordinate True at 'a'"),
     ], ids=["decode-list-thread", "validate-list-thread", "number-entry",
             "list-poset", "long-leq-pair", "number-leq", "list-map", "map-without-source",
             "map-stage-x", "map-images-list", "map-stage-float", "map-stage-bool",
-            "map-stage-string"])
+            "map-stage-string", "point-bool", "point-bool-pair", "map-image-point-bool"])
     def test_wrong_json_shape(self, tmp_path, cmd, files, needle):
         paths = {"complex": write_json(tmp_path / "edge.json", EDGE)}
         for key, obj in files.items():
