@@ -161,7 +161,7 @@ class SubdividedComplex:
         if self._eager or "_labels" in self.__dict__:
             return self._label_ids().get(label)
         stages = self._below + (self,)
-        born = _born(stages, label)
+        born = _born(stages, label, len(stages))
         if born is None:
             return None
         i = _persist(stages, *born, self.stage + 1)
@@ -323,30 +323,29 @@ def _set_members(raw: str):
     return sorted(members)
 
 
-def _born(stages, label: str):
-    """``(j, v)``: the first stage j whose vertex v has this label, or None.
+def _born(stages, label: str, limit: int):
+    """``(j, v)``: the first stage j <= limit whose vertex v has this label, or None.
 
     A base name is an atom, born at stage 0.  Any other label is a set of two
     or more members, each parsed the same way.  A label that is new at stage
     j + 1 is the barycenter of a stage-j simplex, and j is the last stage at
     which one of its members is born, so its nesting depth is its birth
-    stage.  ``stages`` are stages 0..k, and j runs up to k + 1.
+    stage; a label nested deeper than ``limit`` is refused before it is read
+    further.  ``stages`` are stages 0..limit-1.
     """
     v = stages[0]._base_ids.get(label)
     if v is not None:
         return 0, v
-    members = _set_members(label)
+    members = _set_members(label) if limit else None
     if members is None or len(members) < 2:
         return None
     born = []
     for m in members:
-        b = _born(stages, m)
+        b = _born(stages, m, limit - 1)
         if b is None:
             return None
         born.append(b)
     j = max(k for k, _ in born)
-    if j >= len(stages):
-        return None
     i = stages[j]._index.get(tuple(sorted(_persist(stages, k, u, j) for k, u in born)))
     return None if i is None else (j + 1, i)
 

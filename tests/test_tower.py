@@ -650,6 +650,17 @@ class TestThreads:
         with pytest.raises(ElementNotFound):
             tower_E3.thread(["nope"])
 
+    def test_deeply_nested_entry_is_refused(self, E):
+        """A label nested deeper than its level is refused before it is parsed further."""
+        deep = "a"
+        for _ in range(3000):
+            deep = "b{" + deep + ",b}"
+        tower = Tower.build(E, 3)
+        for entries in ([deep], ["a", "a", deep]):
+            with pytest.raises(ElementNotFound, match=f"at level {len(entries)}"):
+                tower.thread(entries)
+        assert deep not in tower.level(3)
+
     def test_carrier_notation_resolves(self, tower_E3):
         t = tower_E3.thread(["{a,b}", "{a,b{a,b}}"])
         assert t.entries == ("b{a,b}", "b{a,b{a,b}}")
