@@ -107,7 +107,13 @@ class SubdividedComplex:
 
     @cached_property
     def _labels(self) -> list:
-        """Every barycenter label of this stage, by simplex id, rendered once."""
+        """Every barycenter label of this stage, by simplex id, rendered once.
+
+        The stages below are labelled first, from stage 0 up, so that no read
+        recurses through a deep chain of stages.
+        """
+        for stage in self._below:
+            stage._labels
         if self._eager:
             names = list(self._barycenters)
         else:
@@ -120,11 +126,17 @@ class SubdividedComplex:
         return names
 
     def _name(self, i: int) -> str:
-        """The label of the barycenter of simplex i, rendered on first use and kept."""
+        """The label of the barycenter of simplex i, rendered on first use and kept.
+
+        A label is rendered from its members' labels, each rendered the same
+        way one stage down; from stage ``_DEEP`` up, the whole stage is
+        labelled instead (``_labels``, from stage 0 up), so that no call
+        recurses through a deep chain of stages.
+        """
         names = self._names
         if names is not None and names[i] is not None:
             return names[i]
-        if self._eager:
+        if self._eager or self.stage >= _DEEP:
             return self._labels[i]
         if names is None:
             names = self._names = [None] * len(self._simplices)
@@ -152,13 +164,14 @@ class SubdividedComplex:
         """The id of the simplex of this stage whose barycenter has this label, or None.
 
         Once the whole stage is labelled, a miss enters every label at once
-        and the lookup is final.  Before that, a label not seen yet is parsed
-        (``_born``) and kept only if its id renders back to it.
+        and the lookup is final; from stage ``_DEEP`` up the stage is labelled
+        for that.  Otherwise a label not seen yet is parsed (``_born``) and
+        kept only if its id renders back to it.
         """
         i = self._ids.get(label)
         if i is not None or not isinstance(label, str):
             return i
-        if self._eager or "_labels" in self.__dict__:
+        if self._eager or self.stage >= _DEEP or "_labels" in self.__dict__:
             return self._label_ids().get(label)
         stages = self._below + (self,)
         born = _born(stages, label, len(stages))
@@ -285,6 +298,11 @@ def _sorted_labels(simplices, names):
         else:
             yield tuple(sorted([names[v] for v in s]))
 
+
+# the stage from which a label is rendered or parsed by labelling the whole
+# stage, from stage 0 up, rather than by recursing one stage down per level;
+# only a complex with very few simplices has this many stages
+_DEEP = 100
 
 # characters that keep a vertex name from reading as one atom inside a label
 _ATOM = frozenset("{},")

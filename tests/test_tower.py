@@ -661,6 +661,13 @@ class TestThreads:
                 tower.thread(entries)
         assert deep not in tower.level(3)
 
+    def test_deep_point_tower_is_read_from_its_top(self, PT):
+        """Labels of a deep stage are rendered without recursing through the stages below."""
+        for read, want in [(lambda t: t.bond("v", 1000, 1), "v"),
+                           (lambda t: t.level(1000).elements, ("v",)),
+                           (lambda t: "v" in t.level(1000), True)]:
+            assert read(Tower.build(PT, 1000)) == want
+
     def test_carrier_notation_resolves(self, tower_E3):
         t = tower_E3.thread(["{a,b}", "{a,b{a,b}}"])
         assert t.entries == ("b{a,b}", "b{a,b{a,b}}")
