@@ -393,14 +393,13 @@ class TestLazyLabels:
         """Labels are kept per stage and id, so a second round renders none."""
         tower = Tower.build(TRI, 6)
         p = RationalPoint(TRI, {"0": frac(1, 7), "1": frac(2, 7), "2": frac(4, 7)})
-        for _ in range(2):
+        for again in (False, True):
             thread = tower.encode_thread(p, 6)
             parsed = tower.thread(json.loads(json.dumps(thread.to_json_obj()))["entries"])
             assert tower.validate_thread(parsed)
             region = tower.decode_thread(parsed)
             assert set(rendered) <= set(thread.entries).union(*region.chain)
-            assert len(rendered) <= sum(map(len, region.chain))
-            assert rendered == [] or len(set(rendered)) == 8
+            assert bool(rendered) is not again
             del rendered[:]
 
     def test_order_builds_no_carrier_table(self, TRI, simplices):
