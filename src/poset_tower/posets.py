@@ -290,7 +290,8 @@ def _chains(below: Mapping, what: str) -> list:
 
 def order_complex(X: FinitePoset) -> SimplicialComplex:
     """The complex whose simplices are the nonempty chains of X."""
-    below = {x: X.strict_down(x) for x in sorted(X.elements, key=lambda x: len(X.min_open(x)))}
+    down = X._down
+    below = {x: down[x] - {x} for x in sorted(X.elements, key=lambda x: len(down[x]))}
     return SimplicialComplex._face_closed(X.elements, [
         Simplex._of_sorted(tuple(sorted(c))) for c in _chains(below, "order complex")])
 

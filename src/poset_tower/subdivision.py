@@ -64,11 +64,9 @@ class SubdividedComplex:
         self.previous = previous
         self._simplices = simplices
         if previous is None:
-            self._below = ()
             self._base_ids = _base_ids(base)
             self._eager = "" in base.vertices or not _ATOM.isdisjoint("".join(base.vertices))
         else:
-            self._below = previous._below + (previous,)
             self._base_ids = previous._base_ids
             self._eager = previous._eager
         # L = lcm(1, ..., dim K + 1): every carrier has at most dim K + 1
@@ -109,16 +107,20 @@ class SubdividedComplex:
     def _labels(self) -> list:
         """Every barycenter label of this stage, by simplex id, rendered once.
 
-        The stages below are labelled first, from stage 0 up, so that no read
-        recurses through a deep chain of stages.
+        The unlabelled stages below are labelled first, from the lowest up, so
+        that no read recurses through a deep chain of stages.
         """
-        for stage in self._below:
+        pending = []
+        stage = self.previous
+        while stage is not None and "_labels" not in stage.__dict__:
+            pending.append(stage)
+            stage = stage.previous
+        for stage in reversed(pending):
             stage._labels
         if self._eager:
             names = list(self._barycenters)
         else:
-            names = [verts[0] if len(verts) == 1 else "b{" + ",".join(verts) + "}"
-                     for verts in _sorted_labels(self._simplices, self._vertex_names())]
+            names = list(map(_barycenter_label, _sorted_labels(self._simplices, self._vertex_names())))
             if self._names is not None:
                 # keep the labels already rendered, which the memo's keys hold
                 names = [old or new for old, new in zip(self._names, names)]
@@ -173,7 +175,7 @@ class SubdividedComplex:
             return i
         if self._eager or self.stage >= _DEEP or "_labels" in self.__dict__:
             return self._label_ids().get(label)
-        stages = self._below + (self,)
+        stages = self.stage_chain()
         born = _born(stages, label, len(stages))
         if born is None:
             return None
@@ -189,8 +191,9 @@ class SubdividedComplex:
             self._ids = dict(zip(self._labels, range(len(self._simplices))))
         return self._ids
 
+    @cached_property
     def _vertex_ids(self) -> dict:
-        """``{vertex label: id}`` over the whole stage."""
+        """``{vertex label: id}`` over the whole stage, built once."""
         return self._base_ids if self.previous is None else self.previous._label_ids()
 
     def _vertex_id(self, label) -> int:
@@ -205,15 +208,6 @@ class SubdividedComplex:
         """``{simplex: id}`` over this stage's sorted id tuples."""
         return {s: i for i, s in enumerate(self._simplices)}
 
-    @cached_property
-    def _base_index(self) -> dict:
-        """``{simplex: id}`` over sorted tuples of base labels, so a base point steps without ids.
-
-        Read at stage 0, whose ids follow the canonical vertex order.
-        """
-        name = self._vertex_names().__getitem__
-        return {tuple(map(name, s)): i for s, i in self._index.items()}
-
     def carrier(self, label: str) -> Simplex:
         """The stage-(n-1) simplex whose barycenter this vertex is."""
         if self.stage == 0:
@@ -222,7 +216,13 @@ class SubdividedComplex:
 
     def stage_chain(self):
         """Stages 0..n in order."""
-        return [*self._below, self]
+        chain = []
+        stage = self
+        while stage is not None:
+            chain.append(stage)
+            stage = stage.previous
+        chain.reverse()
+        return chain
 
     def embed_vertex(self, label: str) -> RationalPoint:
         """The stage-0 point of a stage-n vertex, computed exactly."""
@@ -258,7 +258,7 @@ class SubdividedComplex:
         if p.complex != self.complex:
             raise ValueError("point is not expressed over this stage")
         D, numerators = _numerators(p)
-        ids = self._vertex_ids()
+        ids = self._vertex_ids
         return RationalPoint._from_numerators(self.base, D * self._denominator, _weighted_sum(
             (a, self._embed_numerators(ids[v])) for v, a in numerators.items()))
 
@@ -285,18 +285,9 @@ class SubdividedComplex:
 
 
 def _sorted_labels(simplices, names):
-    """Each simplex's vertex labels, sorted, as a tuple; ``names`` maps a vertex id to its label.
-
-    Most simplices have one or two vertices, which need no sort.
-    """
-    for s in simplices:
-        if len(s) == 1:
-            yield (names[s[0]],)
-        elif len(s) == 2:
-            a, b = names[s[0]], names[s[1]]
-            yield (a, b) if a < b else (b, a)
-        else:
-            yield tuple(sorted([names[v] for v in s]))
+    """Each simplex's vertex labels, sorted, as a tuple; ``names`` maps a vertex id to its label."""
+    get = names.__getitem__
+    return (tuple(sorted(map(get, s))) for s in simplices)
 
 
 # the stage from which a label is rendered or parsed by labelling the whole
@@ -431,15 +422,8 @@ def _face_table(index: dict) -> dict:
     ``combinations`` through it.
     """
     get = index.__getitem__
-    table = {}
-    for s, i in index.items():
-        if len(s) == 1:
-            table[i] = []
-        elif len(s) == 2:
-            table[i] = sorted((get(s[:1]), get(s[1:])))
-        else:
-            table[i] = sorted([get(f) for k in range(1, len(s)) for f in combinations(s, k)])
-    return table
+    return {i: sorted([get(f) for k in range(1, len(s)) for f in combinations(s, k)])
+            for s, i in index.items()}
 
 
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
@@ -508,7 +492,7 @@ def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     if prev is None or p.complex != prev.complex:
         raise ValueError("point must be expressed over the previous stage")
     D, numerators = _numerators(p)
-    ids = prev._vertex_ids()
+    ids = prev._vertex_ids
     return _over_stage(stage, D, _sd_step({ids[v]: a for v, a in numerators.items()}, prev._index))
 
 
@@ -519,9 +503,10 @@ def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     if stage.stage == 0:
         return p
     D, numerators = _numerators(p)
-    below = stage._below
-    numerators = _sd_step(numerators, below[0]._base_index)
-    for prev in below[1:]:
+    *below, _ = stage.stage_chain()
+    ids = stage._base_ids
+    numerators = {ids[v]: a for v, a in numerators.items()}
+    for prev in below:
         numerators = _sd_step(numerators, prev._index)
     return _over_stage(stage, D, numerators)
 

@@ -64,7 +64,7 @@ class TowerLevel:
         below = stage.previous._simplices if stage.previous is not None else ()
         self._parent = _ParentTable(stage._simplices, below)
 
-    @property
+    @cached_property
     def carrier(self) -> dict:
         return self._stage._barycenters
 
@@ -240,6 +240,8 @@ class Tower:
         i = self.levels[m - 1]._stage._barycenter_id(x)
         if i is None:
             raise ElementNotFound(repr(x))
+        if m == n:
+            return x
         return self.levels[n - 1]._stage._name(self._bond(i, m, n))
 
     def _bond(self, x: int, m: int, n: int) -> int:
@@ -273,23 +275,24 @@ class Tower:
         base, named from p's base labels.  Past it, level n's element is p's
         support at stage n-1 over the keys of p's integer numerators over one
         common denominator D, vertex ids, looked up in that stage's
-        ``{simplex: id}`` index; only its label is rendered.  The first step
-        reads base labels through ``_base_index``.  Past stage 0, where p
-        itself is a checked point of the base, each support must be a simplex
-        of its stage, and the numerators must still sum to D.  The base check
-        runs on the first ``next``, so every caller iterates at once.
+        ``{simplex: id}`` index; only its label is rendered.  Past stage 0,
+        where p itself is a checked point of the base, each support must be a
+        simplex of its stage, and the numerators must still sum to D.  The
+        base check runs on the first ``next``, so every caller iterates at
+        once.
         """
         if p.complex != self.base:
             raise ValueError("point is not over the tower's base complex")
         D, numerators = _numerators(p)
         yield _barycenter_label(sorted(numerators))
-        index = self._stages[0]._base_index
+        if N > 1:
+            ids = self._stages[0]._base_ids
+            numerators = {ids[v]: a for v, a in numerators.items()}
         for level in self.levels[1:N]:
-            numerators = _sd_step(numerators, index)
             stage = level._stage
-            index = stage._index
+            numerators = _sd_step(numerators, stage.previous._index)
             support = tuple(sorted(numerators))
-            x = index.get(support)
+            x = stage._index.get(support)
             if x is None:
                 label = _barycenter_label(sorted(stage._member_names(support)))
                 raise ElementNotFound(f"{label!r} at level {level.n}")
@@ -411,7 +414,7 @@ class Tower:
         stage = self.stage(m)
         simplices = stage.complex.simplices
         if m >= n:
-            ids = stage._vertex_ids()
+            ids = stage._vertex_ids
             carriers = stage.previous._simplices
             name = self.levels[n - 1]._stage._name
 

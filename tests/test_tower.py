@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -400,6 +401,7 @@ class TestLazyLabels:
             region = tower.decode_thread(parsed)
             assert set(rendered) <= set(thread.entries).union(*region.chain)
             assert bool(rendered) is not again
+            assert all("_labels" not in stage.__dict__ for stage in tower._stages)
             del rendered[:]
 
     def test_order_builds_no_carrier_table(self, TRI, simplices):
@@ -666,6 +668,18 @@ class TestThreads:
                            (lambda t: t.level(1000).elements, ("v",)),
                            (lambda t: "v" in t.level(1000), True)]:
             assert read(Tower.build(PT, 1000)) == want
+
+    def test_deep_point_tower_memory_grows_linearly(self, PT):
+        """A stage holds a link to the one below, not a copy of the whole chain."""
+        held = []
+        for depth in (2500, 5000):
+            tracemalloc.start()
+            tower = Tower.build(PT, depth)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.stop()
+            assert tower.stage(depth - 1).stage_chain()[0] is tower.stage(0)
+            del tower
+        assert held[1] < 2.5 * held[0]
 
     def test_carrier_notation_resolves(self, tower_E3):
         t = tower_E3.thread(["{a,b}", "{a,b{a,b}}"])
