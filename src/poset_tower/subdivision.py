@@ -42,16 +42,17 @@ class SubdividedComplex:
     the prior stage (None at stage 0).
 
     Labels only name vertices.  A barycenter's label is rendered on first
-    use and kept (``_name``), and ``_barycenter_id`` turns a label back into
-    an id.  ``provenance`` maps every stage-n vertex label to the
-    stage-(n-1) simplex it is the barycenter of (the previous stage's
-    ``_barycenters``); it iterates in an unspecified order, while
-    ``complex.vertices`` is the canonical one.  ``complex`` (the base itself
-    at stage 0) and the label table ``_barycenters`` are each built on first
-    read, and neither builds the other: the thread codec builds neither.
+    use and kept (``_name``); ``_barycenter_id`` turns a label back into an
+    id, labelling the whole stage on its first miss.  ``provenance`` maps
+    every stage-n vertex label to the stage-(n-1) simplex it is the
+    barycenter of (the previous stage's ``_barycenters``); it iterates in
+    an unspecified order, while ``complex.vertices`` is the canonical one.
+    ``complex`` (the base itself at stage 0) and the label table
+    ``_barycenters`` are each built on first read, and neither builds the
+    other: the thread codec builds neither.
 
     Over a base with no vertex name that is empty or holds ``{``, ``}`` or
-    ``,``, labels parse uniquely and a label that is new at stage n has
+    ``,``, labels are unambiguous and a label that is new at stage n has
     nesting depth exactly n, so no two vertices of a stage share a label.
     Over any other base (``_eager``), each stage is labelled in full through
     ``barycenters``, which refuses a clash, before it is subdivided or read
@@ -66,15 +67,16 @@ class SubdividedComplex:
         if previous is None:
             self._base_ids = _base_ids(base)
             self._eager = "" in base.vertices or not _ATOM.isdisjoint("".join(base.vertices))
+            self._embed: dict[int, dict] = {i: {v: 1} for i, v in enumerate(base.vertices)}
         else:
             self._base_ids = previous._base_ids
             self._eager = previous._eager
+            self._embed = {}
         # L = lcm(1, ..., dim K + 1): every carrier has at most dim K + 1
         # members, so each carrier mean scales numerators by an integer L/|members|
         # and a stage-n embedding has integer numerators over L**n.
         self._scale = lcm(*range(1, base.dim + 2))
         self._denominator = self._scale ** stage
-        self._embed: dict[int, dict] = {}
         self._names = None
         self._ids: dict[str, int] = {}
         self._verts: dict[int, tuple] = {}
@@ -105,7 +107,7 @@ class SubdividedComplex:
 
     @cached_property
     def _labels(self) -> list:
-        """Every barycenter label of this stage, by simplex id, rendered once.
+        """Every barycenter label of this stage, by simplex id, built once.
 
         The unlabelled stages below are labelled first, from the lowest up, so
         that no read recurses through a deep chain of stages.
@@ -121,9 +123,6 @@ class SubdividedComplex:
             names = list(self._barycenters)
         else:
             names = list(map(_barycenter_label, _sorted_labels(self._simplices, self._vertex_names())))
-            if self._names is not None:
-                # keep the labels already rendered, which the memo's keys hold
-                names = [old or new for old, new in zip(self._names, names)]
         self._names = names
         return names
 
@@ -165,25 +164,13 @@ class SubdividedComplex:
     def _barycenter_id(self, label):
         """The id of the simplex of this stage whose barycenter has this label, or None.
 
-        Once the whole stage is labelled, a miss enters every label at once
-        and the lookup is final; from stage ``_DEEP`` up the stage is labelled
-        for that.  Otherwise a label not seen yet is parsed (``_born``) and
-        kept only if its id renders back to it.
+        A label already rendered is found in the memo; on a miss the whole
+        stage is labelled once (``_label_ids``) and the lookup is final.
         """
         i = self._ids.get(label)
         if i is not None or not isinstance(label, str):
             return i
-        if self._eager or self.stage >= _DEEP or "_labels" in self.__dict__:
-            return self._label_ids().get(label)
-        stages = self.stage_chain()
-        born = _born(stages, label, len(stages))
-        if born is None:
-            return None
-        i = _persist(stages, *born, self.stage + 1)
-        if self._name(i) != label:
-            return None
-        self._ids[label] = i
-        return i
+        return self._label_ids().get(label)
 
     def _label_ids(self) -> dict:
         """``{barycenter label: simplex id}`` over the whole stage, which it labels if need be."""
@@ -237,12 +224,18 @@ class SubdividedComplex:
         cached = self._embed.get(v)
         if cached is not None:
             return cached
-        if self.previous is None:
-            numerators = {self.base.vertices[v]: 1}
-        else:
-            numerators = self.previous._barycenter_numerators(self.previous._simplices[v])
-        self._embed[v] = numerators
-        return numerators
+        # fill missing embeddings below from a stack; recursing per stage overflows a deep chain
+        pending = [(self, v)]
+        while pending:
+            stage, u = pending[-1]
+            prev = stage.previous
+            missing = [(prev, w) for w in prev._simplices[u] if w not in prev._embed]
+            if missing:
+                pending += missing
+            else:
+                pending.pop()
+                stage._embed[u] = prev._barycenter_numerators(prev._simplices[u])
+        return self._embed[v]
 
     def _barycenter_numerators(self, members) -> dict:
         """The stage-0 point of the barycenter of these stage-n vertices, over L**(n+1)."""
@@ -299,8 +292,8 @@ def _sorted_labels(simplices, names):
             yield tuple(sorted([names[v] for v in s]))
 
 
-# the stage from which a label is rendered or parsed by labelling the whole
-# stage, from stage 0 up, rather than by recursing one stage down per level;
+# the stage from which a label is rendered by labelling the whole stage,
+# from stage 0 up, rather than by recursing one stage down per level;
 # only a complex with very few simplices has this many stages
 _DEEP = 100
 
@@ -339,40 +332,6 @@ def _set_members(raw: str):
     if "" in members or len(set(members)) < len(members):
         return None
     return sorted(members)
-
-
-def _born(stages, label: str, limit: int):
-    """``(j, v)``: the first stage j <= limit whose vertex v has this label, or None.
-
-    A base name is an atom, born at stage 0.  Any other label is a set of two
-    or more members, each parsed the same way.  A label that is new at stage
-    j + 1 is the barycenter of a stage-j simplex, and j is the last stage at
-    which one of its members is born, so its nesting depth is its birth
-    stage; a label nested deeper than ``limit`` is refused before it is read
-    further.  ``stages`` are stages 0..limit-1.
-    """
-    v = stages[0]._base_ids.get(label)
-    if v is not None:
-        return 0, v
-    members = _set_members(label) if limit else None
-    if members is None or len(members) < 2:
-        return None
-    born = []
-    for m in members:
-        b = _born(stages, m, limit - 1)
-        if b is None:
-            return None
-        born.append(b)
-    j = max(k for k, _ in born)
-    i = stages[j]._index.get(tuple(sorted(_persist(stages, k, u, j) for k, u in born)))
-    return None if i is None else (j + 1, i)
-
-
-def _persist(stages, j: int, v: int, k: int) -> int:
-    """The stage-k id of vertex v of stage j <= k: the barycenter of its one-vertex simplex."""
-    for stage in stages[j:k]:
-        v = stage._index[(v,)]
-    return v
 
 
 def barycenters(simplices) -> dict:

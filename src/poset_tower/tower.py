@@ -81,7 +81,7 @@ class TowerLevel:
         return tuple(sorted(self._stage._labels))
 
     def __contains__(self, x):
-        return x in self._stage._ids or self._stage._barycenter_id(x) is not None
+        return self._stage._barycenter_id(x) is not None
 
     def __repr__(self):
         return f"TowerLevel(n={self.n}, {len(self._stage._simplices)} elements)"
@@ -209,13 +209,10 @@ class Tower:
         """The ids of elements of levels 1, 2, ...; ``ElementNotFound`` names the first outsider."""
         ids = []
         for level, x in zip(self.levels, entries):
-            try:
-                ids.append(level._stage._ids[x])
-            except KeyError:
-                i = level._stage._barycenter_id(x)
-                if i is None:
-                    raise ElementNotFound(f"{x!r} at level {level.n}") from None
-                ids.append(i)
+            i = level._stage._barycenter_id(x)
+            if i is None:
+                raise ElementNotFound(f"{x!r} at level {level.n}")
+            ids.append(i)
         return ids
 
     # -- projections and bonds ------------------------------------------------
@@ -320,9 +317,7 @@ class Tower:
         if not isinstance(raw, str):
             raise InvalidInput(f"thread entry {raw!r} at level {n} is not a label")
         stage = self.levels[n - 1]._stage
-        i = stage._ids.get(raw)
-        if i is None:
-            i = stage._barycenter_id(raw)
+        i = stage._barycenter_id(raw)
         if i is not None:
             return raw, i
         members = _set_members(raw)

@@ -404,6 +404,25 @@ class TestLazyLabels:
             assert all("_labels" not in stage.__dict__ for stage in tower._stages)
             del rendered[:]
 
+    def test_a_missed_label_labels_its_stage_once(self, monkeypatch, TRI, rendered):
+        """A label not rendered yet is found by labelling its stage, and only once."""
+        calls = []
+        labels = subdivision.SubdividedComplex._labels.func
+        counted = cached_property(lambda stage: calls.append(stage.stage) or labels(stage))
+        counted.__set_name__(subdivision.SubdividedComplex, "_labels")
+        monkeypatch.setattr(subdivision.SubdividedComplex, "_labels", counted)
+        p = RationalPoint(TRI, {"0": frac(1, 7), "1": frac(2, 7), "2": frac(4, 7)})
+        x = Tower.build(TRI, 4).encode_thread(p, 4).entries[-1]
+        y = stage_vertex_label(max(Tower.build(TRI, 4).level(4).carrier.values()))
+        tower = Tower.build(TRI, 4)
+        del calls[:], rendered[:]
+        assert tower.bond(x, 4, 4) == x
+        assert sorted(calls) == [0, 1, 2, 3]
+        assert len(rendered) == sum(len(tower.stage(k)._simplices) for k in range(4))
+        del rendered[:]
+        assert tower.bond(y, 4, 4) == y and y in tower.level(4) and "nope" not in tower.level(4)
+        assert rendered == [] and sorted(calls) == [0, 1, 2, 3]
+
     def test_order_builds_no_carrier_table(self, TRI, simplices):
         tower = Tower.build(TRI, 4)
         for level in tower.levels:
@@ -652,7 +671,7 @@ class TestThreads:
             tower_E3.thread(["nope"])
 
     def test_deeply_nested_entry_is_refused(self, E):
-        """A label nested deeper than its level is refused before it is parsed further."""
+        """A label nested deeper than its level is refused by a lookup in its stage's label table."""
         deep = "a"
         for _ in range(3000):
             deep = "b{" + deep + ",b}"
@@ -668,6 +687,14 @@ class TestThreads:
                            (lambda t: t.level(1000).elements, ("v",)),
                            (lambda t: "v" in t.level(1000), True)]:
             assert read(Tower.build(PT, 1000)) == want
+
+    def test_deep_point_tower_decodes_and_embeds(self, PT):
+        """Embeddings are filled without recursing through the stages below."""
+        v = RationalPoint.vertex(PT, "v")
+        tower = Tower.build(PT, 300)
+        region = tower.decode_thread(tower.thread(["v"] * 300))
+        assert (region.representative, region.err_sq_bound) == (v, 0)
+        assert Tower.build(PT, 300).stage(300).embed_vertex("v") == v
 
     def test_deep_point_tower_memory_grows_linearly(self, PT):
         """A stage holds a link to the one below, not a copy of the whole chain."""

@@ -163,9 +163,9 @@ class TowerCaches(RuleBasedStateMachine):
         """A rendered label, a carrier-set spelling of one, or a non-element, at a random level.
 
         The entry is resolved by this tower, whose stages may be labelled in
-        full already, and by a fresh one, which has to parse it.  The answer
-        is read off a third tower's carrier table: an entry is its own label,
-        or the canonical label of its set of members.
+        full already, and by a fresh one, which labels the stage it reads.  The
+        answer is read off a third tower's carrier table: an entry is its own
+        label, or the canonical label of its set of members.
         """
         n = data.draw(st.integers(1, tower.depth), label="n")
         m = data.draw(st.integers(1, tower.depth), label="m")

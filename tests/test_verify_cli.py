@@ -301,6 +301,14 @@ class TestTowerCommands:
                                "--p", ppath, "--q", ppath, "--depth", "2")
         assert code == 1 and "coincide" in err
 
+    def test_deep_thread_decodes_without_a_traceback(self, tmp_path):
+        """The embeddings of a 300-level point thread are filled without recursion."""
+        tpath = write_json(tmp_path / "t.json", {"entries": ["v"] * 300})
+        result = TestInputErrors.run_module("tower", "decode", str(FIXTURE_DIR / "point.json"),
+                                            "--thread", tpath, "--allow-deep")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["representative"] == {"coords": {"v": "1"}}
+
     def test_cli_output_is_deterministic(self, capsys, tmp_path):
         path = write_json(tmp_path / "edge.json", edge().to_json_obj())
         runs = [run_cli(capsys, "tower", "verify", path, "--depth", "2",
