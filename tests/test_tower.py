@@ -104,6 +104,17 @@ def support_labels(chain) -> tuple:
     return tuple(stage_vertex_label(Simplex(coords)) for coords in chain)
 
 
+@pytest.fixture
+def labelled(monkeypatch):
+    """The stage of each ``SubdividedComplex._labels`` computed, as each call starts."""
+    calls = []
+    labels = subdivision.SubdividedComplex._labels.func
+    counted = cached_property(lambda stage: calls.append(stage.stage) or labels(stage))
+    counted.__set_name__(subdivision.SubdividedComplex, "_labels")
+    monkeypatch.setattr(subdivision.SubdividedComplex, "_labels", counted)
+    return calls
+
+
 class TestLevels:
     def test_edge_level_one(self, E):
         level = build_level(E, 1)
@@ -143,20 +154,15 @@ class TestLevels:
         tower = Tower.build(COMPLEXES[name](), 2)
         assert tower.stage(2).provenance is tower.level(2).carrier
 
-    def test_each_stage_is_labelled_once(self, monkeypatch, TRI):
+    def test_each_stage_is_labelled_once(self, labelled, TRI):
         """``build`` renders no label; reading every level labels each stage once."""
-        calls = []
-        labels = subdivision.SubdividedComplex._labels.func
-        counted = cached_property(lambda stage: calls.append(stage.stage) or labels(stage))
-        counted.__set_name__(subdivision.SubdividedComplex, "_labels")
-        monkeypatch.setattr(subdivision.SubdividedComplex, "_labels", counted)
         tower = Tower.build(TRI, 6)
-        assert calls == []
+        assert labelled == []
         for level in tower.levels:
             assert level.poset.elements == level.elements and level.carrier
-        assert sorted(calls) == [0, 1, 2, 3, 4, 5]
+        assert sorted(labelled) == [0, 1, 2, 3, 4, 5]
         tower.stage(6).complex
-        assert sorted(calls) == [0, 1, 2, 3, 4, 5]
+        assert sorted(labelled) == [0, 1, 2, 3, 4, 5]
 
     def test_names_with_braces_label_each_stage_once_at_build(self, monkeypatch):
         calls = []
@@ -404,24 +410,19 @@ class TestLazyLabels:
             assert all("_labels" not in stage.__dict__ for stage in tower._stages)
             del rendered[:]
 
-    def test_a_missed_label_labels_its_stage_once(self, monkeypatch, TRI, rendered):
+    def test_a_missed_label_labels_its_stage_once(self, labelled, TRI, rendered):
         """A label not rendered yet is found by labelling its stage, and only once."""
-        calls = []
-        labels = subdivision.SubdividedComplex._labels.func
-        counted = cached_property(lambda stage: calls.append(stage.stage) or labels(stage))
-        counted.__set_name__(subdivision.SubdividedComplex, "_labels")
-        monkeypatch.setattr(subdivision.SubdividedComplex, "_labels", counted)
         p = RationalPoint(TRI, {"0": frac(1, 7), "1": frac(2, 7), "2": frac(4, 7)})
         x = Tower.build(TRI, 4).encode_thread(p, 4).entries[-1]
         y = stage_vertex_label(max(Tower.build(TRI, 4).level(4).carrier.values()))
         tower = Tower.build(TRI, 4)
-        del calls[:], rendered[:]
+        del labelled[:], rendered[:]
         assert tower.bond(x, 4, 4) == x
-        assert sorted(calls) == [0, 1, 2, 3]
+        assert sorted(labelled) == [0, 1, 2, 3]
         assert len(rendered) == sum(len(tower.stage(k)._simplices) for k in range(4))
         del rendered[:]
         assert tower.bond(y, 4, 4) == y and y in tower.level(4) and "nope" not in tower.level(4)
-        assert rendered == [] and sorted(calls) == [0, 1, 2, 3]
+        assert rendered == [] and sorted(labelled) == [0, 1, 2, 3]
 
     def test_order_builds_no_carrier_table(self, TRI, simplices):
         tower = Tower.build(TRI, 4)
