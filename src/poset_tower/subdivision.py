@@ -38,8 +38,11 @@ class SubdividedComplex:
     the stage-(n+1) vertex i is the barycenter of stage-n simplex i.  A stage
     keeps its simplices as a list of sorted id tuples, each after all of its
     faces: at stage 0 by size, past it the chains of the previous stage's
-    face order as ``posets._chains`` lists them.  ``previous`` links back to
-    the prior stage (None at stage 0).
+    face order as ``posets._chains`` lists them, which extends a chain only
+    by an element above all of its members.  So ids increase along every
+    chain, every proper face has a smaller id, and a chain's top, the member
+    with the largest carrier and the tower's one-step bond, is its last id.
+    ``previous`` links back to the prior stage (None at stage 0).
 
     Labels only name vertices.  A barycenter's label is rendered on first
     use and kept (``_name``); ``_barycenter_id`` turns a label back into an

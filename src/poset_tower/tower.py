@@ -50,10 +50,8 @@ class TowerLevel:
     the same dict as stage n's ``provenance``, and iterates in an unspecified
     order, while ``elements`` is the canonical one.  ``carrier``,
     ``elements`` and the order ``poset`` are each built on first read, and
-    none of them builds another.  ``_parent`` maps each element id to the id
-    of its one-step bond at level n-1, filled one element at a time on first
-    read.  An entry depends only on the stages, so towers that share a level
-    share its table.
+    none of them builds another.  No bond is kept: element i's one-step bond
+    is the last id of stage n-1's chain i (``SubdividedComplex``).
     """
 
     def __init__(self, n: int, stage: SubdividedComplex):
@@ -61,8 +59,6 @@ class TowerLevel:
         self._stage = stage
         if stage._eager:
             stage._labels
-        below = stage.previous._simplices if stage.previous is not None else ()
-        self._parent = _ParentTable(stage._simplices, below)
 
     @cached_property
     def carrier(self) -> dict:
@@ -85,27 +81,6 @@ class TowerLevel:
 
     def __repr__(self):
         return f"TowerLevel(n={self.n}, {len(self._stage._simplices)} elements)"
-
-
-class _ParentTable(dict):
-    """``{element id: one-step bond id}`` of one level, each entry computed on first read.
-
-    A missing element gets the member of its carrier with the largest carrier
-    one level down (members of a chain have carriers of distinct sizes); an id
-    outside the level raises IndexError.
-    """
-
-    __slots__ = ("simplices", "below")
-
-    def __init__(self, simplices: list, below):
-        super().__init__()
-        self.simplices = simplices
-        self.below = below
-
-    def __missing__(self, x: int) -> int:
-        below = self.below
-        parent = self[x] = max(self.simplices[x], key=lambda u: len(below[u]))
-        return parent
 
 
 def build_level(K: SimplicialComplex, n: int) -> TowerLevel:
@@ -135,11 +110,11 @@ class ThreadPrefix:
     def _mismatch(self):
         """The first level whose entry ``tower`` does not bond to the entry before, checked once.
 
-        None for a coherent thread.  ``ElementNotFound`` escapes the property,
-        so an entry outside its level is refused on every read and nothing is
-        recorded.
+        None for a coherent thread.  It reads the ids ``_entry_ids`` holds, so
+        ``ElementNotFound`` or ``LevelOutOfRange`` escapes the property as it
+        escapes that one, on every read, and nothing is recorded.
         """
-        return self.tower._check_thread(self.entries)
+        return self.tower._check_thread(self._entry_ids)
 
     @cached_property
     def _entry_ids(self) -> list:
@@ -206,13 +181,19 @@ class Tower:
         return self.levels[n - 1]
 
     def _entry_ids(self, entries) -> list:
-        """The ids of elements of levels 1, 2, ...; ``ElementNotFound`` names the first outsider."""
+        """The ids of elements of levels 1, 2, ...; ``ElementNotFound`` names the first outsider.
+
+        Every entry within the tower's depth is looked up, level by level,
+        before a sequence longer than the tower is refused.
+        """
         ids = []
         for level, x in zip(self.levels, entries):
             i = level._stage._barycenter_id(x)
             if i is None:
                 raise ElementNotFound(f"{x!r} at level {level.n}")
             ids.append(i)
+        if len(entries) > len(ids):
+            raise LevelOutOfRange(f"level {len(ids) + 1} outside 1..{self.depth}")
         return ids
 
     # -- projections and bonds ------------------------------------------------
@@ -229,8 +210,8 @@ class Tower:
 
         One step takes the carrier chain of the element and returns the member
         with the largest carrier: the vertex of the previous stage sitting in
-        the open simplex that contains this one's barycenter.  Each level keeps
-        its one-step bonds in a table filled on first use (``TowerLevel``).
+        the open simplex that contains this one's barycenter.  That member is
+        the chain's top, its last id (``_bond``).
         """
         if not 1 <= n <= m <= self.depth:
             raise LevelOutOfRange(f"need 1 <= {n} <= {m} <= depth {self.depth}")
@@ -244,11 +225,12 @@ class Tower:
     def _bond(self, x: int, m: int, n: int) -> int:
         """``bond`` on ids, without its checks: x must be an element id of level m, n <= m.
 
-        m - n reads of the levels' one-step bond tables, from level m down.
+        Element x of level k + 1 is stage k's chain x, and its one-step bond is
+        the chain's last id; so this is m - n reads, from level m down.
         """
-        levels = self.levels
+        stages = self._stages
         for k in range(m - 1, n - 1, -1):
-            x = levels[k]._parent[x]
+            x = stages[k]._simplices[x][-1]
         return x
 
     def basic_preimage(self, x: str, n: int) -> set:
@@ -334,46 +316,36 @@ class Tower:
         A thread of this tower records the answer on itself; a thread of
         another tower is checked against this one afresh.
         """
-        return self._first_mismatch(t) is None
+        return self._own(t)._mismatch is None
 
-    def _first_mismatch(self, t: ThreadPrefix):
-        """The first level whose entry does not bond to the entry before, or None."""
-        if t.tower is self:
-            return t._mismatch
-        return self._check_thread(t.entries)
+    def _own(self, t: ThreadPrefix) -> ThreadPrefix:
+        """t, or a thread of another tower read as this tower's, its entries looked up once."""
+        return t if t.tower is self else ThreadPrefix(self, t.entries)
 
-    def _check_thread(self, entries: tuple):
-        """``_first_mismatch`` of these entries, read from the bond tables.
+    def _check_thread(self, ids: list):
+        """The first level whose entry id does not bond to the id before, or None.
 
-        Every entry must be an element of its level, checked level by level,
-        before a thread longer than the tower is refused.
+        An entry bonds to the last id of its chain one stage down.
         """
-        levels = self.levels
-        ids = self._entry_ids(entries)
-        if len(entries) > len(levels):
-            raise LevelOutOfRange(f"level {len(levels) + 1} outside 1..{self.depth}")
-        for level, x, below in zip(levels[1:], ids[1:], ids):
-            if level._parent[x] != below:
+        for level, x, below in zip(self.levels[1:], ids[1:], ids):
+            if level._stage._simplices[x][-1] != below:
                 return level.n
         return None
 
-    def _thread_ids(self, t: ThreadPrefix) -> list:
-        """The element ids of a thread's entries in this tower."""
-        return t._entry_ids if t.tower is self else self._entry_ids(t.entries)
-
     def _require_coherent(self, t: ThreadPrefix) -> None:
-        """Raise ``IncoherentThread`` naming the first level whose bond misses."""
-        n = self._first_mismatch(t)
+        """Raise ``IncoherentThread`` naming the first level whose bond misses; t is this tower's."""
+        n = t._mismatch
         if n is not None:
             x = t.entries[n - 1]
-            below = self._bond(self._thread_ids(t)[n - 1], n, n - 1)
+            below = self._bond(t._entry_ids[n - 1], n, n - 1)
             raise IncoherentThread(
                 f"level {n} entry {x!r} bonds to "
                 f"{self.levels[n - 2]._stage._name(below)!r}, not {t.entries[n - 2]!r}")
 
     def decode_thread(self, t: ThreadPrefix) -> DecodedRegion:
+        t = self._own(t)
         self._require_coherent(t)
-        ids = self._thread_ids(t)
+        ids = t._entry_ids
         chain = tuple(frozenset(level._stage._carrier_verts(i))
                       for level, i in zip(self.levels, ids))
         stage = self.levels[len(ids) - 1]._stage
@@ -399,8 +371,9 @@ class Tower:
         image is read from labels.  For m == n-1 the open simplex s lies in the
         open carrier of its own barycenter, so its image is the label of that
         barycenter.  For m >= n, s is a chain of level-m elements with nested
-        carriers and lies in the open carrier of the largest one; that member
-        is its level-m image, and the bonds take it down to level n.
+        carriers and lies in the open carrier of the largest one, the member
+        with the largest id; that member is its level-m image, and the bonds
+        take it down to level n.
         """
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
@@ -410,11 +383,7 @@ class Tower:
         simplices = stage.complex.simplices
         if m >= n:
             ids = stage._vertex_ids
-            carriers = stage.previous._simplices
             name = self.levels[n - 1]._stage._name
-
-            def carrier_size(v):
-                return len(carriers[ids[v]])
         out = set()
         for s in opens:
             if s not in simplices:
@@ -422,7 +391,7 @@ class Tower:
             if m == n - 1:
                 out.add(stage_vertex_label(s))
             else:
-                x = max(s.verts, key=carrier_size)
+                x = max(s.verts, key=ids.__getitem__)
                 out.add(x if m == n else name(self._bond(ids[x], m, n)))
         return frozenset(out)
 

@@ -464,6 +464,10 @@ class TestIdsMatchLabelReference:
             assert stage.provenance == ref.provenance(k)
             if k < depth:
                 assert stage._barycenters == ref.carriers[k]
+            # bonds read a chain's top as its last id
+            assert all(a < b for s in stage._simplices for a, b in zip(s, s[1:]))
+            assert all(stage._index[f] < i for s, i in stage._index.items()
+                       for r in range(1, len(s)) for f in combinations(s, r))
 
 
 class TestNamesWithBraces:
@@ -483,6 +487,16 @@ class TestNamesWithBraces:
             assert entries == ref.encode(p, 3)
             region = tower.decode_thread(tower.thread(list(entries)))
             assert (region.chain, dict(region.representative.coords)) == ref.decode(entries)
+
+    @pytest.mark.parametrize("K, depth", [
+        (ATOM, 3), (SimplicialComplex.from_maximal([["0", "1", "2", "3"]]), 2),
+    ], ids=["atom", "solid-3-simplex"])
+    def test_bonds_match_the_reference(self, K, depth):
+        """Bases that ``small_complexes`` never draws: a brace-named vertex, dimension 3."""
+        tower, ref = Tower.build(K, depth), LabelTower(K, depth)
+        for m in range(1, depth + 1):
+            assert all(tower.bond(x, m, n) == ref.bond(x, m, n)
+                       for x in tower.level(m).elements for n in range(1, m + 1))
 
     def test_entry_names_the_atom(self):
         tower = Tower.build(self.ATOM, 2)
@@ -791,9 +805,9 @@ class TestRecordedCoherence:
         calls = []
         original = Tower._check_thread
 
-        def counted(tower, entries):
+        def counted(tower, ids):
             calls.append(tower)
-            return original(tower, entries)
+            return original(tower, ids)
 
         monkeypatch.setattr(Tower, "_check_thread", counted)
         return calls
@@ -841,6 +855,21 @@ class TestRecordedCoherence:
             longer = tower_module.ThreadPrefix(shallow, entries)
             with pytest.raises(ElementNotFound, match=f"'nope' at level {entries.index('nope') + 1}"):
                 shallow.validate_thread(longer)
+
+    def test_entries_are_looked_up_once(self, TRI, monkeypatch):
+        """Validate and decode read the ids ``thread`` recorded; another tower looks them up once."""
+        tower, other = Tower.build(TRI, 6), Tower.build(TRI, 6)
+        p = RationalPoint(TRI, {"0": Fraction(1, 7), "1": Fraction(2, 7), "2": Fraction(4, 7)})
+        entries = list(tower.encode_thread(p, 6).entries)
+        lookups = []
+        barycenter_id = subdivision.SubdividedComplex._barycenter_id
+        monkeypatch.setattr(subdivision.SubdividedComplex, "_barycenter_id",
+                            lambda stage, label: lookups.append(label) or barycenter_id(stage, label))
+        t = tower.thread(entries)
+        assert lookups == entries
+        region = tower.decode_thread(t)
+        assert tower.validate_thread(t) and lookups == entries
+        assert other.decode_thread(t) == region and lookups == entries * 2
 
     def test_fields_equality_hash_and_repr_unchanged(self, tower_E3):
         checked = tower_E3.thread(["b{a,b}", "{a,b{a,b}}"])

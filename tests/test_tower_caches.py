@@ -5,9 +5,9 @@ stage complexes, level orders, bonds, and threads that are encoded, parsed,
 validated and decoded, also by another tower over the same base.  Each
 answer is compared with a fresh ``Tower.build`` of the same base and depth,
 which no rule touches, and each bond with a walk of ``largest_carrier``
-over the carrier tables that reads no bond table.  Labels are parsed back
-into element ids at random levels, and every label a stage has memoised must
-render back from its id.
+over the carrier tables that reads no chain's last id.  Labels are parsed
+back into element ids at random levels, and every label a stage has
+memoised must render back from its id.
 """
 
 import json
@@ -35,7 +35,7 @@ depths = st.integers(1, MAX_DEPTH)
 
 
 def walked_bond(tower: Tower, x: str, m: int, n: int) -> str:
-    """``Tower.bond`` walked down the carrier tables, reading no bond table."""
+    """``Tower.bond`` walked down the carrier tables by carrier size, reading no chain's last id."""
     for k in range(m, n, -1):
         x = largest_carrier(tower.level(k).carrier[x].verts, tower.level(k - 1).carrier)
     return x
@@ -190,13 +190,13 @@ class TowerCaches(RuleBasedStateMachine):
                 assert label == expected and resolver.levels[n - 1]._stage._name(i) == expected
 
     @invariant()
-    def bond_tables_match_the_walk(self):
+    def one_step_bonds_match_the_walk(self):
         for tower in getattr(self, "built", ()):
             for level in tower.levels[1:]:
                 below = tower.levels[level.n - 2]._stage
-                for x, parent in list(level._parent.items()):
-                    assert below._name(parent) == walked_bond(
-                        tower, level._stage._name(x), level.n, level.n - 1)
+                for x, i in list(level._stage._ids.items()):
+                    bond = tower._bond(i, level.n, level.n - 1)
+                    assert below._name(bond) == walked_bond(tower, x, level.n, level.n - 1)
 
     @invariant()
     def memoised_labels_render_from_their_ids(self):

@@ -142,8 +142,16 @@ class TestSuites:
         x = next(x for x in level.elements if len(level.carrier[x].verts) > 1)
         smallest = min(level.carrier[x].verts, key=lambda u: len(below.carrier[u].verts))
         assert smallest != tower.bond(x, 3, 2)
-        monkeypatch.setitem(level._parent, level._stage._barycenter_id(x),
-                            below._stage._barycenter_id(smallest))
+        walk = Tower._bond
+        xi, si = level._stage._barycenter_id(x), below._stage._barycenter_id(smallest)
+
+        def smallest_first(t, i, m, n):
+            """The walk, with x's first step taken to its member of smallest carrier."""
+            if t is tower and (i, m) == (xi, 3) and n < 3:
+                return walk(t, si, 2, n)
+            return walk(t, i, m, n)
+
+        monkeypatch.setattr(Tower, "_bond", smallest_first)
         assert all(tower.bond(x, 3, n) == tower.bond(tower.bond(x, 3, k), k, n)
                    for k in range(1, 4) for n in range(1, k + 1))
         monkeypatch.setattr(Tower, "build", classmethod(lambda cls, K, depth: tower))
