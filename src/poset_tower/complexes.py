@@ -14,6 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -425,3 +426,36 @@ def dist_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
         d = p.coord(v) - q.coord(v)
         total += d * d
     return total
+
+
+class _Record:
+    """Base of the package's frozen records, over the fields ``__match_args__`` names.
+
+    Equality is by class and fields, the hash is that of the field tuple and
+    the repr is ``Name(field=value, ...)``, as for a frozen dataclass; assigning
+    or deleting an attribute raises ``AttributeError``.  Each record writes out
+    its own ``__init__``, storing through ``self.__dict__``, so construction
+    costs no loop and ``functools.cached_property`` still works on it.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -28,23 +28,25 @@ number of components, counted by a union-find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _Record
 
 
-@dataclass(frozen=True)
-class ChainComplexZ:
+class ChainComplexZ(_Record):
     """Per-degree simplex counts and integer boundary matrices.
 
     ``boundaries[k-1]`` is the degree-k boundary matrix: rows indexed by the
     (k-1)-simplices, columns by the k-simplices, in canonical order.
     """
 
-    dims: tuple
-    boundaries: tuple
+    __match_args__ = ("dims", "boundaries")
+
+    def __init__(self, dims: tuple, boundaries: tuple):
+        d = self.__dict__
+        d["dims"] = dims
+        d["boundaries"] = boundaries
 
     def is_valid(self) -> bool:
         """Check that consecutive boundary matrices compose to zero."""
@@ -60,12 +62,15 @@ class ChainComplexZ:
         return True
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(_Record):
     """Betti numbers and per-degree invariant factors greater than 1."""
 
-    betti: tuple
-    torsion: tuple
+    __match_args__ = ("betti", "torsion")
+
+    def __init__(self, betti: tuple, torsion: tuple):
+        d = self.__dict__
+        d["betti"] = betti
+        d["torsion"] = torsion
 
     def reduced(self) -> tuple:
         if not self.betti:

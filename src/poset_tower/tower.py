@@ -8,12 +8,11 @@ decoded back to exact representatives with a certified squared error bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complexes import RationalPoint, Simplex, SimplicialComplex
+from .complexes import RationalPoint, Simplex, SimplicialComplex, _Record
 from .errors import (
     ElementNotFound,
     EqualPoints,
@@ -90,12 +89,15 @@ def build_level(K: SimplicialComplex, n: int) -> TowerLevel:
     return TowerLevel(n, subdivide(K, n - 1))
 
 
-@dataclass(frozen=True)
-class ThreadPrefix:
+class ThreadPrefix(_Record):
     """A finite coherent sequence of level elements, one per level 1..N."""
 
-    tower: "Tower"
-    entries: tuple
+    __match_args__ = ("tower", "entries")
+
+    def __init__(self, tower: "Tower", entries: tuple):
+        d = self.__dict__
+        d["tower"] = tower
+        d["entries"] = entries
 
     def __len__(self):
         return len(self.entries)
@@ -122,17 +124,20 @@ class ThreadPrefix:
         return self.tower._entry_ids(self.entries)
 
 
-@dataclass(frozen=True)
-class DecodedRegion:
+class DecodedRegion(_Record):
     """The nested closed carriers of a thread plus an exact representative.
 
     Every point whose thread extends the decoded prefix lies within
     ``err_sq_bound`` (squared distance) of ``representative``.
     """
 
-    chain: tuple
-    representative: RationalPoint
-    err_sq_bound: Fraction
+    __match_args__ = ("chain", "representative", "err_sq_bound")
+
+    def __init__(self, chain: tuple, representative: RationalPoint, err_sq_bound: Fraction):
+        d = self.__dict__
+        d["chain"] = chain
+        d["representative"] = representative
+        d["err_sq_bound"] = err_sq_bound
 
 
 class Tower:

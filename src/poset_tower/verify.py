@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .approx import SimplicialMap, SystemMorphism, _bond_square_commutes
 from .complexes import (
     RationalPoint,
     SimplicialComplex,
+    _Record,
     open_star,
     star,
 )
@@ -27,19 +27,25 @@ from .subdivision import lift_point
 from .tower import Tower
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(_Record):
+    __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        d = self.__dict__
+        d["name"] = name
+        d["passed"] = passed
+        d["detail"] = detail
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    depth: int
-    seed: int
-    checks: tuple
+class VerificationReport(_Record):
+    __match_args__ = ("suite", "depth", "seed", "checks")
+
+    def __init__(self, suite: str, depth: int, seed: int, checks: tuple):
+        d = self.__dict__
+        d["suite"] = suite
+        d["depth"] = depth
+        d["seed"] = seed
+        d["checks"] = checks
 
     @property
     def passed(self) -> bool:

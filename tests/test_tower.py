@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import pathlib
@@ -796,6 +795,25 @@ class TestThreads:
                 region = tower.decode_thread(t)
                 assert tower.encode_thread(region.representative, N).entries == t.entries
 
+    def test_a_coherent_thread_above_a_points_thread(self, E):
+        """Not every coherent thread is the thread of a point.
+
+        On the edge, x1 = b{a,b} and x(n+1) = b{a,xn}.  Every prefix validates,
+        and the prefix of length n decodes to (1 - 2^-n)a + 2^-n b, which tends
+        to a.  But a's thread is (a, a, ...), entrywise below this one: the
+        threads of points are the entrywise-minimal coherent threads.
+        """
+        tower, entries = Tower.build(E, 5), ["b{a,b}"]
+        while len(entries) < 5:
+            entries.append(f"b{{a,{entries[-1]}}}")
+        for n in range(1, 6):
+            t = tower.thread(entries[:n])
+            assert tower.validate_thread(t)
+            assert tower.decode_thread(t).representative == RationalPoint(
+                E, {"a": 1 - frac(1, 2**n), "b": frac(1, 2**n)})
+            assert tower.level(n).poset.leq("a", entries[n - 1])
+        assert tower.encode_thread(RationalPoint.vertex(E, "a"), 5).entries == ("a",) * 5
+
 
 class TestRecordedCoherence:
     """A thread's coherence is checked once and read back by validate and decode."""
@@ -875,7 +893,7 @@ class TestRecordedCoherence:
         checked = tower_E3.thread(["b{a,b}", "{a,b{a,b}}"])
         assert tower_E3.validate_thread(checked)
         fresh = tower_E3.thread(["b{a,b}", "{a,b{a,b}}"])
-        assert [f.name for f in dataclasses.fields(checked)] == ["tower", "entries"]
+        assert tower_module.ThreadPrefix.__match_args__ == ("tower", "entries")
         assert checked == fresh and hash(checked) == hash(fresh)
         assert repr(checked) == repr(fresh) == "ThreadPrefix(b{a,b}, b{a,b{a,b}})"
 
