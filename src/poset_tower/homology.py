@@ -20,10 +20,37 @@ the degree-(k+1) matrix is taken on a column that is a boundary with ±1 at
 the pivot row and 0 on every earlier pivot row, so by reverse induction the
 degree-k columns at the pivot rows are integer combinations of the others.
 Leaving them out keeps the image lattice, and with it every invariant factor.
-The degree-1 matrix is a graph's incidence matrix, which is totally
-unimodular (Schrijver, *Theory of Linear and Integer Programming*, 1986,
-ch. 19), so its factors are all 1 and its rank is the vertex count less the
-number of components, counted by a union-find.
+
+The second fact: a matrix whose lines (rows or columns) each hold at most two
+±1 entries is the incidence matrix of a signed graph (Zaslavsky, *Signed
+graphs*, Discrete Appl. Math. 4, 1982), and its Smith form needs no
+elimination.  The indices across the lines are its nodes; a line with two
+entries is an arc, one with a single entry a half arc.  The degree-1 matrix is one, with
+the vertices as nodes and each edge an arc with entries -1 and +1, and so is
+the top matrix of a pseudomanifold, with the top simplices as nodes and
+each codimension-1 face, which has at most two cofaces, as an arc or half
+arc.  ``_signed_forest`` runs one union-find over the arcs that keeps each
+node's sign s relative to its root, chosen so that every tree arc (u, a,
+v, b) reads s_u·a + s_v·b = 0.
+
+- **Factors.**  The tree arcs are unit pivots; eliminating them merges each
+  component into the one column of its signs.  There every other arc reads
+  s_u·a + s_v·b, which is 0 (the arc is balanced) or ±2, and every half arc
+  reads ±1.  So each component adds one more factor, the gcd of that
+  column: 1 if it has a half arc, otherwise 2 if some arc is unbalanced,
+  and none if all are balanced.  Degree 1 has no half arcs and only
+  balanced arcs, so its factors are all 1 and its rank is the vertex count
+  less the number of components.
+- **Clearing.**  The pivots are the tree arcs and each component's first
+  half arc.  For a tree arc r, the signed sum of the top simplices on the
+  side of r that does not hold the component's pivot half arc (either side,
+  if it has none) has boundary ±1 at r and 0 at every other pivot line; for
+  the pivot half arc, the signed sum of the whole component does.  So the
+  cleared columns one degree down are integer combinations of the others,
+  as above.
+
+``betti`` reads the top degree this way whenever no face has three cofaces
+and degree 1 always, and runs the sparse elimination for every other degree.
 """
 
 from __future__ import annotations
@@ -32,6 +59,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .complexes import SimplicialComplex, _Record
+from .errors import InvalidInput
 
 
 class ChainComplexZ(_Record):
@@ -108,9 +136,13 @@ def _boundary_columns(levels: list, k: int, skip=frozenset()) -> list:
 
 
 def _columns(matrix) -> list:
-    """The columns of a dense matrix as ``{row_index: entry}`` dicts."""
-    cols = [{} for _ in range(len(matrix[0]) if matrix else 0)]
+    """The columns of a dense matrix as ``{row_index: entry}`` dicts; every row
+    must have row 0's length."""
+    ncols = len(matrix[0]) if matrix else 0
+    cols = [{} for _ in range(ncols)]
     for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise InvalidInput(f"matrix row {i} has length {len(row)}, row 0 has length {ncols}")
         for j, v in enumerate(row):
             if v:
                 cols[j][i] = v
@@ -258,43 +290,109 @@ def smith_invariant_factors(matrix) -> tuple:
     return _sparse_invariant_factors(_columns(matrix), len(matrix))[0]
 
 
-def _forest_rank(edges: list, nverts: int) -> int:
-    """Rank of a graph's incidence matrix, given as its boundary columns.
+def _top_arcs(levels: list, k: int):
+    """The degree-k boundary matrix as a signed graph on the k-simplices, or None.
 
-    It is the number of successful unions of a union-find over the edges in
-    order, with path halving.
+    Returns ``(arcs, halves)`` for ``_signed_forest``: each (k-1)-simplex
+    with two cofaces is an arc and each with one a half arc, with the signs
+    of ``_boundary_columns``.  None if some (k-1)-simplex has three cofaces.
     """
-    parent = list(range(nverts))
-    unions = 0
-    for a, b in edges:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            unions += 1
-    return unions
+    index = {vs: i for i, vs in enumerate(levels[k - 1])}.__getitem__
+    signs = [-1 if (k - i) % 2 else 1 for i in range(k + 1)]
+    node = [-1] * len(levels[k - 1])
+    entry = [0] * len(levels[k - 1])  # the first coface's sign, 0 once a second is seen
+    arcs = []
+    for j, vs in enumerate(levels[k]):
+        for i, b in zip(map(index, combinations(vs, k)), signs):
+            u = node[i]
+            if u < 0:
+                node[i] = j
+                entry[i] = b
+            elif entry[i]:
+                arcs.append((i, u, entry[i], j, b))
+                entry[i] = 0
+            else:
+                return None
+    return arcs, [(i, u) for i, (u, a) in enumerate(zip(node, entry)) if a]
+
+
+def _signed_forest(n: int, arcs: list, halves: list) -> tuple:
+    """``(rank, twos, pivot_lines)`` of a signed graph's incidence matrix.
+
+    Nodes are 0..n-1.  An arc ``(line, u, a, v, b)`` has the entry a at u and
+    b at v, a half arc ``(line, u)`` a unit entry at u, each ±1.  The
+    invariant factors are ``rank - twos`` ones and ``twos`` twos, and
+    ``pivot_lines`` is the set of lines of the unit pivots (the module
+    docstring).  The union-find halves paths, carrying each node's sign
+    relative to its parent; a root's sign is 1.
+    """
+    parent = list(range(n))
+    sign = [1] * n
+    unbalanced = set()  # roots of components with an unbalanced arc
+    pivots = set()
+    for line, u, a, v, b in arcs:
+        while parent[u] != u:
+            p = parent[u]
+            sign[u] *= sign[p]
+            parent[u] = parent[p]
+            a *= sign[u]
+            u = parent[u]
+        while parent[v] != v:
+            p = parent[v]
+            sign[v] *= sign[p]
+            parent[v] = parent[p]
+            b *= sign[v]
+            v = parent[v]
+        # a and b are now the arc's entries read against the roots' signs
+        if u != v:
+            parent[u] = v
+            sign[u] = -a * b
+            pivots.add(line)
+            if u in unbalanced:
+                unbalanced.remove(u)
+                unbalanced.add(v)
+        elif a == b:
+            unbalanced.add(u)
+    halved = set()  # roots of components with a pivot half arc
+    for line, u in halves:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]  # no sign is read past the arcs
+            u = parent[u]
+        if u not in halved:
+            halved.add(u)
+            pivots.add(line)
+    twos = len(unbalanced - halved)
+    return len(pivots) + twos, twos, pivots
 
 
 def betti(K: SimplicialComplex) -> BettiProfile:
     """Betti numbers and torsion of K over the integers.
 
     Degrees are reduced from the top down; each skips the columns that the
-    unit pivots of the degree above clear, and degree 1 is ranked by
-    union-find (see the module docstring).
+    unit pivots of the degree above clear.  Degree 1, and the top degree
+    when no face has three cofaces, are ranked as signed graphs (see the
+    module docstring).
     """
     levels = _simplices_by_dim(K)
     dims = tuple(len(level) for level in levels)
+    top = len(levels) - 1
     factors = [()] * len(levels)  # factors[k]: those of the degree-(k+1) matrix
     cleared = frozenset()
-    for k in range(len(levels) - 1, 1, -1):
+    eliminate = top  # the highest degree left to the sparse elimination
+    if top > 1:
+        graph = _top_arcs(levels, top)
+        if graph is not None:
+            rank, twos, cleared = _signed_forest(dims[top], *graph)
+            factors[top - 1] = (1,) * (rank - twos) + (2,) * twos
+            eliminate -= 1
+    for k in range(eliminate, 1, -1):
         factors[k - 1], cleared = _sparse_invariant_factors(
             _boundary_columns(levels, k, cleared), dims[k - 1])
-    if len(levels) > 1:
-        factors[0] = (1,) * _forest_rank(_boundary_columns(levels, 1, cleared), dims[0])
+    if top > 0:
+        vertex = {vs[0]: i for i, vs in enumerate(levels[0])}.__getitem__
+        arcs = [(j, vertex(a), -1, vertex(b), 1)
+                for j, (a, b) in enumerate(levels[1]) if j not in cleared]
+        factors[0] = (1,) * _signed_forest(dims[0], arcs, ())[0]
     ranks = [0] + [len(fs) for fs in factors]
     return BettiProfile(
         tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims))),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poset_tower import SimplicialComplex, betti, chain_complex, subdivide
+from poset_tower import homology
+from poset_tower.errors import InvalidInput
 from poset_tower.homology import (
     BettiProfile,
     ChainComplexZ,
@@ -130,6 +133,70 @@ def circle_edge_point():
         [["0", "1"], ["1", "2"], ["0", "2"], ["a", "b"], ["p"]])
 
 
+def grid_surface(twist):
+    """The 3x3 grid of squares, each cut along a diagonal, with opposite
+    sides glued: a torus, or with one gluing reversed a Klein bottle."""
+    def name(i, j):
+        if j == 3:
+            i, j = (3 - i if twist else i), 0
+        return f"{i % 3}{j}"
+    triangles = []
+    for i in range(3):
+        for j in range(3):
+            a, b, c, d = name(i, j), name(i + 1, j), name(i, j + 1), name(i + 1, j + 1)
+            triangles += [[a, b, d], [a, c, d]]
+    return SimplicialComplex.from_maximal(triangles)
+
+
+def mobius_band():
+    """Five triangles {i, i+1, i+2} mod 5."""
+    return SimplicialComplex.from_maximal(
+        [[str(i), str((i + 1) % 5), str((i + 2) % 5)] for i in range(5)])
+
+
+def disjoint_union(*complexes):
+    """The complexes side by side, the vertices of the i-th prefixed by i."""
+    return SimplicialComplex.from_maximal(
+        [[f"{i}:{v}" for v in s.verts] for i, K in enumerate(complexes) for s in K.simplices])
+
+
+def triangles_on_an_edge():
+    """Three triangles sharing the edge {a, b}: the edge has three cofaces."""
+    return SimplicialComplex.from_maximal([["a", "b", c] for c in "cde"])
+
+
+def rp2_with_a_fin():
+    """RP^2 with a triangle glued on the edge {0, 1}; the fin sorts first of
+    the edge's three cofaces."""
+    return SimplicialComplex.from_maximal(
+        [list(s.verts) for s in projective_plane().simplices] + [["0", "1", "1a"]])
+
+
+def two_skeleton_of_4_simplex():
+    """Every edge lies in three triangles, and H_2 has rank 4."""
+    return SimplicialComplex.from_maximal(combinations("01234", 3))
+
+
+@lru_cache(maxsize=None)
+def sd_projective_plane_triangles():
+    """The triangles of sd(RP^2), and its vertices, in canonical order."""
+    K = subdivide(projective_plane(), 1).complex
+    return ([s.verts for s in K.simplices if len(s.verts) == 3],
+            [s.verts[0] for s in K.simplices if len(s.verts) == 1])
+
+
+@st.composite
+def pure_subcomplexes_of_sd_rp2(draw):
+    """sd(RP^2) less a few triangles, sometimes with one more triangle on any
+    three of its vertices glued on."""
+    triangles, verts = sd_projective_plane_triangles()
+    removed = draw(st.sets(st.sampled_from(triangles), max_size=len(triangles) - 1))
+    facets = [list(t) for t in triangles if t not in removed]
+    if draw(st.booleans()):
+        facets.append(draw(st.lists(st.sampled_from(verts), min_size=3, max_size=3, unique=True)))
+    return SimplicialComplex.from_maximal(facets)
+
+
 class TestChainComplex:
     def test_point_has_no_boundaries(self):
         cc = chain_complex(point())
@@ -202,6 +269,11 @@ class TestSmith:
     def test_empty_matrix(self):
         assert smith_invariant_factors(()) == ()
 
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1], [2, 3]]])
+    def test_ragged_matrix_names_its_first_odd_row(self, matrix):
+        with pytest.raises(InvalidInput, match="row 1 has"):
+            smith_invariant_factors(matrix)
+
 
 class TestBetti:
     def test_point(self):
@@ -272,12 +344,19 @@ class TestBetti:
 
 
 class TestBettiOracle:
-    """``betti`` clears columns top-down and ranks degree 1 by union-find; the
-    oracle reduces every full boundary matrix of the public dense path."""
+    """``betti`` ranks degree 1, and the top degree when no face has three
+    cofaces, as signed graphs, and clears the rest top-down with the sparse
+    elimination; the oracle reduces every full boundary matrix of the public
+    dense path."""
 
     @given(complexes_to_dim3())
     @settings(max_examples=200)
     def test_matches_smith_oracle(self, K):
+        assert betti(K) == betti_by_smith(K)
+
+    @given(pure_subcomplexes_of_sd_rp2())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_smith_oracle_on_pieces_of_sd_rp2(self, K):
         assert betti(K) == betti_by_smith(K)
 
     @pytest.mark.parametrize("make, betti_numbers, torsion", [
@@ -285,11 +364,39 @@ class TestBettiOracle:
         (lambda: subdivide(projective_plane(), 1).complex, (1, 0, 0), ((), (2,), ())),
         (lambda: subdivide(projective_plane(), 2).complex, (1, 0, 0), ((), (2,), ())),
         (three_sphere, (1, 0, 0, 1), ((), (), (), ())),
+        (lambda: subdivide(three_sphere(), 1).complex, (1, 0, 0, 1), ((), (), (), ())),
+        (lambda: grid_surface(twist=True), (1, 1, 0), ((), (2,), ())),
+        (mobius_band, (1, 1, 0), ((), (), ())),
+        (lambda: disjoint_union(projective_plane(), projective_plane()),
+         (2, 0, 0), ((), (2, 2), ())),
+        (lambda: disjoint_union(projective_plane(), grid_surface(twist=False)),
+         (2, 2, 1), ((), (2,), ())),
+        (triangles_on_an_edge, (1, 0, 0), ((), (), ())),
+        (rp2_with_a_fin, (1, 0, 0), ((), (2,), ())),
+        (two_skeleton_of_4_simplex, (1, 0, 4), ((), (), ())),
         (circle_edge_point, (3, 1), ((), ())),
         (point, (1,), ((),)),
         (lambda: SimplicialComplex([], []), (), ()),
-    ], ids=["rp2-stage0", "rp2-stage1", "rp2-stage2", "s3", "circle-edge-point",
-            "point", "empty"])
+    ], ids=["rp2-stage0", "rp2-stage1", "rp2-stage2", "s3", "sd-s3", "klein-bottle",
+            "mobius-band", "rp2-rp2", "rp2-torus", "triangles-on-an-edge", "rp2-with-a-fin",
+            "2-skeleton-of-4-simplex", "circle-edge-point", "point", "empty"])
     def test_fixed_cases(self, make, betti_numbers, torsion):
         K = make()
         assert betti(K) == betti_by_smith(K) == BettiProfile(betti_numbers, torsion)
+
+    @pytest.mark.parametrize("make, eliminated", [
+        (lambda: subdivide(projective_plane(), 1).complex, False),
+        (two_skeleton_of_4_simplex, True),
+    ], ids=["rp2-stage1", "2-skeleton-of-4-simplex"])
+    def test_sparse_elimination_only_where_a_face_has_three_cofaces(
+            self, monkeypatch, make, eliminated):
+        calls = []
+        original = homology._sparse_invariant_factors
+
+        def counted(cols, nrows):
+            calls.append(nrows)
+            return original(cols, nrows)
+
+        monkeypatch.setattr(homology, "_sparse_invariant_factors", counted)
+        betti(make())
+        assert bool(calls) == eliminated

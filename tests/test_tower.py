@@ -814,6 +814,25 @@ class TestThreads:
             assert tower.level(n).poset.leq("a", entries[n - 1])
         assert tower.encode_thread(RationalPoint.vertex(E, "a"), 5).entries == ("a",) * 5
 
+    @pytest.mark.parametrize("name, N", [("edge", 4), ("triangle", 3), ("tetra-boundary", 3)])
+    def test_threads_of_carrier_points_lie_below(self, name, N):
+        """The finite form of the claim that threads of points are the minimal threads.
+
+        Take a level-N element x with its bonded thread.  Each vertex of x's
+        closed carrier and x's decoded representative is a point p of that
+        carrier, and p's thread lies entrywise below x's in every level order.
+        """
+        tower = cached_tower(name, N)
+        stage = tower.stage(N - 1)
+        for x in tower.level(N).elements:
+            entries = [tower.bond(x, N, n) for n in range(1, N + 1)]
+            region = tower.decode_thread(tower.thread(entries))
+            points = [stage.embed_vertex(v) for v in sorted(region.chain[-1])]
+            for p in points + [region.representative]:
+                below = tower.encode_thread(p, N).entries
+                for level, lower, upper in zip(tower.levels, below, entries):
+                    assert level.poset.leq(lower, upper), (x, p, level.n)
+
 
 class TestRecordedCoherence:
     """A thread's coherence is checked once and read back by validate and decode."""
