@@ -9,9 +9,12 @@ Kaczynski, Mischaikow and Mrozek, *Computational Homology* (2004): while an
 entry is ±1, pivot on it (the column with the fewest entries first, then its
 unit row with the fewest entries, to limit fill-in) and delete its row and
 column.  Each such pivot is an invariant factor 1, and because the pivot is a
-unit every entry stays an integer.  A dense Smith normal form sweep then runs
-only on the nonzero rows and columns that are left, which for boundary
-matrices of complexes is small or empty.
+unit every entry stays an integer.  The nonzero rows and columns that are
+left, which for boundary matrices of complexes are few or none, are reduced
+and split densely: pivot on an entry p of least absolute value, reduce the
+rest of its column and then of its row modulo p, and once both are zero
+record |p| and delete them.  A last pass replaces each pair of recorded
+entries by their gcd and lcm, which orders the factors by divisibility.
 
 ``betti`` does less elimination, by two exact facts.  It reduces the boundary
 matrices from the top degree down and clears, as in Chen and Kerber,
@@ -56,7 +59,8 @@ and degree 1 always, and runs the sparse elimination for every other degree.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress
+from math import gcd
 
 from .complexes import SimplicialComplex, _Record
 from .errors import InvalidInput
@@ -122,30 +126,44 @@ def _simplices_by_dim(K: SimplicialComplex) -> list:
     return levels
 
 
-def _boundary_columns(levels: list, k: int, skip=frozenset()) -> list:
-    """Sparse columns of the degree-k boundary matrix, leaving out those in ``skip``.
+def _faces(levels: list, k: int) -> tuple:
+    """``(index, signs)`` of the degree-k boundary matrix.
 
-    Rows and columns are indexed by position in ``levels``; the face opposite
-    vertex i of ``vs`` gets the sign ``(-1)**i``.  ``combinations`` yields the
-    faces in lexicographic order, which is opposite vertex k, k-1, ..., 0.
+    ``index`` maps each (k-1)-simplex to its row, its position in
+    ``levels``.  The face opposite vertex i of a k-simplex gets the sign
+    ``(-1)**i``; ``combinations`` yields the faces in lexicographic order,
+    which is opposite vertex k, k-1, ..., 0, and ``signs`` follows it.
     """
-    index = {vs: i for i, vs in enumerate(levels[k - 1])}.__getitem__
-    signs = [-1 if (k - i) % 2 else 1 for i in range(k + 1)]
+    return ({vs: i for i, vs in enumerate(levels[k - 1])}.__getitem__,
+            [-1 if (k - i) % 2 else 1 for i in range(k + 1)])
+
+
+def _boundary_columns(levels: list, k: int, faces: tuple, skip=frozenset()) -> list:
+    """Sparse columns of the degree-k boundary matrix, leaving out those in
+    ``skip``; ``faces`` is ``_faces(levels, k)``."""
+    index, signs = faces
     return [dict(zip(map(index, combinations(vs, k)), signs))
             for j, vs in enumerate(levels[k]) if j not in skip]
 
 
 def _columns(matrix) -> list:
     """The columns of a dense matrix as ``{row_index: entry}`` dicts; every row
-    must have row 0's length."""
-    ncols = len(matrix[0]) if matrix else 0
-    cols = [{} for _ in range(ncols)]
+    must be a list or tuple of row 0's length, and every entry an ``int``
+    that is not a ``bool``."""
+    cols = []
     for i, row in enumerate(matrix):
-        if len(row) != ncols:
-            raise InvalidInput(f"matrix row {i} has length {len(row)}, row 0 has length {ncols}")
-        for j, v in enumerate(row):
-            if v:
-                cols[j][i] = v
+        if not isinstance(row, (list, tuple)):
+            raise InvalidInput(f"matrix row {i} is {row!r}, not a list or tuple")
+        if not i:
+            cols = [{} for _ in row]
+        elif len(row) != len(cols):
+            raise InvalidInput(f"matrix row {i} has length {len(row)}, row 0 has length {len(cols)}")
+        if not set(map(type, row)) <= {int}:
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InvalidInput(f"matrix row {i} column {j} is {v!r}, not an int")
+        for j in compress(range(len(row)), row):
+            cols[j][i] = row[j]
     return cols
 
 
@@ -156,7 +174,7 @@ def chain_complex(K: SimplicialComplex) -> ChainComplexZ:
     boundaries = []
     for k in range(1, len(levels)):
         matrix = [[0] * dims[k] for _ in range(dims[k - 1])]
-        for j, col in enumerate(_boundary_columns(levels, k)):
+        for j, col in enumerate(_boundary_columns(levels, k, _faces(levels, k))):
             for i, v in col.items():
                 matrix[i][j] = v
         boundaries.append(tuple(tuple(r) for r in matrix))
@@ -168,7 +186,7 @@ def _sparse_invariant_factors(cols: list, nrows: int) -> tuple:
     set of rows of its unit pivots.
 
     The column dicts are consumed.  Unit pivots are eliminated first; the
-    leftover block goes to the dense sweep.
+    leftover block is reduced and split densely.
     """
     rows = [set() for _ in range(nrows)]
     for j, col in enumerate(cols):
@@ -219,70 +237,44 @@ def _sparse_invariant_factors(cols: list, nrows: int) -> tuple:
 
 
 def _dense_invariant_factors(matrix) -> tuple:
-    """Dense Smith normal form sweep; positive, divisibility-ordered factors."""
+    """Smith normal form of a dense block by reduce-and-split; positive,
+    divisibility-ordered factors.
+
+    Pivot on an entry p of least absolute value, at (i, j): row operations
+    from row i reduce the rest of column j modulo p, then column operations
+    from column j reduce the rest of row i.  If both are then zero apart
+    from p, record |p| and delete its row and column; otherwise the next
+    pass pivots on a remainder smaller than |p|.  Replacing each pair
+    (d_s, d_t), s < t, of the diagonal by (gcd, lcm) sorts each prime's
+    exponents, which gives the divisibility chain.
+    """
     a = [list(row) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors = []
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry as pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-            if best == 1:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
+    diagonal = []
+    while entries := [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]:
+        _, i, j = min(entries)
+        pivot_row = a[i]
+        p = pivot_row[j]
         for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        for j in range(t, n):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix, so the factors
-            # come out in divisibility order
-            witness = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            for j in range(t, n):
-                a[t][j] += a[witness][j]
-        factors.append(abs(a[t][t]))
-        t += 1
-    return tuple(factors)
+            q = row[j] // p
+            if q and row is not pivot_row:
+                for c, v in enumerate(pivot_row):
+                    row[c] -= q * v
+        for c, v in enumerate(pivot_row):
+            q = v // p
+            if q and c != j:
+                for row in a:
+                    row[c] -= q * row[j]
+        if sum(map(bool, pivot_row)) + sum(1 for row in a if row[j]) > 2:
+            continue  # a remainder smaller than |p| is left
+        diagonal.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+    for s in range(len(diagonal)):
+        for t in range(s + 1, len(diagonal)):
+            g = gcd(diagonal[s], diagonal[t])
+            diagonal[s], diagonal[t] = g, diagonal[s] // g * diagonal[t]
+    return tuple(diagonal)
 
 
 def smith_invariant_factors(matrix) -> tuple:
@@ -290,15 +282,15 @@ def smith_invariant_factors(matrix) -> tuple:
     return _sparse_invariant_factors(_columns(matrix), len(matrix))[0]
 
 
-def _top_arcs(levels: list, k: int):
+def _top_arcs(levels: list, k: int, faces: tuple):
     """The degree-k boundary matrix as a signed graph on the k-simplices, or None.
 
     Returns ``(arcs, halves)`` for ``_signed_forest``: each (k-1)-simplex
-    with two cofaces is an arc and each with one a half arc, with the signs
-    of ``_boundary_columns``.  None if some (k-1)-simplex has three cofaces.
+    with two cofaces is an arc and each with one a half arc, with the
+    ``(index, signs)`` of ``faces``, which is ``_faces(levels, k)``.  None
+    if some (k-1)-simplex has three cofaces.
     """
-    index = {vs: i for i, vs in enumerate(levels[k - 1])}.__getitem__
-    signs = [-1 if (k - i) % 2 else 1 for i in range(k + 1)]
+    index, signs = faces
     node = [-1] * len(levels[k - 1])
     entry = [0] * len(levels[k - 1])  # the first coface's sign, 0 once a second is seen
     arcs = []
@@ -380,14 +372,17 @@ def betti(K: SimplicialComplex) -> BettiProfile:
     cleared = frozenset()
     eliminate = top  # the highest degree left to the sparse elimination
     if top > 1:
-        graph = _top_arcs(levels, top)
+        faces = _faces(levels, top)  # the top degree's, built once for both paths
+        graph = _top_arcs(levels, top, faces)
         if graph is not None:
             rank, twos, cleared = _signed_forest(dims[top], *graph)
             factors[top - 1] = (1,) * (rank - twos) + (2,) * twos
             eliminate -= 1
     for k in range(eliminate, 1, -1):
+        if k < top:
+            faces = _faces(levels, k)
         factors[k - 1], cleared = _sparse_invariant_factors(
-            _boundary_columns(levels, k, cleared), dims[k - 1])
+            _boundary_columns(levels, k, faces, cleared), dims[k - 1])
     if top > 0:
         vertex = {vs[0]: i for i, vs in enumerate(levels[0])}.__getitem__
         arcs = [(j, vertex(a), -1, vertex(b), 1)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -221,12 +222,18 @@ class TestChainComplex:
         assert not broken.is_valid()
 
 
-def small_matrices():
-    """Integer matrices up to 6x6 with entries in -4..4, zeros weighted up."""
-    entries = st.one_of(st.just(0), st.integers(-4, 4))
-    return st.integers(1, 6).flatmap(lambda m: st.integers(1, 6).flatmap(
+def integer_matrices(size, bound):
+    """Integer matrices up to size x size with entries in -bound..bound, zeros
+    weighted up."""
+    entries = st.one_of(st.just(0), st.integers(-bound, bound))
+    return st.integers(1, size).flatmap(lambda m: st.integers(1, size).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
                            min_size=m, max_size=m)))
+
+
+def small_matrices():
+    """Integer matrices up to 6x6 with entries in -4..4, zeros weighted up."""
+    return integer_matrices(6, 4)
 
 
 class TestSmith:
@@ -262,6 +269,35 @@ class TestSmith:
         assert smith_invariant_factors(matrix) == tuple(
             abs(int(f)) for f in expected if f)
 
+    @given(integer_matrices(12, 9))
+    @settings(deadline=None)
+    def test_matches_sympy_up_to_12x12(self, matrix):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        expected = invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+        assert smith_invariant_factors(matrix) == tuple(
+            abs(int(f)) for f in expected if f)
+
+    def test_12x12_whose_entries_grew_without_bound(self):
+        # an elimination whose entries can grow without bound does not
+        # finish on this matrix
+        matrix = [
+            [0, 2, 0, -9, 0, -3, 8, 0, 0, 7, 0, 0],
+            [0, -1, 3, 3, 0, 0, -5, 0, 0, 4, 0, 8],
+            [0, 0, 0, 0, 0, 0, -7, 0, 0, 0, 0, 4],
+            [0, -8, 0, 0, 0, 0, 0, 0, -3, 0, 0, 0],
+            [0, 3, 5, 0, 0, 0, 0, 0, 0, -9, 0, -9],
+            [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -3],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4],
+            [-8, 0, -9, 7, 0, -8, 0, 0, 0, 0, 0, 0],
+            [0, 0, -9, 0, 0, 0, 7, 0, 0, -1, 0, 0],
+            [0, 0, 0, -9, 9, 0, 0, 7, -8, 0, 0, 0],
+            [0, 0, -7, 0, 0, 2, 0, 0, 0, 0, 0, 0],
+        ]
+        assert smith_invariant_factors(matrix) == (1,) * 9 + (3, 1304856)
+
     @given(small_matrices())
     def test_matches_determinantal_divisors(self, matrix):
         assert smith_invariant_factors(matrix) == factors_by_minors(matrix)
@@ -272,6 +308,18 @@ class TestSmith:
     @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1], [2, 3]]])
     def test_ragged_matrix_names_its_first_odd_row(self, matrix):
         with pytest.raises(InvalidInput, match="row 1 has"):
+            smith_invariant_factors(matrix)
+
+    @pytest.mark.parametrize("matrix, where", [
+        ([[1.5]], "row 0 column 0 is 1.5,"),
+        ([[0.5, 1], [1, 0]], "row 0 column 0 is 0.5,"),
+        ([[2, 3.0]], "row 0 column 1 is 3.0,"),
+        ([[True, 0]], "row 0 column 0 is True,"),
+        ([["a"]], "row 0 column 0 is 'a',"),
+        ([1, 2], "row 0 is 1, not a list or tuple"),
+    ])
+    def test_entry_that_is_not_an_int_is_named(self, matrix, where):
+        with pytest.raises(InvalidInput, match=re.escape(where)):
             smith_invariant_factors(matrix)
 
 

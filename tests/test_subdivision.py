@@ -11,6 +11,7 @@ from poset_tower import (
     SimplicialMap,
     dist_sq,
     face_poset,
+    iterated_sd_map,
     lift_point,
     mesh_sq_bound,
     sd_coordinates,
@@ -95,6 +96,13 @@ class TestSubdivide:
         K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
         with pytest.raises(InvalidComplex, match=r"'b\{a,b\}'"):
             subdivide(K, 1)
+
+    @pytest.mark.parametrize("make", [triangle, circle])
+    def test_subdividing_a_stage_complex(self, make):
+        # the labels of stage 1 hold braces, so its subdivision labels each
+        # stage in full (the ``_eager`` path)
+        K = make()
+        assert subdivide(subdivide(K, 1).complex, 2).complex == subdivide(K, 3).complex
 
 
 class TestSizeOracle:
@@ -284,3 +292,12 @@ class TestSdMap:
         S1 = circle()
         rot = SimplicialMap(S1, S1, {"0": "1", "1": "2", "2": "0"})
         assert sd_map(rot.compose(rot)) == sd_map(rot).compose(sd_map(rot))
+
+    @pytest.mark.parametrize("make, vertex_map", [
+        (edge, {"a": "b", "b": "a"}),
+        (circle, {"0": "1", "1": "2", "2": "0"}),
+    ], ids=["edge-swap", "circle-rotation"])
+    def test_subdividing_a_subdivided_map(self, make, vertex_map):
+        K = make()
+        g = SimplicialMap(K, K, vertex_map)
+        assert sd_map(sd_map(g)) == iterated_sd_map(g, 2)
