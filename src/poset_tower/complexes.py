@@ -107,15 +107,18 @@ class SimplicialComplex:
     simplices are walked again in canonical order, so the fault reported does
     not depend on hash order.  The private ``_face_closed`` skips the check
     for sets closed by construction: the chains of a strict order (a subchain
-    of a chain is a chain), and a star or link of a valid complex.
+    of a chain is a chain), and a star or link of a valid complex.  The set
+    of vertex tuples that the face check looks up is kept for the support
+    check of ``RationalPoint``; a ``_face_closed`` complex builds it on first
+    use.
     """
 
-    __slots__ = ("vertices", "simplices", "_dim", "_cofaces", "_sorted")
+    __slots__ = ("vertices", "simplices", "_dim", "_cofaces", "_sorted", "_verts")
 
     def __init__(self, vertices: Iterable[str], simplices: Iterable[Simplex]):
         self._store(set(vertices), simplices)
         vset = set(self.vertices)
-        present = {s.verts for s in self.simplices}
+        self._verts = present = {s.verts for s in self.simplices}
         try:
             _check_faces(self.simplices, vset, present)
         except InvalidComplex:
@@ -139,6 +142,7 @@ class SimplicialComplex:
         self._dim = max([len(s.verts) for s in self.simplices], default=0) - 1
         self._cofaces = None
         self._sorted = None
+        self._verts = None
 
     @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -160,6 +164,12 @@ class SimplicialComplex:
 
     def has_vertex(self, v: str) -> bool:
         return Simplex((v,)) in self.simplices
+
+    def _vertex_tuples(self) -> set:
+        """The vertex tuples of every simplex, built on first use and kept."""
+        if self._verts is None:
+            self._verts = {s.verts for s in self.simplices}
+        return self._verts
 
     def cofaces(self, simplex: Simplex) -> tuple:
         """The simplices strictly containing ``simplex``, in canonical order.
@@ -294,9 +304,8 @@ class RationalPoint:
             clean = {v: a // g for v, a in clean.items()}
         if D < 1 or sum(clean.values()) != D:
             raise InvalidPoint("coordinates must sum to exactly 1")
-        supp = Simplex(clean.keys())
-        if supp not in complex.simplices:
-            raise InvalidPoint(f"support {supp.label()} is not a simplex of the complex")
+        if tuple(sorted(clean)) not in complex._vertex_tuples():
+            raise InvalidPoint(f"support {Simplex(clean).label()} is not a simplex of the complex")
         self.complex = complex
         self._denominator = D
         self._numerators = clean

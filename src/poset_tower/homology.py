@@ -54,6 +54,12 @@ v, b) reads s_u·a + s_v·b = 0.
 
 ``betti`` reads the top degree this way whenever no face has three cofaces
 and degree 1 always, and runs the sparse elimination for every other degree.
+
+``betti`` ranks each degree's simplices in the iteration order of
+``K.simplices``, unsorted.  Invariant factors do not depend on the order of
+rows and columns, so its elimination path follows the hash seed and its
+result does not.  Only ``chain_complex``, whose dense matrices are public,
+sorts each degree into canonical order.
 """
 
 from __future__ import annotations
@@ -81,8 +87,14 @@ class ChainComplexZ(_Record):
         d["boundaries"] = boundaries
 
     def is_valid(self) -> bool:
-        """Check that consecutive boundary matrices compose to zero."""
+        """Check that consecutive boundary matrices compose to zero; raises
+        ``InvalidInput`` for a degree whose row count is not the column count
+        of the degree below."""
         columns = [_columns(b) for b in self.boundaries]
+        for k, (a_cols, b) in enumerate(zip(columns, self.boundaries[1:]), start=2):
+            if len(b) != len(a_cols):
+                raise InvalidInput(f"degree {k} boundary matrix has {len(b)} rows, "
+                                   f"degree {k - 1} has {len(a_cols)} columns")
         for a_cols, b_cols in zip(columns, columns[1:]):
             for col in b_cols:
                 total = {}
@@ -117,12 +129,11 @@ class BettiProfile(_Record):
 
 
 def _simplices_by_dim(K: SimplicialComplex) -> list:
-    """The vertex tuples of K's simplices, one list per dimension, in canonical order."""
+    """The vertex tuples of K's simplices, one list per dimension, in the
+    iteration order of ``K.simplices``; ``chain_complex`` sorts them."""
     levels = [[] for _ in range(K.dim + 1)]
     for s in K.simplices:
         levels[len(s.verts) - 1].append(s.verts)
-    for level in levels:
-        level.sort()
     return levels
 
 
@@ -147,9 +158,11 @@ def _boundary_columns(levels: list, k: int, faces: tuple, skip=frozenset()) -> l
 
 
 def _columns(matrix) -> list:
-    """The columns of a dense matrix as ``{row_index: entry}`` dicts; every row
-    must be a list or tuple of row 0's length, and every entry an ``int``
-    that is not a ``bool``."""
+    """The columns of a dense matrix as ``{row_index: entry}`` dicts; the
+    matrix must be a list or tuple of rows, every row a list or tuple of row
+    0's length, and every entry an ``int`` that is not a ``bool``."""
+    if not isinstance(matrix, (list, tuple)):
+        raise InvalidInput(f"a matrix must be a list or tuple of rows, not {type(matrix).__name__}")
     cols = []
     for i, row in enumerate(matrix):
         if not isinstance(row, (list, tuple)):
@@ -168,8 +181,11 @@ def _columns(matrix) -> list:
 
 
 def chain_complex(K: SimplicialComplex) -> ChainComplexZ:
-    """Boundary matrices with signs from the canonical vertex order."""
+    """Boundary matrices with signs from the canonical vertex order, rows and
+    columns in canonical order."""
     levels = _simplices_by_dim(K)
+    for level in levels:
+        level.sort()
     dims = tuple(len(level) for level in levels)
     boundaries = []
     for k in range(1, len(levels)):

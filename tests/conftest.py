@@ -363,6 +363,18 @@ def open_families_sampled(cx: SimplicialComplex, count: int, seed: int):
 
 
 @pytest.fixture
+def built_simplices(monkeypatch):
+    """The vertex tuples of every ``Simplex`` built while the test runs."""
+    calls = []
+    of_sorted, init = Simplex._of_sorted.__func__, Simplex.__init__
+    monkeypatch.setattr(Simplex, "_of_sorted", classmethod(
+        lambda cls, verts: calls.append(verts) or of_sorted(cls, verts)))
+    monkeypatch.setattr(Simplex, "__init__",
+                        lambda s, verts: calls.append(verts) or init(s, verts))
+    return calls
+
+
+@pytest.fixture
 def E():
     return edge()
 

@@ -29,7 +29,7 @@ from poset_tower.errors import (
     SimplexNotInComplex,
     UnknownVertex,
 )
-from poset_tower.subdivision import _numerators, subdivide
+from poset_tower.subdivision import _numerators, lift_point, subdivide
 from poset_tower.verify import sample_points
 
 from conftest import COMPLEXES, is_complex, is_face_of, small_complexes
@@ -211,6 +211,43 @@ class TestSupport:
     def test_support_must_be_simplex(self, S1):
         with pytest.raises(InvalidPoint):
             RationalPoint(S1, {v: Fraction(1, 3) for v in "012"})
+
+
+class TestSupportCheck:
+    """A point's support is looked up as a sorted vertex tuple in its
+    complex's set of vertex tuples; a ``Simplex`` is built only to name a
+    support that is not in the complex."""
+
+    @pytest.mark.parametrize("name", sorted(COMPLEXES))
+    def test_vertex_tuples_are_the_simplices(self, name):
+        for n in range(3):
+            K = subdivide(COMPLEXES[name](), n).complex
+            assert K._vertex_tuples() == {s.verts for s in K.simplices}
+
+    @pytest.mark.parametrize("stage, numerators, label", [
+        (0, {"0": 1, "1": 1, "2": 1}, "{0,1,2}"),
+        (0, {"2": 1, "z": 1}, "{2,z}"),
+        (1, {"1": 1, "0": 1}, "{0,1}"),
+        (1, {"b{1,2}": 2, "b{0,1}": 1}, "{b{0,1},b{1,2}}"),
+    ])
+    def test_off_complex_support_is_named(self, S1, stage, numerators, label):
+        K = subdivide(S1, stage).complex
+        D = sum(numerators.values())
+        for make in (lambda: RationalPoint._from_numerators(K, D, numerators),
+                     lambda: RationalPoint(K, {v: Fraction(a, D) for v, a in numerators.items()})):
+            with pytest.raises(InvalidPoint) as exc:
+                make()
+            assert str(exc.value) == f"support {label} is not a simplex of the complex"
+
+    def test_passing_points_build_no_simplex(self, TRI, built_simplices):
+        stage = subdivide(TRI, 3)
+        stage.complex.sorted_simplices()
+        del built_simplices[:]
+        points = sample_points(TRI, 200, 0)
+        lifted = [lift_point(stage, p) for p in points]
+        assert built_simplices == []
+        assert all(p.complex is TRI for p in points)
+        assert all(q.complex is stage.complex for q in lifted)
 
 
 class TestStarLink:

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -167,8 +168,8 @@ def triangles_on_an_edge():
 
 
 def rp2_with_a_fin():
-    """RP^2 with a triangle glued on the edge {0, 1}; the fin sorts first of
-    the edge's three cofaces."""
+    """RP^2 with a triangle glued on the edge {0, 1}, which then has three
+    cofaces."""
     return SimplicialComplex.from_maximal(
         [list(s.verts) for s in projective_plane().simplices] + [["0", "1", "1a"]])
 
@@ -220,6 +221,18 @@ class TestChainComplex:
         top[0][0] = -top[0][0]
         broken = ChainComplexZ(cc.dims, (cc.boundaries[0], tuple(map(tuple, top))))
         assert not broken.is_valid()
+
+    @pytest.mark.parametrize("dims, boundaries, message", [
+        ((1, 1, 1), (((1,),), ((1,), (1,))),
+         "degree 2 boundary matrix has 2 rows, degree 1 has 1 columns"),
+        # degrees 1 and 2 chain but do not compose to zero; the shapes are
+        # checked before any product is formed
+        ((2, 1, 1, 1), (((1,), (1,)), ((1,),), ((1,), (1,))),
+         "degree 3 boundary matrix has 2 rows, degree 2 has 1 columns"),
+    ])
+    def test_matrices_that_do_not_chain_name_the_degree(self, dims, boundaries, message):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            ChainComplexZ(dims, boundaries).is_valid()
 
 
 def integer_matrices(size, bound):
@@ -304,6 +317,7 @@ class TestSmith:
 
     def test_empty_matrix(self):
         assert smith_invariant_factors(()) == ()
+        assert smith_invariant_factors([]) == ()
 
     @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1], [2, 3]]])
     def test_ragged_matrix_names_its_first_odd_row(self, matrix):
@@ -317,6 +331,8 @@ class TestSmith:
         ([[True, 0]], "row 0 column 0 is True,"),
         ([["a"]], "row 0 column 0 is 'a',"),
         ([1, 2], "row 0 is 1, not a list or tuple"),
+        (5, "a matrix must be a list or tuple of rows, not int"),
+        (iter([[1]]), "a matrix must be a list or tuple of rows, not list_iterator"),
     ])
     def test_entry_that_is_not_an_int_is_named(self, matrix, where):
         with pytest.raises(InvalidInput, match=re.escape(where)):
@@ -431,6 +447,32 @@ class TestBettiOracle:
     def test_fixed_cases(self, make, betti_numbers, torsion):
         K = make()
         assert betti(K) == betti_by_smith(K) == BettiProfile(betti_numbers, torsion)
+
+    @pytest.mark.parametrize("make", [
+        lambda: subdivide(rp2_with_a_fin(), 1).complex,
+        two_skeleton_of_4_simplex,
+        lambda: grid_surface(twist=True),
+        three_sphere,
+    ], ids=["sd-rp2-with-a-fin", "2-skeleton-of-4-simplex", "klein-bottle", "s3"])
+    def test_independent_of_simplex_order(self, monkeypatch, make):
+        """``betti`` ranks simplices in set order; shuffling each degree
+        changes its elimination path but not its profile."""
+        K = make()
+        expected = betti(K)
+        assert expected == betti_by_smith(K)
+        by_dim = homology._simplices_by_dim
+        rng = random.Random()
+
+        def shuffled(K):
+            levels = by_dim(K)
+            for level in levels:
+                rng.shuffle(level)
+            return levels
+
+        monkeypatch.setattr(homology, "_simplices_by_dim", shuffled)
+        for seed in range(30):
+            rng.seed(seed)
+            assert betti(K) == expected, seed
 
     @pytest.mark.parametrize("make, eliminated", [
         (lambda: subdivide(projective_plane(), 1).complex, False),

@@ -379,19 +379,9 @@ class TestLazyLabels:
                             lambda verts: labels.append(label(verts)) or labels[-1])
         return labels
 
-    @pytest.fixture
-    def simplices(self, monkeypatch):
-        calls = []
-        of_sorted, init = Simplex._of_sorted.__func__, Simplex.__init__
-        monkeypatch.setattr(Simplex, "_of_sorted", classmethod(
-            lambda cls, verts: calls.append(verts) or of_sorted(cls, verts)))
-        monkeypatch.setattr(Simplex, "__init__",
-                            lambda s, verts: calls.append(verts) or init(s, verts))
-        return calls
-
-    def test_build_renders_no_label_and_builds_no_simplex(self, TRI, rendered, simplices):
+    def test_build_renders_no_label_and_builds_no_simplex(self, TRI, rendered, built_simplices):
         tower = Tower.build(TRI, 6)
-        assert rendered == [] and simplices == []
+        assert rendered == [] and built_simplices == []
         assert all(stage._names is None and stage._ids == {} for stage in tower._stages)
         assert len(tower.level(6)._stage._simplices) == 23425
 
@@ -423,11 +413,11 @@ class TestLazyLabels:
         assert tower.bond(y, 4, 4) == y and y in tower.level(4) and "nope" not in tower.level(4)
         assert rendered == [] and sorted(labelled) == [0, 1, 2, 3]
 
-    def test_order_builds_no_carrier_table(self, TRI, simplices):
+    def test_order_builds_no_carrier_table(self, TRI, built_simplices):
         tower = Tower.build(TRI, 4)
         for level in tower.levels:
             assert len(level.poset) == len(level.elements)
-        assert simplices == []
+        assert built_simplices == []
         assert all("_barycenters" not in level._stage.__dict__ for level in tower.levels)
         assert tower.level(4).carrier is tower.stage(3)._barycenters
 
