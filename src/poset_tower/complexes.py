@@ -278,7 +278,11 @@ class RationalPoint:
     __slots__ = ("complex", "_denominator", "_numerators", "_coords")
 
     def __init__(self, complex: SimplicialComplex, coords: Mapping[str, Fraction]):
-        exact = {v: a if type(a) is Fraction else _rational(v, a) for v, a in coords.items()}
+        exact = {}
+        for v, a in coords.items():
+            if not isinstance(v, str):
+                raise InvalidPoint(f"coordinate key {v!r} is not a vertex name")
+            exact[v] = a if type(a) is Fraction else _rational(v, a)
         D = lcm(*[a.denominator for a in exact.values()])
         self._store(complex, D, {v: a.numerator * (D // a.denominator) for v, a in exact.items()})
 

@@ -44,6 +44,14 @@ class SubdividedComplex:
     with the largest carrier and the tower's one-step bond, is its last id.
     ``previous`` links back to the prior stage (None at stage 0).
 
+    Ids 0..V-1 of every stage are the V base vertices in canonical order
+    (stage 0 lists its vertices first, and ``posets._chains`` lists each
+    chain ``(x,)`` before any longer one).  A vertex is its own barycenter,
+    so these ids keep their base names and embeddings, and only ids past
+    them read the stage below.  A 0-dimensional base has no other id; a base
+    with an edge has over 2**(n+1) simplices at stage n, so reads that
+    recurse one stage down per step stay a few dozen stages deep.
+
     Labels only name vertices.  A barycenter's label is rendered on first
     use and kept (``_name``); ``_barycenter_id`` turns a label back into an
     id, labelling the whole stage on its first miss.  ``provenance`` maps
@@ -70,11 +78,11 @@ class SubdividedComplex:
         if previous is None:
             self._base_ids = _base_ids(base)
             self._eager = "" in base.vertices or not _ATOM.isdisjoint("".join(base.vertices))
-            self._embed: dict[int, dict] = {i: {v: 1} for i, v in enumerate(base.vertices)}
         else:
             self._base_ids = previous._base_ids
             self._eager = previous._eager
-            self._embed = {}
+        self._base_count = len(base.vertices)
+        self._embed: dict[int, dict] = {}
         # L = lcm(1, ..., dim K + 1): every carrier has at most dim K + 1
         # members, so each carrier mean scales numerators by an integer L/|members|
         # and a stage-n embedding has integer numerators over L**n.
@@ -112,39 +120,35 @@ class SubdividedComplex:
     def _labels(self) -> list:
         """Every barycenter label of this stage, by simplex id, built once.
 
-        The unlabelled stages below are labelled first, from the lowest up, so
-        that no read recurses through a deep chain of stages.
+        The first V are the base vertices' names; only the ids past them are
+        rendered, from the previous stage's labels, so a stage with no
+        simplex past the base vertices reads no stage below.
         """
-        pending = []
-        stage = self.previous
-        while stage is not None and "_labels" not in stage.__dict__:
-            pending.append(stage)
-            stage = stage.previous
-        for stage in reversed(pending):
-            stage._labels
         if self._eager:
             names = list(self._barycenters)
         else:
-            names = list(map(_barycenter_label, _sorted_labels(self._simplices, self._vertex_names())))
+            V = self._base_count
+            names = list(self.base.vertices)
+            if len(self._simplices) > V:
+                names += map(_barycenter_label, _sorted_labels(self._simplices[V:], self._vertex_names()))
         self._names = names
         return names
 
     def _name(self, i: int) -> str:
         """The label of the barycenter of simplex i, rendered on first use and kept.
 
-        A label is rendered from its members' labels, each rendered the same
-        way one stage down; from stage ``_DEEP`` up, the whole stage is
-        labelled instead (``_labels``, from stage 0 up), so that no call
-        recurses through a deep chain of stages.
+        Below V it is a base vertex's name; past it, it is rendered from its
+        members' labels, each read the same way one stage down.
         """
         names = self._names
         if names is not None and names[i] is not None:
             return names[i]
-        if self._eager or self.stage >= _DEEP:
+        if self._eager:
             return self._labels[i]
         if names is None:
             names = self._names = [None] * len(self._simplices)
-        label = names[i] = _barycenter_label(self._carrier_verts(i))
+        label = names[i] = (self.base.vertices[i] if i < self._base_count
+                            else _barycenter_label(self._carrier_verts(i)))
         self._ids[label] = i
         return label
 
@@ -223,22 +227,14 @@ class SubdividedComplex:
         return RationalPoint._from_numerators(self.base, self._denominator, self._embed_numerators(v))
 
     def _embed_numerators(self, v: int) -> dict:
-        """``embed_vertex`` of vertex v as ``{base vertex: numerator}`` over L**n, cached."""
+        """``embed_vertex`` of vertex v as ``{base vertex: numerator}`` over L**n, cached past V."""
+        if v < self._base_count:
+            return {self.base.vertices[v]: self._denominator}
         cached = self._embed.get(v)
-        if cached is not None:
-            return cached
-        # fill missing embeddings below from a stack; recursing per stage overflows a deep chain
-        pending = [(self, v)]
-        while pending:
-            stage, u = pending[-1]
-            prev = stage.previous
-            missing = [(prev, w) for w in prev._simplices[u] if w not in prev._embed]
-            if missing:
-                pending += missing
-            else:
-                pending.pop()
-                stage._embed[u] = prev._barycenter_numerators(prev._simplices[u])
-        return self._embed[v]
+        if cached is None:
+            prev = self.previous
+            cached = self._embed[v] = prev._barycenter_numerators(prev._simplices[v])
+        return cached
 
     def _barycenter_numerators(self, members) -> dict:
         """The stage-0 point of the barycenter of these stage-n vertices, over L**(n+1)."""
@@ -294,11 +290,6 @@ def _sorted_labels(simplices, names):
         else:
             yield tuple(sorted([names[v] for v in s]))
 
-
-# the stage from which a label is rendered by labelling the whole stage,
-# from stage 0 up, rather than by recursing one stage down per level;
-# only a complex with very few simplices has this many stages
-_DEEP = 100
 
 # characters that keep a vertex name from reading as one atom inside a label
 _ATOM = frozenset("{},")

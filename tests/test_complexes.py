@@ -212,6 +212,15 @@ class TestSupport:
         with pytest.raises(InvalidPoint):
             RationalPoint(S1, {v: Fraction(1, 3) for v in "012"})
 
+    @pytest.mark.parametrize("coords, key", [
+        ({1: 1}, "1"),
+        ({"0": "1/2", 2: "1/2"}, "2"),
+    ])
+    def test_key_that_is_not_a_string_is_named(self, TRI, coords, key):
+        with pytest.raises(InvalidPoint) as exc:
+            RationalPoint(TRI, coords)
+        assert str(exc.value) == f"coordinate key {key} is not a vertex name"
+
 
 class TestSupportCheck:
     """A point's support is looked up as a sorted vertex tuple in its

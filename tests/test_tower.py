@@ -400,7 +400,10 @@ class TestLazyLabels:
             del rendered[:]
 
     def test_a_missed_label_labels_its_stage_once(self, labelled, TRI, rendered):
-        """A label not rendered yet is found by labelling its stage, and only once."""
+        """A label not rendered yet is found by labelling its stage, and only once.
+
+        Ids below V keep their base names, so only the ids past them are rendered.
+        """
         p = RationalPoint(TRI, {"0": frac(1, 7), "1": frac(2, 7), "2": frac(4, 7)})
         x = Tower.build(TRI, 4).encode_thread(p, 4).entries[-1]
         y = stage_vertex_label(max(Tower.build(TRI, 4).level(4).carrier.values()))
@@ -408,7 +411,8 @@ class TestLazyLabels:
         del labelled[:], rendered[:]
         assert tower.bond(x, 4, 4) == x
         assert sorted(labelled) == [0, 1, 2, 3]
-        assert len(rendered) == sum(len(tower.stage(k)._simplices) for k in range(4))
+        V = len(TRI.vertices)
+        assert len(rendered) == sum(len(tower.stage(k)._simplices) - V for k in range(4))
         del rendered[:]
         assert tower.bond(y, 4, 4) == y and y in tower.level(4) and "nope" not in tower.level(4)
         assert rendered == [] and sorted(labelled) == [0, 1, 2, 3]
@@ -518,6 +522,76 @@ for build in (Tower.build, subdivide):
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == [
             "InvalidComplex stage vertex label 'b{a,b}' names both {b{a,b}} and {a,b}"] * 2
+
+
+class TestBaseVertexIds:
+    """Ids 0..V-1 of every stage are the base vertices, with their names and embeddings."""
+
+    POINTS = SimplicialComplex.from_maximal([["p"], ["q"], ["r"]])
+
+    @staticmethod
+    def check(K, depth=3):
+        V = len(K.vertices)
+        for stage in subdivision.subdivide(K, depth).stage_chain():
+            assert stage._simplices[:V] == [(i,) for i in range(V)]
+            assert stage._labels[:V] == list(K.vertices)
+            assert all(stage.embed_vertex(v) == RationalPoint.vertex(K, v) for v in K.vertices)
+        tower = Tower.build(K, depth + 1)
+        for k in range(depth + 1):
+            assert [tower.stage(k)._name(i) for i in range(V)] == list(K.vertices)
+
+    @pytest.mark.parametrize("K", [*(COMPLEXES[name]() for name in sorted(COMPLEXES)),
+                                   TestNamesWithBraces.ATOM, POINTS],
+                             ids=[*sorted(COMPLEXES), "atom", "disjoint-points"])
+    def test_fixtures(self, K):
+        self.check(K)
+
+    @given(small_complexes())
+    @settings(max_examples=20)
+    def test_small_complexes(self, K):
+        self.check(K)
+
+    SHALLOW = """
+import sys
+from fractions import Fraction
+from poset_tower import RationalPoint, Tower
+from poset_tower.fixtures import edge, triangle
+runs = []
+for K, depth in ((edge(), 12), (triangle(), 5)):
+    total = len(K.vertices) * (len(K.vertices) + 1) // 2
+    p = RationalPoint(K, {v: Fraction(i + 1, total) for i, v in enumerate(K.vertices)})
+    tower = Tower.build(K, depth)
+    tower.stage(depth)
+    runs.append((tower, p, depth))
+if int(sys.argv[1]):
+    sys.setrecursionlimit(int(sys.argv[1]))
+for tower, p, depth in runs:
+    region = tower.decode_thread(tower.encode_thread(p, depth))
+    print([sorted(s) for s in region.chain], region.representative, region.err_sq_bound)
+    top = tower.stage(depth)
+    last = top.previous._name(len(top.previous._simplices) - 1)
+    print(last, top.embed_vertex(last))
+    elements = tower.level(depth).elements
+    print(len(elements), elements[0], elements[-1])
+"""
+
+    def test_reads_of_fresh_towers_stay_shallow(self):
+        """Past a 0-dimensional base, recursion through stages is bounded by their size.
+
+        Fresh towers on the edge at depth 12 and the triangle at depth 5 are
+        decoded, embedded and read under a recursion limit of 120, with the
+        output they give at the default limit.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        outputs = []
+        for limit in ("0", "120"):
+            result = subprocess.run([sys.executable, "-c", self.SHALLOW, limit], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 6
 
 
 class TestNoCofaceIndex:
