@@ -124,17 +124,24 @@ def sd_map(g: SimplicialMap,
         source_stage = subdivide(g.source, 1)
     if target_stage is None:
         target_stage = subdivide(g.target, 1)
-    return SimplicialMap(source_stage.complex, target_stage.complex,
-                         _image_barycenters(g.vertex_map, source_stage.provenance))
+    if (source_stage.previous is None or target_stage.previous is None
+            or source_stage.previous.complex != g.source
+            or target_stage.previous.complex != g.target):
+        raise ValueError("stages do not match the map's endpoints")
+    assignment = next(_subdivided(g.vertex_map, [source_stage.provenance]))
+    return SimplicialMap(source_stage.complex, target_stage.complex, assignment)
 
 
-def _image_barycenters(vertex_map: Mapping[str, str], carrier: dict) -> dict:
-    """Each label of a carrier table mapped to the barycenter label of its carrier's image.
+def _subdivided(vertex_map: Mapping[str, str], carriers):
+    """Yield the vertex map subdivided once per carrier table, in turn.
 
-    This is the subdivided vertex map: a barycenter goes to the image barycenter.
+    A label goes to the barycenter label of its carrier's image, and stage
+    k's provenance is the same dict as level k's carrier.
     """
-    return {lab: _barycenter_label(sorted({vertex_map[v] for v in s.verts}))
-            for lab, s in carrier.items()}
+    for carrier in carriers:
+        vertex_map = {lab: _barycenter_label(sorted({vertex_map[v] for v in s.verts}))
+                      for lab, s in carrier.items()}
+        yield vertex_map
 
 
 def iterated_sd_map(g: SimplicialMap, n: int,
@@ -142,21 +149,16 @@ def iterated_sd_map(g: SimplicialMap, n: int,
                     target_tower: Tower | None = None) -> SimplicialMap:
     """The n-fold subdivision of g, reusing tower stages when provided.
 
-    Stage k's provenance is a carrier table, so walking stages 1..n with the
-    image-barycenter step gives the n-fold subdivision, as in
-    ``induce_level_map``.  A subdivided simplicial map is simplicial, so only
-    g itself is checked.
+    A subdivided simplicial map is simplicial, so only g itself is checked.
     """
     require_simplicial(g)
     if n < 1:
         return g
-    sources = (source_tower.stage(n) if source_tower is not None
-               else subdivide(g.source, n)).stage_chain()[1:]
+    source = source_tower.stage(n) if source_tower is not None else subdivide(g.source, n)
     target = target_tower.stage(n) if target_tower is not None else subdivide(g.target, n)
-    assignment = g.vertex_map
-    for stage in sources:
-        assignment = _image_barycenters(assignment, stage.provenance)
-    return SimplicialMap(sources[-1].complex, target.complex, assignment)
+    *_, assignment = _subdivided(g.vertex_map,
+                                 (stage.provenance for stage in source.stage_chain()[1:]))
+    return SimplicialMap(source.complex, target.complex, assignment)
 
 
 class PLMap:
@@ -345,46 +347,32 @@ def homotopy_sample_points(cx: SimplicialComplex):
     return samples
 
 
-def induce_level_map(g: SimplicialMap, n: int,
-                     source_tower: Tower, target_tower: Tower) -> PosetMap:
-    """The level-n poset map: a carrier goes to its image carrier's barycenter.
+def _level_assignments(g: SimplicialMap, n: int,
+                       source_tower: Tower, target_tower: Tower):
+    """g's level vertex maps on levels 1..n, after checking g, the endpoints and n, in that order.
 
-    Level k's carriers are stage k's provenance, so walking levels 1..n with
-    the image-barycenter step gives the n-fold subdivision of g on level n.
     A subdivided simplicial map is simplicial, so only g itself is checked.
     """
     require_simplicial(g)
     if g.source != source_tower.base or g.target != target_tower.base:
         raise ValueError("towers do not match the map's endpoints")
-    src_level = source_tower.level(n)
-    dst_level = target_tower.level(n)
-    assignment = g.vertex_map
-    for level in source_tower.levels[:n]:
-        assignment = _image_barycenters(assignment, level.carrier)
-    return PosetMap(src_level.poset, dst_level.poset, assignment)
+    source_tower.level(n)
+    target_tower.level(n)
+    return _subdivided(g.vertex_map, (level.carrier for level in source_tower.levels[:n]))
+
+
+def induce_level_map(g: SimplicialMap, n: int,
+                     source_tower: Tower, target_tower: Tower) -> PosetMap:
+    """The level-n poset map: the n-fold subdivision of g on level n's elements."""
+    *_, assignment = _level_assignments(g, n, source_tower, target_tower)
+    return PosetMap(source_tower.level(n).poset, target_tower.level(n).poset, assignment)
 
 
 def check_naturality(g: SimplicialMap, n: int,
                      samples: Sequence[RationalPoint],
                      source_tower: Tower, target_tower: Tower) -> bool:
-    """Projection-square and bond-square tests for the induced level maps."""
-    level_map = induce_level_map(g, n, source_tower, target_tower)
-    for x in samples:
-        via_target = target_tower.project_point(g.apply_point(x), n)
-        via_source = level_map(source_tower.project_point(x, n))
-        if via_target != via_source:
-            return False
-    return n < 2 or _bond_square_commutes(
-        level_map, induce_level_map(g, n - 1, source_tower, target_tower),
-        n, source_tower, target_tower)
-
-
-def _bond_square_commutes(gn: PosetMap, gprev: PosetMap, n: int,
-                          source_tower: Tower, target_tower: Tower) -> bool:
-    """Whether bonding level n to n-1 commutes with the level maps gn and gprev."""
-    return all(
-        target_tower.bond(gn(e), n, n - 1) == gprev(source_tower.bond(e, n, n - 1))
-        for e in source_tower.level(n).elements)
+    """Projection-square tests of the samples and bond-square tests on every level 1..n."""
+    return SystemMorphism._up_to(g, n, source_tower, target_tower)._commutes(samples)
 
 
 class SystemMorphism:
@@ -402,10 +390,17 @@ class SystemMorphism:
     @classmethod
     def build(cls, g: SimplicialMap, source_tower: Tower,
               target_tower: Tower) -> "SystemMorphism":
-        depth = min(source_tower.depth, target_tower.depth)
-        levels = [induce_level_map(g, n, source_tower, target_tower)
-                  for n in range(1, depth + 1)]
-        return cls(g, source_tower, target_tower, levels)
+        return cls._up_to(g, min(source_tower.depth, target_tower.depth),
+                          source_tower, target_tower)
+
+    @classmethod
+    def _up_to(cls, g: SimplicialMap, n: int,
+               source_tower: Tower, target_tower: Tower) -> "SystemMorphism":
+        """The morphism on levels 1..n, from one walk that reads each carrier table once."""
+        walk = _level_assignments(g, n, source_tower, target_tower)
+        return cls(g, source_tower, target_tower,
+                   [PosetMap(src.poset, dst.poset, assignment) for src, dst, assignment
+                    in zip(source_tower.levels, target_tower.levels, walk)])
 
     @property
     def depth(self) -> int:
@@ -415,11 +410,19 @@ class SystemMorphism:
         return self.levels[n - 1]
 
     def validate(self) -> bool:
-        """Order preservation of every level plus the bond intertwining square."""
-        return (all(m.is_order_preserving() for m in self.levels)
-                and all(_bond_square_commutes(self.level(n), self.level(n - 1), n,
-                                              self.source_tower, self.target_tower)
-                        for n in range(2, self.depth + 1)))
+        """Order preservation of every level plus the bond intertwining squares."""
+        return all(m.is_order_preserving() for m in self.levels) and self._commutes()
+
+    def _commutes(self, samples: Sequence[RationalPoint] = ()) -> bool:
+        """The projection squares of the samples, each projected once, and the bond squares."""
+        source, target, levels, depth = self.source_tower, self.target_tower, self.levels, self.depth
+        squares = all(gn(x) == y
+                      for p in samples
+                      for gn, x, y in zip(levels, source._projections(p, depth),
+                                          target._projections(self.g.apply_point(p), depth)))
+        return squares and all(target.bond(gn(x), n, n - 1) == below(source.bond(x, n, n - 1))
+                               for n, gn, below in zip(range(2, depth + 1), levels[1:], levels)
+                               for x in source.level(n).elements)
 
 
 def limit_map(m: SystemMorphism, t: ThreadPrefix) -> ThreadPrefix:

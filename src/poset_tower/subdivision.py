@@ -15,7 +15,7 @@ from math import lcm
 from operator import itemgetter
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
-from .errors import ElementNotFound, InvalidComplex
+from .errors import ElementNotFound, InvalidComplex, InvalidInput
 from .posets import _chains
 
 
@@ -174,8 +174,10 @@ class SubdividedComplex:
         A label already rendered is found in the memo; on a miss the whole
         stage is labelled once (``_label_ids``) and the lookup is final.
         """
+        if not isinstance(label, str):
+            return None
         i = self._ids.get(label)
-        if i is not None or not isinstance(label, str):
+        if i is not None:
             return i
         return self._label_ids().get(label)
 
@@ -192,6 +194,8 @@ class SubdividedComplex:
 
     def _vertex_id(self, label) -> int:
         """The id of the vertex of this stage with this label; ``ElementNotFound`` if none."""
+        if not isinstance(label, str):
+            raise ElementNotFound(repr(label))
         v = self._base_ids.get(label) if self.previous is None else self.previous._barycenter_id(label)
         if v is None:
             raise ElementNotFound(repr(label))
@@ -409,12 +413,19 @@ def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
 
 def subdivide(K: SimplicialComplex, n: int) -> SubdividedComplex:
     """The n-th barycentric subdivision with the full provenance chain."""
+    _require_int(n, "subdivision stage")
     if n < 0:
         raise ValueError("subdivision stage must be >= 0")
     get = _base_ids(K).__getitem__
     simplices = sorted([tuple(map(get, s.verts)) for s in K.simplices])
     simplices.sort(key=len)
     return extend_subdivision(SubdividedComplex(K, 0, simplices, None), n)
+
+
+def _require_int(value, what: str) -> None:
+    """Raise ``InvalidInput`` naming value unless it is an ``int`` and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{what} must be an integer, not {value!r}")
 
 
 def extend_subdivision(stage: SubdividedComplex, n: int) -> SubdividedComplex:
@@ -495,6 +506,7 @@ def mesh_sq_bound(K: SimplicialComplex, n: int) -> Fraction:
     barycentric coordinates, and each subdivision of a d-complex contracts
     diameters by d/(d+1).
     """
+    _require_int(n, "stage")
     if n < 0:
         raise ValueError("stage must be >= 0")
     return _mesh_sq(K.dim, n)

@@ -30,6 +30,7 @@ from .subdivision import (
     _barycenter_label,
     _face_table,
     _numerators,
+    _require_int,
     _sd_step,
     _set_members,
     extend_subdivision,
@@ -84,6 +85,7 @@ class TowerLevel:
 
 def build_level(K: SimplicialComplex, n: int) -> TowerLevel:
     """Standalone level construction; subdivides the base up to stage n-1."""
+    _require_int(n, "level")
     if n < 1:
         raise LevelOutOfRange("levels start at 1")
     return TowerLevel(n, subdivide(K, n - 1))
@@ -160,12 +162,14 @@ class Tower:
 
     @classmethod
     def build(cls, K: SimplicialComplex, depth: int) -> "Tower":
+        _require_int(depth, "tower depth")
         if depth < 1:
             raise LevelOutOfRange("tower depth must be >= 1")
         return cls(K, 0, [subdivide(K, 0)], []).deepened(depth)
 
     def deepened(self, depth: int) -> "Tower":
         """A deeper tower sharing this one's stage chain."""
+        _require_int(depth, "tower depth")
         if depth <= self.depth:
             return self
         stages = extend_subdivision(self._stages[-1], depth - 1).stage_chain()
@@ -286,6 +290,9 @@ class Tower:
 
     def thread(self, entries: Sequence[str]) -> ThreadPrefix:
         """Build a thread from raw labels, accepting carrier-set notation too."""
+        if not isinstance(entries, (list, tuple)):
+            raise InvalidInput(
+                f"thread entries must be a list or tuple, not {type(entries).__name__}")
         if not entries:
             raise IncoherentThread("a thread needs at least one entry")
         if len(entries) > self.depth:
@@ -391,6 +398,8 @@ class Tower:
             name = self.levels[n - 1]._stage._name
         out = set()
         for s in opens:
+            if not isinstance(s, Simplex):
+                raise SimplexNotInComplex(repr(s))
             if s not in simplices:
                 raise SimplexNotInComplex(s.label())
             if m == n - 1:

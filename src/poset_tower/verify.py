@@ -12,7 +12,7 @@ import json
 import random
 from typing import Callable
 
-from .approx import SimplicialMap, SystemMorphism, _bond_square_commutes
+from .approx import SimplicialMap, SystemMorphism
 from .complexes import (
     RationalPoint,
     SimplicialComplex,
@@ -237,8 +237,8 @@ def _suite_homology(tower, points):
 
 
 def _suite_naturality(tower, points):
-    """Each point is mapped once; the projections of x and g(x) are compared level by level."""
-    K, depth = tower.base, tower.depth
+    """The projection and bond squares of the identity and a constant map, and their order."""
+    K = tower.base
     maps = [
         ("identity", SimplicialMap.identity(K)),
         ("constant", SimplicialMap.constant(K, K, K.vertices[0])),
@@ -246,15 +246,9 @@ def _suite_naturality(tower, points):
     checks = []
     for name, g in maps:
         m = SystemMorphism.build(g, tower, tower)
-        ok = all(
-            gn(x) == y
-            for p in points
-            for gn, x, y in zip(m.levels, tower._projections(p, depth),
-                                tower._projections(g.apply_point(p), depth))
-        ) and all(_bond_square_commutes(m.level(n), m.level(n - 1), n, tower, tower)
-                  for n in range(2, depth + 1))
         ok_order = all(level_map.is_order_preserving() for level_map in m.levels)
-        checks.append(Check(f"{name}-naturality", ok, f"{len(points)} sampled points"))
+        checks.append(Check(f"{name}-naturality", m._commutes(points),
+                            f"{len(points)} sampled points"))
         checks.append(Check(f"{name}-level-maps-order-preserving", ok_order))
     return checks
 

@@ -15,6 +15,7 @@ from poset_tower import (
     SimplicialMap,
     SystemMorphism,
     Tower,
+    TowerLevel,
     approximate,
     carrier_homotopy_check,
     check_naturality,
@@ -36,9 +37,16 @@ from poset_tower.errors import (
 )
 from poset_tower import approx
 from poset_tower.subdivision import _numerators, embed_point, lift_point, sd_coordinates
-from poset_tower.verify import sample_points
+from poset_tower.verify import sample_points, verify_suite
 
-from conftest import cached_tower, pl_values_reference, sd_map_reference, small_complexes
+from conftest import (
+    COMPLEXES,
+    FIXTURE_DEPTHS,
+    cached_tower,
+    pl_values_reference,
+    sd_map_reference,
+    small_complexes,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -370,6 +378,63 @@ class TestNaturality:
         g1 = induce_level_map(swap, 1, tower, tower)
         for x in tower.level(2).elements:
             assert tower.bond(g2(x), 2, 1) == g1(tower.bond(x, 2, 1))
+
+
+class TestOneWalkOneCheck:
+    """A morphism walks the carrier tables once, and every naturality test shares one check."""
+
+    def test_build_checks_g_once_and_reads_each_carrier_table_once(self, monkeypatch, TRI):
+        tower = Tower.build(TRI, 3)
+        checked, reads = [], []
+        real = approx.require_simplicial
+        monkeypatch.setattr(approx, "require_simplicial",
+                            lambda g: (checked.append(g), real(g))[1])
+        monkeypatch.setattr(TowerLevel, "carrier", property(
+            lambda level: (reads.append(level.n), level._stage._barycenters)[1]))
+        g = SimplicialMap.identity(TRI)
+        assert SystemMorphism.build(g, tower, tower).depth == 3
+        assert checked == [g]
+        assert sorted(reads) == [1, 2, 3]
+
+    def test_check_naturality_checks_the_lower_levels(self, monkeypatch, E):
+        """A wrong level-1 projection in the target tower fails ``check_naturality`` at level 2."""
+        source, target = Tower.build(E, 2), Tower.build(E, 2)
+        g = SimplicialMap.identity(E)
+        samples = sample_points(E, 10, seed=1)
+        assert check_naturality(g, 2, samples, source, target)
+        real = Tower._projections
+
+        def projections(tower, p, N):
+            for n, label in enumerate(real(tower, p, N), start=1):
+                if tower is target and n == 1:
+                    label = "b" if label == "a" else "a"
+                yield label
+
+        monkeypatch.setattr(Tower, "_projections", projections)
+        assert not check_naturality(g, 2, samples, source, target)
+
+    @pytest.mark.parametrize("name", sorted(COMPLEXES))
+    def test_check_naturality_validate_and_the_suite_agree(self, name):
+        K = COMPLEXES[name]()
+        depth = FIXTURE_DEPTHS[name]
+        tower = Tower.build(K, depth)
+        points = sample_points(K, 100, seed=3)
+        suite = {c.name: c.passed for c in verify_suite("naturality", K, depth, seed=3).checks}
+        a, b = K.vertices[0], K.vertices[-1]
+        swap = {v: {a: b, b: a}.get(v, v) for v in K.vertices}
+        maps = [("identity", SimplicialMap.identity(K)),
+                ("constant", SimplicialMap.constant(K, K, K.vertices[0])),
+                ("swap", SimplicialMap(K, K, swap))]
+        for label, g in maps:
+            m = SystemMorphism.build(g, tower, tower)
+            natural = check_naturality(g, depth, points, tower, tower)
+            ordered = all(level_map.is_order_preserving() for level_map in m.levels)
+            assert natural
+            assert m._commutes(points) == natural
+            assert m.validate() == (ordered and check_naturality(g, depth, [], tower, tower))
+            if label != "swap":
+                assert suite[f"{label}-naturality"] == natural
+                assert suite[f"{label}-level-maps-order-preserving"] == ordered
 
 
 class TestSystemMorphisms:

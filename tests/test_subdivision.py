@@ -283,6 +283,18 @@ class TestSdMap:
         g1 = sd_map(SimplicialMap(E, E, {"a": "b", "b": "a"}))
         assert g1.vertex_map == {"a": "b", "b": "a", "b{a,b}": "b{a,b}"}
 
+    @pytest.mark.parametrize("source, target", [
+        (lambda: subdivide(edge(), 2), None),
+        (lambda: subdivide(circle(), 1), None),
+        (lambda: subdivide(edge(), 0), None),
+        (None, lambda: subdivide(circle(), 1)),
+        (None, lambda: subdivide(edge(), 0)),
+    ], ids=["source-stage-2", "source-of-another-complex", "source-stage-0",
+            "target-of-another-complex", "target-stage-0"])
+    def test_stages_must_subdivide_the_endpoints_once(self, source, target):
+        with pytest.raises(ValueError, match="^stages do not match the map's endpoints$"):
+            sd_map(SimplicialMap.identity(edge()), source and source(), target and target())
+
     def test_functoriality(self):
         E = edge()
         swap = SimplicialMap(E, E, {"a": "b", "b": "a"})

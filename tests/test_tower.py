@@ -32,6 +32,7 @@ from poset_tower import (
     sd_coordinates,
     stage_vertex_label,
     star,
+    subdivide,
     validate_complex,
 )
 from poset_tower import complexes, subdivision
@@ -1168,6 +1169,36 @@ class TestTowerPlumbing:
     def test_thread_entry_must_be_a_label(self, tower_E3, entry):
         with pytest.raises(InvalidInput):
             tower_E3.thread(["a", entry])
+
+    @pytest.mark.parametrize("entries", ["01", 5, iter(["0"])], ids=["str", "int", "iterator"])
+    def test_thread_entries_must_be_a_list_or_tuple(self, TRI, entries):
+        with pytest.raises(InvalidInput, match="^thread entries must be a list or tuple, not "):
+            Tower.build(TRI, 2).thread(entries)
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda T: T.bond(["a"], 2, 1), ElementNotFound, "['a']"),
+        (lambda T: ["a"] in T.level(1), None, None),
+        (lambda T: subdivide(T.base, 1).carrier(["a"]), ElementNotFound, "['a']"),
+        (lambda T: T.stage(0).embed_vertex(["0"]), ElementNotFound, "['0']"),
+        (lambda T: T.basic_preimage(["0"], 1), ElementNotFound, "['0']"),
+        (lambda T: T.image_of_open(["0"], 1, 1), SimplexNotInComplex, "'0'"),
+    ], ids=["bond", "in", "carrier", "stage-0-vertex", "basic-preimage", "image-of-open"])
+    def test_argument_that_is_not_a_label_or_simplex(self, TRI, call, error, message):
+        T = Tower.build(TRI, 2)
+        if error is None:
+            assert call(T) is False
+            return
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(T)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    @pytest.mark.parametrize("call", [
+        subdivide, build_level, mesh_sq_bound, Tower.build,
+        lambda K, n: Tower.build(K, 1).deepened(n),
+    ], ids=["subdivide", "build_level", "mesh_sq_bound", "Tower.build", "deepened"])
+    def test_stage_or_depth_that_is_not_an_int(self, TRI, call, value):
+        with pytest.raises(InvalidInput, match=f"must be an integer, not {re.escape(repr(value))}$"):
+            call(TRI, value)
 
     @pytest.mark.parametrize("call,error,message", [
         (lambda T, p: T.encode_thread(p, 0), LevelOutOfRange, "depth 0 outside 1..3"),
