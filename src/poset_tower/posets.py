@@ -22,13 +22,14 @@ def _is_labels(raw) -> bool:
 class FinitePoset:
     """An immutable finite partial order with O(1) comparability queries.
 
-    The relation is stored as per-element down-sets and up-sets (reflexive,
-    transitively closed); the Hasse diagram is derived lazily.
+    The relation is stored once, as per-element down-sets (reflexive,
+    transitively closed).  The up-sets and the Hasse diagram are derived
+    from them on first read and kept.
     """
 
     __slots__ = ("elements", "_down", "_up", "_covers")
 
-    def __init__(self, elements, down, up):
+    def __init__(self, elements, down, up=None):
         self.elements = elements
         self._down = down
         self._up = up
@@ -63,28 +64,47 @@ class FinitePoset:
     def from_down_sets(cls, elements: Iterable[str], down: Mapping[str, frozenset]) -> "FinitePoset":
         """Build from down-sets that are already reflexive and transitively closed.
 
-        Reflexivity and antisymmetry are verified; transitivity is trusted, so
-        only use this for relations closed by construction.  A fault names the
-        least offending pair in canonical order, not in hash order.
+        Every element needs a down-set, and every member of a down-set must be
+        an element (``ElementNotFound``); reflexivity and antisymmetry are
+        verified; transitivity is trusted, so only use this for relations
+        closed by construction.  A fault names the least offending element or
+        pair in canonical order, not in hash order.
         """
         ordered = tuple(sorted(elements))
-        dn = {x: frozenset(down[x]) for x in ordered}
-        # lists, frozen in place below, so no up-set is held twice at once;
-        # x reaches its own list from its reflexive down-set
-        up: dict = {x: [] for x in ordered}
+        try:
+            dn = {x: frozenset(down[x]) for x in ordered}
+        except KeyError:
+            x = next(x for x in ordered if x not in down)
+            raise ElementNotFound(f"no down-set for {x!r}") from None
         for x in ordered:
             if x not in dn[x]:
                 raise NotAPartialOrder(f"{x!r} missing from its own down-set")
-            for y in dn[x]:
-                up[y].append(x)
-        for x in ordered:
-            for y in dn[x]:
-                if y != x and x in dn[y]:
-                    y = min(z for z in dn[x] if z != x and x in dn[z])
-                    raise NotAPartialOrder(f"{x!r} and {y!r} are mutually comparable")
-        for x in ordered:
-            up[x] = frozenset(up[x])
-        return cls(ordered, dn, up)
+        # a member that is not an element raises KeyError at its own dn lookup
+        try:
+            for x in ordered:
+                for y in dn[x]:
+                    if y != x and x in dn[y]:
+                        y = min(z for z in dn[x] if z != x and x in dn[z])
+                        raise NotAPartialOrder(f"{x!r} and {y!r} are mutually comparable")
+        except KeyError:
+            x = next(x for x in ordered if not dn.keys() >= dn[x])
+            y = min(repr(y) for y in dn[x] if y not in dn)
+            raise ElementNotFound(f"{y} in the down-set of {x!r} is not an element") from None
+        return cls(ordered, dn)
+
+    def _up_sets(self) -> dict:
+        """Every up-set, derived from the down-sets on first read and kept."""
+        if self._up is None:
+            # lists, frozen in place below, so no up-set is held twice at once;
+            # x reaches its own list from its reflexive down-set
+            up: dict = {x: [] for x in self.elements}
+            for x in self.elements:
+                for y in self._down[x]:
+                    up[y].append(x)
+            for x in self.elements:
+                up[x] = frozenset(up[x])
+            self._up = up
+        return self._up
 
     def _check(self, x):
         if x not in self._down:
@@ -98,7 +118,7 @@ class FinitePoset:
     def up_set(self, x) -> frozenset:
         """Basic open set of the up-set topology: all y >= x."""
         self._check(x)
-        return self._up[x]
+        return self._up_sets()[x]
 
     def min_open(self, x) -> frozenset:
         """Minimal open neighbourhood in the classical convention: all y <= x."""
@@ -137,12 +157,18 @@ class FinitePoset:
             self._check(x)
         ordered = tuple(sorted(keep))
         down = {x: self._down[x] & keep for x in ordered}
-        up = {x: self._up[x] & keep for x in ordered}
+        # intersect held up-sets, so core's chain of restricts derives them once;
+        # an order whose up-sets were never read passes none on
+        up = None if self._up is None else {x: self._up[x] & keep for x in ordered}
         return FinitePoset(ordered, down, up)
 
     def is_up_set(self, subset) -> bool:
         subset = set(subset)
-        return all(self._up[x] <= subset for x in subset)
+        up = self._up_sets()
+        try:
+            return all(up[x] <= subset for x in subset)
+        except KeyError:
+            raise ElementNotFound(min(repr(x) for x in subset if x not in up)) from None
 
     def to_json_obj(self):
         return {
@@ -203,8 +229,8 @@ class PosetMap:
 
     def is_order_preserving(self) -> bool:
         f = self.assignment
-        for x in self.source.elements:
-            for y in self.source.up_set(x):
+        for y in self.source.elements:
+            for x in self.source.min_open(y):
                 if not self.target.leq(f[x], f[y]):
                     return False
         return True
@@ -260,14 +286,15 @@ def _simplex_cap():
     return cap
 
 
-def _chains(below: Mapping, what: str) -> list:
+def _chains(below: Iterable[tuple], what: str) -> list:
     """Every nonempty chain of a strict order, as a tuple, under ``_simplex_cap``.
 
-    ``below`` maps each element to all elements strictly below it, and lists
-    every element after all of those.  A chain topped at x is (x,) or a chain
-    topped at an element below x, extended by x, so each chain is built once
-    from the lists of the elements below; ``what`` names the order in the
-    error.  Members run in ``below``'s order.  When every list in ``below``
+    ``below`` yields each element paired with all elements strictly below
+    it, every element after all of those; it may be a stream, since each
+    pair is read once.  A chain topped at x is (x,) or a chain topped at an
+    element below x, extended by x, so each chain is built once from the
+    lists of the elements below; ``what`` names the order in the error.
+    Members run in ``below``'s order.  When every collection in ``below``
     runs in that order too, so does the returned list: a chain comes after
     all of its subchains.  The cap is checked once per element, so at most
     about twice the cap is ever held.
@@ -275,7 +302,7 @@ def _chains(below: Mapping, what: str) -> list:
     cap = _simplex_cap()
     topped = {}
     chains = []
-    for x, lower in below.items():
+    for x, lower in below:
         mine = [(x,)]
         extend = mine.append
         for y in lower:
@@ -293,7 +320,7 @@ def order_complex(X: FinitePoset) -> SimplicialComplex:
     down = X._down
     below = {x: down[x] - {x} for x in sorted(X.elements, key=lambda x: len(down[x]))}
     return SimplicialComplex._face_closed(X.elements, [
-        Simplex._of_sorted(tuple(sorted(c))) for c in _chains(below, "order complex")])
+        Simplex._of_sorted(tuple(sorted(c))) for c in _chains(below.items(), "order complex")])
 
 
 def face_poset(K: SimplicialComplex) -> FinitePoset:

@@ -380,27 +380,27 @@ def _weighted_sum(terms) -> dict:
     return total
 
 
-def _face_table(index: dict) -> dict:
-    """Each simplex id of a stage mapped to the ids of its proper faces, in increasing order.
+def _face_table(index: dict):
+    """Yield each simplex id of a stage with the ids of its proper faces, in increasing order.
 
-    ``index`` is the stage's ``{simplex: id}``.  Face closure makes every
-    proper subset of a simplex a simplex too, so the faces come from
-    ``combinations`` through it.  Simplices of one or two vertices, most of a
-    stage, skip ``combinations`` and the sort of a list.  Together with the
-    same shortcut in ``_sorted_labels``, this makes subdividing a surface and
-    reading its complex about a fifth faster than with the general
-    expressions alone.
+    ``index`` is the stage's ``{simplex: id}``, and ids come in its order, so
+    every face comes before the simplices it is a face of.  ``_sd_once`` and
+    ``TowerLevel.poset`` read the pairs as a stream, so no whole-stage table
+    is held.  Face closure makes every proper subset of a simplex a simplex
+    too, so the faces come from ``combinations`` through it.  Simplices of
+    one or two vertices, most of a stage, skip ``combinations`` and the sort
+    of a list.  Together with the same shortcut in ``_sorted_labels``, this
+    makes subdividing a surface and reading its complex about a fifth faster
+    than with the general expressions alone.
     """
     get = index.__getitem__
-    table = {}
     for s, i in index.items():
         if len(s) == 1:
-            table[i] = []
+            yield i, ()
         elif len(s) == 2:
-            table[i] = sorted((get(s[:1]), get(s[1:])))
+            yield i, sorted((get(s[:1]), get(s[1:])))
         else:
-            table[i] = sorted([get(f) for k in range(1, len(s)) for f in combinations(s, k)])
-    return table
+            yield i, sorted([get(f) for k in range(1, len(s)) for f in combinations(s, k)])
 
 
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
@@ -424,7 +424,8 @@ def subdivide(K: SimplicialComplex, n: int) -> SubdividedComplex:
 
 def _require_int(value, what: str) -> None:
     """Raise ``InvalidInput`` naming value unless it is an ``int`` and not a ``bool``."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    # the exact type first: Tower.bond and encode_thread check on every call
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise InvalidInput(f"{what} must be an integer, not {value!r}")
 
 

@@ -50,8 +50,11 @@ class TowerLevel:
     the same dict as stage n's ``provenance``, and iterates in an unspecified
     order, while ``elements`` is the canonical one.  ``carrier``,
     ``elements`` and the order ``poset`` are each built on first read, and
-    none of them builds another.  No bond is kept: element i's one-step bond
-    is the last id of stage n-1's chain i (``SubdividedComplex``).
+    none of them builds another.  The order holds one down-set per element,
+    each built from stage n-1's stream of face ids (``_face_table``) with no
+    whole-stage table beside it; its up-sets are derived on first read.  No
+    bond is kept: element i's one-step bond is the last id of stage n-1's
+    chain i (``SubdividedComplex``).
     """
 
     def __init__(self, n: int, stage: SubdividedComplex):
@@ -68,9 +71,10 @@ class TowerLevel:
     def poset(self) -> FinitePoset:
         """Elements ordered by inclusion of their closed carriers (the face table's order)."""
         names = self._stage._labels
-        down = {names[i]: frozenset([names[i], *map(names.__getitem__, faces)])
-                for i, faces in _face_table(self._stage._index).items()}
-        return FinitePoset.from_down_sets(names, down)
+        # copied from a set, a frozenset is sized to fit: 472 bytes for 7 members, 728 from a list
+        return FinitePoset.from_down_sets(names, {
+            names[i]: frozenset({names[i], *map(names.__getitem__, faces)})
+            for i, faces in _face_table(self._stage._index)})
 
     @cached_property
     def elements(self) -> tuple:
@@ -178,6 +182,7 @@ class Tower:
         return Tower(self.base, depth, stages, levels)
 
     def stage(self, k: int) -> SubdividedComplex:
+        _require_int(k, "stage")
         if not 0 <= k <= self.depth:
             raise LevelOutOfRange(f"stage {k} outside 0..{self.depth}")
         if k >= len(self._stages):
@@ -185,6 +190,7 @@ class Tower:
         return self._stages[k]
 
     def level(self, n: int) -> TowerLevel:
+        _require_int(n, "level")
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
         return self.levels[n - 1]
@@ -209,6 +215,7 @@ class Tower:
 
     def project_point(self, p: RationalPoint, n: int) -> str:
         """The level-n element whose open carrier contains p."""
+        _require_int(n, "level")
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
         *_, label = self._projections(p, n)
@@ -222,6 +229,8 @@ class Tower:
         the open simplex that contains this one's barycenter.  That member is
         the chain's top, its last id (``_bond``).
         """
+        _require_int(m, "level")
+        _require_int(n, "level")
         if not 1 <= n <= m <= self.depth:
             raise LevelOutOfRange(f"need 1 <= {n} <= {m} <= depth {self.depth}")
         i = self.levels[m - 1]._stage._barycenter_id(x)
@@ -252,6 +261,7 @@ class Tower:
     # -- threads ---------------------------------------------------------------
 
     def encode_thread(self, p: RationalPoint, N: int) -> ThreadPrefix:
+        _require_int(N, "depth")
         if not 1 <= N <= self.depth:
             raise LevelOutOfRange(f"depth {N} outside 1..{self.depth}")
         return ThreadPrefix(self, tuple(self._projections(p, N)))
@@ -387,6 +397,8 @@ class Tower:
         with the largest id; that member is its level-m image, and the bonds
         take it down to level n.
         """
+        _require_int(m, "stage")
+        _require_int(n, "level")
         if not 1 <= n <= self.depth:
             raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
         if m < n - 1:

@@ -1,4 +1,9 @@
+import os
+import pathlib
+import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +27,7 @@ from poset_tower.fixtures import antichain, chain, circle, edge, fence3, point, 
 from conftest import COMPLEXES
 
 IDENTITY_COMPLEXES = {**COMPLEXES, "projective-plane": projective_plane}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestRelation:
@@ -127,6 +133,129 @@ class TestOrderPreserving:
     def test_down_set_must_hold_its_element(self):
         with pytest.raises(NotAPartialOrder, match="^'b' missing from its own down-set$"):
             FinitePoset.from_down_sets(["a", "b"], {"a": {"a"}, "b": {"a"}})
+
+
+class TestOutsiders:
+    """A label that is not an element raises ``ElementNotFound`` naming it, under any hash seed."""
+
+    SCRIPT = """
+from poset_tower import FinitePoset
+from poset_tower.errors import PosetTowerError
+P = FinitePoset.from_pairs("abc", [("a", "c")])
+for call in (
+    lambda: FinitePoset.from_down_sets(["a"], {"a": frozenset({"a", "b"})}),
+    lambda: FinitePoset.from_down_sets(["a", "c"], {"a": {"a"}, "c": {"c", "z", "y", "x", "a"}}),
+    lambda: FinitePoset.from_down_sets(["a", "c"], {"a": {"a", "c", "z"}, "c": {"c", "a"}}),
+    lambda: FinitePoset.from_down_sets(["a", "b"], {"a": frozenset({"a"})}),
+    lambda: FinitePoset.from_down_sets(["c", "b", "a"], {"a": {"a"}}),
+    lambda: P.is_up_set(["zz"]),
+    lambda: P.is_up_set(["zz", "c", "yy"]),
+):
+    try:
+        call()
+    except PosetTowerError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+    def test_outsiders_are_named_under_two_hash_seeds(self):
+        for seed in ("1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines() == [
+                "ElementNotFound 'b' in the down-set of 'a' is not an element",
+                "ElementNotFound 'x' in the down-set of 'c' is not an element",
+                # the outsider is named before the cycle through the same element
+                "ElementNotFound 'z' in the down-set of 'a' is not an element",
+                "ElementNotFound no down-set for 'b'",
+                "ElementNotFound no down-set for 'b'",
+                "ElementNotFound 'zz'",
+                "ElementNotFound 'yy'",
+            ]
+
+
+def random_order(seed: int):
+    """Labels and the pairs of a random strict order on them, from a seeded generator.
+
+    The pairs go forward along a shuffled list, so they never close a cycle,
+    and that list is not the canonical order of the labels.
+    """
+    rng = random.Random(seed)
+    labels = [f"e{i}" for i in range(rng.randint(1, 9))]
+    rng.shuffle(labels)
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < 0.3]
+    return labels, pairs
+
+
+def reference_core(labels, leq) -> list:
+    """``core`` from the definition: drop the first beat point in canonical order until none is left."""
+    current = sorted(labels)
+    while True:
+        for x in current:
+            above = [y for y in current if y != x and leq[x, y]]
+            below = [y for y in current if y != x and leq[y, x]]
+            if (any(all(leq[m, u] for u in above) for m in above)
+                    or any(all(leq[d, m] for d in below) for m in below)):
+                current.remove(x)
+                break
+        else:
+            return current
+
+
+class TestDerivedUpSets:
+    """Up-sets are derived from the down-sets on first read, and nothing depends on when.
+
+    Every query runs on a fresh poset whose up-sets were (``warm``) or were
+    not yet read, and is compared with the relation from the definition.
+    """
+
+    SEEDS = range(30)
+
+    @staticmethod
+    def fresh(labels, pairs, warm: bool) -> FinitePoset:
+        X = FinitePoset.from_pairs(labels, pairs)
+        assert X._up is None
+        if warm:
+            X.up_set(X.elements[0])
+            assert X._up is not None
+        return X
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_queries_match_the_definition(self, warm):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            labels, pairs = random_order(seed)
+            labels = sorted(labels)
+            leq = warshall_closure(labels, set(pairs))
+            up = {x: frozenset(y for y in labels if leq[x, y]) for x in labels}
+            for x in labels:
+                assert self.fresh(labels, pairs, warm).up_set(x) == up[x]
+                assert self.fresh(labels, pairs, warm).strict_up(x) == up[x] - {x}
+            for _ in range(5):
+                subset = rng.sample(labels, rng.randint(0, len(labels)))
+                assert self.fresh(labels, pairs, warm).is_up_set(subset) == all(
+                    up[x] <= set(subset) for x in subset)
+                X = self.fresh(labels, pairs, warm)
+                R = X.restrict(subset)
+                assert (R._up is None) == (not warm)
+                assert all(R.up_set(x) == up[x] & set(subset) for x in subset)
+                f = {x: rng.choice(labels) for x in labels}
+                assert PosetMap(X, X, f).is_order_preserving() == all(
+                    leq[f[x], f[y]] for x in labels for y in labels if leq[x, y])
+            assert self.fresh(labels, pairs, warm).is_up_set(labels)
+            assert core(self.fresh(labels, pairs, warm)).elements == tuple(
+                reference_core(labels, leq))
+
+    def test_cold_and_warm_restrictions_and_cores_are_equal(self):
+        for seed in self.SEEDS:
+            labels, pairs = random_order(seed)
+            keep = labels[::2]
+            cold, warm = (self.fresh(labels, pairs, w) for w in (False, True))
+            assert cold.restrict(keep) == warm.restrict(keep)
+            assert core(cold) == core(warm)
 
 
 class TestCore:
