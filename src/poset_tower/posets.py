@@ -19,6 +19,19 @@ def _is_labels(raw) -> bool:
     return isinstance(raw, (list, tuple)) and all(isinstance(x, str) for x in raw)
 
 
+def _not_elements(members) -> ElementNotFound:
+    """The error for a collection that no set can hold: it names the first unhashable member."""
+    try:
+        for x in members:
+            try:
+                hash(x)
+            except TypeError:
+                return ElementNotFound(repr(x))
+    except TypeError:
+        pass
+    return ElementNotFound(repr(members))
+
+
 class FinitePoset:
     """An immutable finite partial order with O(1) comparability queries.
 
@@ -68,7 +81,8 @@ class FinitePoset:
         an element (``ElementNotFound``); reflexivity and antisymmetry are
         verified; transitivity is trusted, so only use this for relations
         closed by construction.  A fault names the least offending element or
-        pair in canonical order, not in hash order.
+        pair in canonical order, not in hash order.  A repeated element is
+        kept once.
         """
         ordered = tuple(sorted(elements))
         try:
@@ -76,6 +90,8 @@ class FinitePoset:
         except KeyError:
             x = next(x for x in ordered if x not in down)
             raise ElementNotFound(f"no down-set for {x!r}") from None
+        if len(dn) < len(ordered):
+            ordered = tuple(dn)
         for x in ordered:
             if x not in dn[x]:
                 raise NotAPartialOrder(f"{x!r} missing from its own down-set")
@@ -107,8 +123,12 @@ class FinitePoset:
         return self._up
 
     def _check(self, x):
-        if x not in self._down:
-            raise ElementNotFound(repr(x))
+        try:
+            if x in self._down:
+                return
+        except TypeError:
+            pass
+        raise ElementNotFound(repr(x))
 
     def leq(self, a, b) -> bool:
         self._check(a)
@@ -152,7 +172,10 @@ class FinitePoset:
         return sorted(out)
 
     def restrict(self, keep) -> "FinitePoset":
-        keep = frozenset(keep)
+        try:
+            keep = frozenset(keep)
+        except TypeError:
+            raise _not_elements(keep) from None
         for x in keep:
             self._check(x)
         ordered = tuple(sorted(keep))
@@ -163,7 +186,10 @@ class FinitePoset:
         return FinitePoset(ordered, down, up)
 
     def is_up_set(self, subset) -> bool:
-        subset = set(subset)
+        try:
+            subset = set(subset)
+        except TypeError:
+            raise _not_elements(subset) from None
         up = self._up_sets()
         try:
             return all(up[x] <= subset for x in subset)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import gcd
 from typing import Callable
 
 from .approx import SimplicialMap, SystemMorphism
@@ -23,7 +24,7 @@ from .complexes import (
 from .errors import DepthTooLarge, InvalidComplex, UnknownSuite
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
-from .subdivision import lift_point
+from .subdivision import _require_int, lift_point
 from .tower import Tower
 
 
@@ -70,6 +71,7 @@ class VerificationReport(_Record):
 
 def depth_guard(K: SimplicialComplex, depth: int) -> None:
     """Resource guard: subdivision size grows fast with dimension."""
+    _require_int(depth, "depth")
     limits = {0: 6, 1: 4, 2: 3}
     limit = limits.get(K.dim, 2)
     if depth > limit:
@@ -78,18 +80,41 @@ def depth_guard(K: SimplicialComplex, depth: int) -> None:
 
 
 def sample_points(K: SimplicialComplex, count: int, seed: int):
-    """Deterministic rational points: random simplex, small random weights."""
+    """Deterministic rational points: random simplex, small random weights.
+
+    Equal draws are one object.  A draw is keyed by its reduced value, the
+    support's vertices with their weights over the weights' gcd, so (2, 2)
+    and (1, 1) on an edge are one point, and so are an edge with weights
+    (0, 3) and that edge's end vertex.
+    """
     rng = random.Random(seed)
     sims = K.sorted_simplices()
+    made = {}
     points = []
     for _ in range(count):
         s = rng.choice(sims)
         weights = [rng.randint(0, 6) for _ in s.verts]
         if not any(weights):
             weights[rng.randrange(len(weights))] = 1
-        points.append(RationalPoint._from_numerators(K, sum(weights),
-                                                     dict(zip(s.verts, weights))))
+        g = gcd(*weights)
+        key = tuple((v, w // g) for v, w in zip(s.verts, weights) if w)
+        p = made.get(key)
+        if p is None:
+            p = made[key] = RationalPoint._from_numerators(K, sum(weights),
+                                                           dict(zip(s.verts, weights)))
+        points.append(p)
     return points
+
+
+def _distinct(points):
+    """The distinct points of a sample, in first-draw order.
+
+    ``sample_points`` makes one object per value, so distinct objects are
+    distinct values.  Every sampled check is a pure function of the point's
+    value and the tower, so checking each distinct point once decides it for
+    every draw; a check's ``detail`` still counts the whole sample.
+    """
+    return {id(p): p for p in points}.values()
 
 
 # -- suites -------------------------------------------------------------------
@@ -114,11 +139,11 @@ def _suite_bond_commutation(tower, points):
     A level-m element x is a stage-m vertex, and its bond to level n must be
     the level-n projection of its stage-0 point.  That point is computed by
     the stage's embedding and projected by the lift, neither of which reads a
-    bond.
+    bond.  Each distinct sampled point is checked once (``_distinct``).
     """
     depth = tower.depth
     ok_diagram = True
-    for p in points:
+    for p in _distinct(points):
         proj = dict(enumerate(tower.encode_thread(p, depth).entries, start=1))
         for m in range(1, depth + 1):
             for n in range(1, m + 1):
@@ -202,6 +227,10 @@ def _suite_openness(tower, points):
 
 
 def _suite_roundtrip(tower, points):
+    """Level elements' threads through decode and encode, sampled points through lift and embed.
+
+    Each distinct sampled point is lifted once per stage (``_distinct``).
+    """
     ok_threads = True
     count = 0
     for N in range(1, tower.depth + 1):
@@ -214,7 +243,7 @@ def _suite_roundtrip(tower, points):
             count += 1
     ok_points = True
     top = tower.stage(tower.depth)
-    for p in points:
+    for p in _distinct(points):
         for stage in top.stage_chain():
             if stage.embed_point(lift_point(stage, p)) != p:
                 ok_points = False
@@ -237,8 +266,12 @@ def _suite_homology(tower, points):
 
 
 def _suite_naturality(tower, points):
-    """The projection and bond squares of the identity and a constant map, and their order."""
+    """The projection and bond squares of the identity and a constant map, and their order.
+
+    Each distinct sampled point is projected once per map (``_distinct``).
+    """
     K = tower.base
+    distinct = _distinct(points)
     maps = [
         ("identity", SimplicialMap.identity(K)),
         ("constant", SimplicialMap.constant(K, K, K.vertices[0])),
@@ -247,7 +280,7 @@ def _suite_naturality(tower, points):
     for name, g in maps:
         m = SystemMorphism.build(g, tower, tower)
         ok_order = all(level_map.is_order_preserving() for level_map in m.levels)
-        checks.append(Check(f"{name}-naturality", m._commutes(points),
+        checks.append(Check(f"{name}-naturality", m._commutes(distinct),
                             f"{len(points)} sampled points"))
         checks.append(Check(f"{name}-level-maps-order-preserving", ok_order))
     return checks
@@ -280,6 +313,7 @@ def _reports(names, K: SimplicialComplex, depth: int, seed: int) -> list:
     if not K.simplices:
         raise InvalidComplex("cannot verify the empty complex")
     depth_guard(K, depth)
+    _require_int(seed, "seed")
     tower = Tower.build(K, depth)
     sizes = {name: _SAMPLE_SIZES.get(name, 0) for name in names}
     count = max(sizes.values())

@@ -176,6 +176,30 @@ for call in (
                 "ElementNotFound 'yy'",
             ]
 
+    @pytest.mark.parametrize("call", [
+        lambda P: P.leq(["a"], "c"),
+        lambda P: P.leq("c", ["a"]),
+        lambda P: P.up_set(["a"]),
+        lambda P: P.min_open(["a"]),
+        lambda P: P.strict_up(["a"]),
+        lambda P: P.strict_down(["a"]),
+        lambda P: P.is_up_set([["a"]]),
+        lambda P: P.is_up_set(["c", ["a"]]),
+        lambda P: P.restrict([["a"]]),
+        lambda P: P.restrict(["a", ["a"]]),
+    ], ids=["leq-lower", "leq-upper", "up_set", "min_open", "strict_up", "strict_down",
+            "is_up_set", "is_up_set-second", "restrict", "restrict-second"])
+    def test_unhashable_argument_is_named(self, call):
+        P = FinitePoset.from_pairs("abc", [("a", "c")])
+        with pytest.raises(ElementNotFound, match=r"^\['a'\]$"):
+            call(P)
+
+    def test_repeated_element_is_kept_once(self):
+        P = FinitePoset.from_down_sets(["b", "a", "a"], {"a": {"a"}, "b": {"a", "b"}})
+        assert P.elements == ("a", "b") and len(P) == 2
+        assert P.to_json_obj() == {"elements": ["a", "b"], "leq": [["a", "b"]]}
+        assert P == FinitePoset.from_pairs("ab", [("a", "b")])
+
 
 def random_order(seed: int):
     """Labels and the pairs of a random strict order on them, from a seeded generator.

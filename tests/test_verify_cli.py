@@ -1,23 +1,28 @@
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poset_tower import approx, subdivision, verify
-from poset_tower.approx import SimplicialMap
+from poset_tower.approx import SimplicialMap, SystemMorphism
 from poset_tower.cli import main
 from poset_tower.complexes import RationalPoint, SimplicialComplex
 from poset_tower.errors import (
     DepthTooLarge,
     InvalidComplex,
+    InvalidInput,
     LevelOutOfRange,
     UnknownSuite,
 )
-from poset_tower.fixtures import chain, circle, edge
+from poset_tower.fixtures import chain, circle, edge, tetra_boundary, triangle
 from poset_tower.tower import Tower
 from poset_tower.verify import SUITES, depth_guard, sample_points, verify_all, verify_suite
 
@@ -165,6 +170,31 @@ class TestSuites:
         assert verify_all(K, depth, seed=3) == [
             verify_suite(suite, K, depth, seed=3) for suite in SUITES]
 
+    @pytest.mark.parametrize("depth,seed,message", [
+        ("2", 0, "depth must be an integer, not '2'"),
+        (None, 0, "depth must be an integer, not None"),
+        (1.5, 0, "depth must be an integer, not 1.5"),
+        (True, 0, "depth must be an integer, not True"),
+        (1, [1], "seed must be an integer, not [1]"),
+        (1, None, "seed must be an integer, not None"),
+        (1, 1.0, "seed must be an integer, not 1.0"),
+        (1, "1", "seed must be an integer, not '1'"),
+        (1, False, "seed must be an integer, not False"),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda K, depth, seed: verify_all(K, depth, seed),
+        lambda K, depth, seed: verify_suite("roundtrip", K, depth, seed=seed),
+    ], ids=["verify_all", "verify_suite"])
+    def test_depth_and_seed_must_be_ints(self, run, E, monkeypatch, depth, seed, message):
+        """A bad depth or seed is refused before any tower is built or point drawn."""
+        def refuse(*args):
+            raise AssertionError("built or sampled")
+
+        monkeypatch.setattr(Tower, "build", refuse)
+        monkeypatch.setattr(verify, "sample_points", refuse)
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            run(E, depth, seed)
+
     @pytest.mark.parametrize("run", [
         lambda K, depth: verify_all(K, depth),
         lambda K, depth: verify_suite("homology", K, depth),
@@ -176,6 +206,139 @@ class TestSuites:
             run(E, 5)
         with pytest.raises(LevelOutOfRange):
             run(E, 0)
+
+
+def reference_sample(K, count, seed):
+    """The draw loop ``sample_points`` keeps, making one fresh point per draw."""
+    rng = random.Random(seed)
+    sims = K.sorted_simplices()
+    points = []
+    for _ in range(count):
+        s = rng.choice(sims)
+        weights = [rng.randint(0, 6) for _ in s.verts]
+        if not any(weights):
+            weights[rng.randrange(len(weights))] = 1
+        points.append(RationalPoint._from_numerators(K, sum(weights), dict(zip(s.verts, weights))))
+    return points
+
+
+def first_draws(points):
+    """The ids of the distinct objects of a sample, in first-draw order."""
+    return list(dict.fromkeys(map(id, points)))
+
+
+SAMPLING_SUITES = ["bond-commutation", "naturality", "roundtrip"]
+
+
+class TestDistinctPoints:
+    """The sampling suites check each distinct point of their prefix once."""
+
+    @pytest.mark.parametrize("make", [triangle, tetra_boundary], ids=["triangle", "tetra-boundary"])
+    def test_same_values_and_equal_values_are_one_object(self, make):
+        K = make()
+        for seed in range(21):
+            got, want = sample_points(K, 200, seed), reference_sample(K, 200, seed)
+            assert got == want
+            objects = {}
+            for g, w in zip(got, want):
+                key = (w._denominator, tuple(sorted(w._numerators.items())))
+                assert objects.setdefault(key, id(g)) == id(g)
+            assert len(objects) == len(first_draws(got)) < len(got)
+
+    def test_equal_reduced_weights_are_one_point(self, E, monkeypatch):
+        """(2, 2) and (1, 1) on the edge are one point; so are (0, 3) and the vertex b."""
+        draws = iter([("ab", [2, 2]), ("ab", [1, 1]), ("ab", [0, 3]), ("b", [5])])
+
+        class Scripted:
+            def __init__(self, seed):
+                self.weights = []
+
+            def choice(self, sims):
+                verts, self.weights = next(draws)
+                return next(s for s in sims if "".join(s.verts) == verts)
+
+            def randint(self, lo, hi):
+                return self.weights.pop(0)
+
+        monkeypatch.setattr(verify.random, "Random", Scripted)
+        p, q, r, t = sample_points(E, 4, 0)
+        assert p is q and r is t and p is not r
+        assert r == RationalPoint.vertex(E, "b")
+
+    @pytest.mark.parametrize("suites", [None, *SAMPLING_SUITES], ids=["all", *SAMPLING_SUITES])
+    def test_each_distinct_point_is_handled_once(self, TRI, monkeypatch, suites):
+        depth, seed = 2, 4
+        drawn = []
+        draw = verify.sample_points
+        monkeypatch.setattr(verify, "sample_points",
+                            lambda K, count, seed: drawn.extend(draw(K, count, seed)) or drawn)
+        encoded, commuted, lifted = [], [], []
+        encode = Tower.encode_thread
+        monkeypatch.setattr(Tower, "encode_thread",
+                            lambda t, p, n: encoded.append(p) or encode(t, p, n))
+        commutes = SystemMorphism._commutes
+        monkeypatch.setattr(SystemMorphism, "_commutes", lambda m, samples=():
+                            commuted.append(list(samples)) or commutes(m, samples))
+        lift = verify.lift_point
+        monkeypatch.setattr(verify, "lift_point",
+                            lambda stage, p: lifted.append((stage.stage, p)) or lift(stage, p))
+        if suites is None:
+            verify_all(TRI, depth, seed)
+        else:
+            verify_suite(suites, TRI, depth, seed)
+        ran = SAMPLING_SUITES if suites is None else [suites]
+        sample = set(map(id, drawn))
+        prefix = {name: first_draws(drawn[:size]) for name, size in verify._SAMPLE_SIZES.items()}
+        # the decode-encode round trip encodes fresh representatives, which are no sampled object
+        assert [id(p) for p in encoded if id(p) in sample] == (
+            prefix["bond-commutation"] if "bond-commutation" in ran else [])
+        assert [[id(p) for p in samples] for samples in commuted] == (
+            [prefix["naturality"]] * 2 if "naturality" in ran else [])
+        per_stage = Counter((stage, id(p)) for stage, p in lifted)
+        assert per_stage == (
+            Counter((stage, i) for i in prefix["roundtrip"] for stage in range(depth + 1))
+            if "roundtrip" in ran else Counter())
+        assert len(prefix["roundtrip"]) < 50
+
+    @staticmethod
+    def wrong_on(bad, monkeypatch):
+        """Mutants that get the value ``bad`` wrong: its encoding, its image and its lift."""
+        encode = Tower.encode_thread
+
+        def wrong_encode(t, p, n):
+            thread = encode(t, p, n)
+            if p != bad:
+                return thread
+            other = next(x for x in t.level(1).elements if x != thread.entries[0])
+            return SimpleNamespace(entries=(other,) + thread.entries[1:])
+
+        apply_point = SimplicialMap.apply_point
+        lift = verify.lift_point
+        monkeypatch.setattr(Tower, "encode_thread", wrong_encode)
+        monkeypatch.setattr(SimplicialMap, "apply_point", lambda g, p:
+                            RationalPoint.vertex(g.target, g.target.vertices[1])
+                            if p == bad else apply_point(g, p))
+        monkeypatch.setattr(verify, "lift_point", lambda stage, p:
+                            lift(stage, RationalPoint.vertex(p.complex, p.complex.vertices[0]))
+                            if p == bad else lift(stage, p))
+
+    def test_a_repeated_point_can_still_fail(self, TRI, monkeypatch):
+        points = sample_points(TRI, 50, 0)
+        bad = next(p for p in points if len(p.support()) > 1 and points.count(p) > 1)
+        self.wrong_on(bad, monkeypatch)
+        passed = {c.name: c.passed for r in verify_all(TRI, 2, 0) for c in r.checks}
+        for name in ["projection-commutes-with-bonds", "coordinate-embed-round-trip",
+                     "identity-naturality", "constant-naturality"]:
+            assert passed[name] is False, name
+
+    def test_a_point_first_drawn_past_a_prefix_fails_only_the_longer_sample(self, TRI, monkeypatch):
+        points = sample_points(TRI, 200, 0)
+        bad = next(p for p in points[100:] if p not in points[:100] and len(p.support()) > 1)
+        self.wrong_on(bad, monkeypatch)
+        passed = {c.name: c.passed for r in verify_all(TRI, 2, 0) for c in r.checks}
+        assert passed["projection-commutes-with-bonds"] is False
+        assert passed["identity-naturality"] and passed["constant-naturality"]
+        assert passed["coordinate-embed-round-trip"]
 
 
 class TestComplexCommands:
