@@ -28,6 +28,7 @@ from .subdivision import (
     _barycenter_label,
     _carrier_mean,
     _numerators,
+    _require_int,
     _weighted_sum,
     extend_subdivision,
     lift_point,
@@ -151,6 +152,7 @@ def iterated_sd_map(g: SimplicialMap, n: int,
 
     A subdivided simplicial map is simplicial, so only g itself is checked.
     """
+    _require_int(n, "subdivision stage")
     require_simplicial(g)
     if n < 1:
         return g
@@ -281,6 +283,7 @@ def approximate(h: PLMap, cap: int = 4):
 
 def _approximate_stage(h: PLMap, cap: int):
     """``approximate``, returning the stage the search reached in place of its number."""
+    _require_int(cap, "cap")
     targets = h.target.vertices
     for stage, _, values in _stage_values(h, cap):
         stars = _star_vertices(stage.complex)

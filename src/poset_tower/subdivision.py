@@ -65,9 +65,8 @@ class SubdividedComplex:
     Over a base with no vertex name that is empty or holds ``{``, ``}`` or
     ``,``, labels are unambiguous and a label that is new at stage n has
     nesting depth exactly n, so no two vertices of a stage share a label.
-    Over any other base (``_eager``), each stage is labelled in full through
-    ``barycenters``, which refuses a clash, before it is subdivided or read
-    as a level.
+    Over any other base (``_eager``), a stage is labelled in full, and a
+    repeated label refused, when it is subdivided or read as a level.
     """
 
     def __init__(self, base, stage, simplices, previous):
@@ -107,8 +106,6 @@ class SubdividedComplex:
     @cached_property
     def _barycenters(self) -> dict:
         """``{barycenter label: simplex}`` of this stage, built once; the next stage's provenance."""
-        if self._eager:
-            return barycenters(self._carriers)
         return dict(zip(self._labels, self._carriers))
 
     @cached_property
@@ -124,15 +121,19 @@ class SubdividedComplex:
         rendered, from the previous stage's labels, so a stage with no
         simplex past the base vertices reads no stage below.
         """
-        if self._eager:
-            names = list(self._barycenters)
-        else:
-            V = self._base_count
-            names = list(self.base.vertices)
-            if len(self._simplices) > V:
-                names += map(_barycenter_label, _sorted_labels(self._simplices[V:], self._vertex_names()))
+        V = self._base_count
+        names = list(self.base.vertices)
+        if len(self._simplices) > V:
+            names += map(_barycenter_label, _sorted_labels(self._simplices[V:], self._vertex_names()))
+        if self._eager and len(set(names)) < len(names):
+            barycenters(self._carriers)
         self._names = names
         return names
+
+    def _label_if_eager(self) -> None:
+        """Label this stage in full, refusing a clash, if its base's names are not atoms."""
+        if self._eager:
+            self._labels
 
     def _name(self, i: int) -> str:
         """The label of the barycenter of simplex i, rendered on first use and kept.
@@ -143,8 +144,6 @@ class SubdividedComplex:
         names = self._names
         if names is not None and names[i] is not None:
             return names[i]
-        if self._eager:
-            return self._labels[i]
         if names is None:
             names = self._names = [None] * len(self._simplices)
         label = names[i] = (self.base.vertices[i] if i < self._base_count
@@ -405,8 +404,7 @@ def _face_table(index: dict):
 
 def _sd_once(prev: SubdividedComplex) -> SubdividedComplex:
     """One barycentric subdivision step: the chains of the previous stage's face order."""
-    if prev._eager:
-        prev._labels
+    prev._label_if_eager()
     chains = _chains(_face_table(prev._index), "subdivision")
     return SubdividedComplex(prev.base, prev.stage + 1, chains, prev)
 

@@ -60,8 +60,7 @@ class TowerLevel:
     def __init__(self, n: int, stage: SubdividedComplex):
         self.n = n
         self._stage = stage
-        if stage._eager:
-            stage._labels
+        stage._label_if_eager()
 
     @cached_property
     def carrier(self) -> dict:
@@ -215,9 +214,7 @@ class Tower:
 
     def project_point(self, p: RationalPoint, n: int) -> str:
         """The level-n element whose open carrier contains p."""
-        _require_int(n, "level")
-        if not 1 <= n <= self.depth:
-            raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
+        self.level(n)
         *_, label = self._projections(p, n)
         return label
 
@@ -398,16 +395,14 @@ class Tower:
         take it down to level n.
         """
         _require_int(m, "stage")
-        _require_int(n, "level")
-        if not 1 <= n <= self.depth:
-            raise LevelOutOfRange(f"level {n} outside 1..{self.depth}")
+        level = self.level(n)
         if m < n - 1:
             raise StageTooCoarse(f"stage {m} is coarser than level {n} needs")
         stage = self.stage(m)
         simplices = stage.complex.simplices
         if m >= n:
             ids = stage._vertex_ids
-            name = self.levels[n - 1]._stage._name
+            name = level._stage._name
         out = set()
         for s in opens:
             if not isinstance(s, Simplex):

@@ -87,6 +87,8 @@ def sample_points(K: SimplicialComplex, count: int, seed: int):
     and (1, 1) on an edge are one point, and so are an edge with weights
     (0, 3) and that edge's end vertex.
     """
+    _require_int(count, "sample count")
+    _require_int(seed, "seed")
     rng = random.Random(seed)
     sims = K.sorted_simplices()
     made = {}
@@ -325,7 +327,7 @@ def _reports(names, K: SimplicialComplex, depth: int, seed: int) -> list:
 def verify_suite(name: str, K: SimplicialComplex, depth: int,
                  seed: int = 0) -> VerificationReport:
     """Run one named suite at the given depth; raises on unknown names."""
-    if name not in SUITES:
+    if not isinstance(name, str) or name not in SUITES:
         raise UnknownSuite(f"{name!r}; choose from {sorted(SUITES)}")
     return _reports([name], K, depth, seed)[0]
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -26,6 +30,21 @@ from poset_tower.fixtures import (
     tetra_boundary,
     triangle,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(*args, timeout=60, **env_vars):
+    """Run ``python *args`` on this checkout's package, with these extra environment values.
+
+    ``PYTHONHASHSEED="1"`` among them runs the child under that hash seed.
+    """
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
 
 # Property tests draw the same examples on every run and have no timing
 # deadline, so the suite stays deterministic on a slow or busy machine.

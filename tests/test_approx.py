@@ -1,8 +1,4 @@
-import os
-import pathlib
 import re
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -44,11 +40,10 @@ from conftest import (
     FIXTURE_DEPTHS,
     cached_tower,
     pl_values_reference,
+    run_python,
     sd_map_reference,
     small_complexes,
 )
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def vertex_pl(K, target, images):
@@ -156,11 +151,7 @@ for attempt in (lambda: require_simplicial(g), lambda: PLMap(subdivide(K, 0), T,
     def test_same_message_under_every_hash_seed(self):
         outputs = set()
         for seed in ("1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
-                                    capture_output=True, text=True, timeout=60)
+            result = run_python("-c", self.SCRIPT, PYTHONHASHSEED=seed)
             assert result.returncode == 0, result.stderr
             outputs.add(result.stdout)
         assert outputs == {
@@ -194,6 +185,12 @@ class TestApproximate:
         }
         with pytest.raises(SearchExhausted):
             approximate(h, cap=1)
+
+    @pytest.mark.parametrize("cap", [1.5, "2", True, None])
+    def test_cap_must_be_an_integer(self, E, cap):
+        h = pl_from_vertex_map(E, E, {"a": "a", "b": "b"})
+        with pytest.raises(InvalidInput, match=f"^cap must be an integer, not {re.escape(repr(cap))}$"):
+            approximate(h, cap)
 
     def test_interior_images_at_stage_one(self, E):
         # vertex images off the vertices force one extra subdivision
@@ -352,6 +349,15 @@ class TestLevelMapWalk:
         g = SimplicialMap.identity(tower.base)
         iterated_sd_map(g, 3, tower, tower)
         assert checked == [g]
+
+    @pytest.mark.parametrize("n", ["2", 0.5, None])
+    @pytest.mark.parametrize("towers", [0, 2], ids=["alone", "with-towers"])
+    def test_iterated_sd_map_takes_an_integer_stage(self, n, towers):
+        tower = cached_tower("edge", 3)
+        g = SimplicialMap.identity(tower.base)
+        with pytest.raises(InvalidInput,
+                           match=f"^subdivision stage must be an integer, not {re.escape(repr(n))}$"):
+            iterated_sd_map(g, n, *[tower] * towers)
 
 
 class TestNaturality:

@@ -1,7 +1,3 @@
-import os
-import pathlib
-import subprocess
-import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -32,9 +28,7 @@ from poset_tower.errors import (
 from poset_tower.subdivision import _numerators, lift_point, subdivide
 from poset_tower.verify import sample_points
 
-from conftest import COMPLEXES, is_complex, is_face_of, small_complexes
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import COMPLEXES, is_complex, is_face_of, run_python, small_complexes
 
 
 def labels(simplices):
@@ -141,11 +135,7 @@ except PosetTowerError as exc:
     def test_same_message_under_every_hash_seed(self):
         outputs = set()
         for seed in ("1", "2", "3", "4", "5"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
-                                    capture_output=True, text=True, timeout=60)
+            result = run_python("-c", self.SCRIPT, PYTHONHASHSEED=seed)
             assert result.returncode == 0, result.stderr
             outputs.add(result.stdout)
         assert outputs == {"face Simplex({a}) of simplex Simplex({a,b}) is missing\n"}
@@ -169,11 +159,7 @@ for make in (lambda: Simplex([]), lambda: Simplex(["b", "a", "b"]),
 
     def test_same_types_and_messages(self):
         for seed in ("1", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
-                                    capture_output=True, text=True, timeout=60)
+            result = run_python("-c", self.SCRIPT, PYTHONHASHSEED=seed)
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines() == [
                 "InvalidComplex a simplex needs at least one vertex",

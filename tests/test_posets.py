@@ -1,9 +1,5 @@
-import os
-import pathlib
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,10 +20,9 @@ from poset_tower import (
 from poset_tower.errors import ElementNotFound, NotAPartialOrder, ResourceLimit
 from poset_tower.fixtures import antichain, chain, circle, edge, fence3, point, projective_plane
 
-from conftest import COMPLEXES
+from conftest import COMPLEXES, run_python
 
 IDENTITY_COMPLEXES = {**COMPLEXES, "projective-plane": projective_plane}
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestRelation:
@@ -159,11 +154,7 @@ for call in (
 
     def test_outsiders_are_named_under_two_hash_seeds(self):
         for seed in ("1", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-            result = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
-                                    capture_output=True, text=True, timeout=60)
+            result = run_python("-c", self.SCRIPT, PYTHONHASHSEED=seed)
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines() == [
                 "ElementNotFound 'b' in the down-set of 'a' is not an element",

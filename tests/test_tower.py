@@ -1,9 +1,5 @@
 import json
-import os
-import pathlib
 import re
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -62,12 +58,11 @@ from conftest import (
     open_families_exhaustive,
     open_subset_is_open,
     rational_points,
+    run_python,
     sample_separated_pairs,
     sd_reference,
     small_complexes,
 )
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def frac(a, b=1):
@@ -164,18 +159,18 @@ class TestLevels:
         tower.stage(6).complex
         assert sorted(labelled) == [0, 1, 2, 3, 4, 5]
 
-    def test_names_with_braces_label_each_stage_once_at_build(self, monkeypatch):
+    def test_names_with_braces_label_each_stage_once_at_build(self, labelled, monkeypatch):
+        """Stages 0..2 are labelled at build; no clash, so ``barycenters`` is never called."""
         calls = []
-        label = subdivision.barycenters
-        monkeypatch.setattr(subdivision, "barycenters",
-                            lambda cx: calls.append(cx) or label(cx))
+        monkeypatch.setattr(subdivision, "barycenters", calls.append)
         K = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "b{a,c}"]])
         tower = Tower.build(K, 3)
-        assert len(calls) == 3
+        assert sorted(labelled) == [0, 1, 2]
         for level in tower.levels:
             assert level.carrier and level.elements
         tower.stage(3)
-        assert len(calls) == 3
+        assert sorted(labelled) == [0, 1, 2]
+        assert calls == []
 
     def test_build_makes_no_simplex_comparisons(self, monkeypatch, TRI):
         calls = []
@@ -227,11 +222,7 @@ for build in (Tower.build, build_level, subdivide):
 
     def test_two_collisions_name_the_least_pair_under_every_hash_seed(self):
         for seed in ("1", "2", "3", "4", "5"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-            result = subprocess.run([sys.executable, "-c", self.COLLISIONS], env=env,
-                                    capture_output=True, text=True, timeout=60)
+            result = run_python("-c", self.COLLISIONS, PYTHONHASHSEED=seed)
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines() == [
                 "InvalidComplex stage vertex label 'b{a,b}' names both {b{a,b}} and {a,b}"] * 3
@@ -250,11 +241,7 @@ for build in (Tower.build, build_level, subdivide):
     def test_collisions_among_chains_name_the_least_pair_under_every_hash_seed(self):
         """Stage 1 is labelled from its chain list, which is walked again sorted."""
         for seed in ("1", "2", "3", "4", "5"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-            result = subprocess.run([sys.executable, "-c", self.CHAIN_COLLISIONS], env=env,
-                                    capture_output=True, text=True, timeout=60)
+            result = run_python("-c", self.CHAIN_COLLISIONS, PYTHONHASHSEED=seed)
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines() == [
                 "InvalidComplex stage vertex label 'b{a,b{a,b}}' names both"
@@ -501,7 +488,11 @@ class TestIdsMatchLabelReference:
 
 
 class TestNamesWithBraces:
-    """A base name may hold braces or commas; such a base is labelled in full at build."""
+    """A base name may hold braces or commas; such a base's stages are labelled in full.
+
+    A stage is labelled when it is subdivided or read as a level, and a label
+    that names two of its simplices is refused there.
+    """
 
     ATOM = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "b{a,c}"]])
 
@@ -551,14 +542,40 @@ for build in (Tower.build, subdivide):
 
     @pytest.mark.parametrize("seed", ["1", "4242"])
     def test_clash_next_to_its_edge_is_refused(self, seed):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        result = subprocess.run([sys.executable, "-c", self.COLLISION], env=env,
-                                capture_output=True, text=True, timeout=60)
+        result = run_python("-c", self.COLLISION, PYTHONHASHSEED=seed)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == [
             "InvalidComplex stage vertex label 'b{a,b}' names both {b{a,b}} and {a,b}"] * 2
+
+    SHORT_OF_A_CLASH = """
+from fractions import Fraction
+from poset_tower import RationalPoint, SimplicialComplex, Tower, subdivide
+from poset_tower.errors import PosetTowerError
+K = SimplicialComplex.from_maximal([["a", "b"], ["c", "b{a,b{a,b}}"]])
+T = Tower.build(K, 1)
+p = RationalPoint(K, {"a": Fraction(1, 3), "b": Fraction(2, 3)})
+thread = T.encode_thread(p, 1)
+print(thread.entries, [sorted(c) for c in T.decode_thread(T.thread(list(thread.entries))).chain])
+print(sorted((x, s.label()) for x, s in T.level(1).carrier.items()))
+for build in (lambda: Tower.build(K, 2), lambda: subdivide(K, 2), lambda: T.deepened(2)):
+    try:
+        build()
+    except PosetTowerError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+    @pytest.mark.parametrize("seed", ["1", "4242"])
+    def test_one_level_short_of_a_clash(self, seed):
+        """The base's first clash is among the stage-1 labels, so depth 1 works and 2 is refused."""
+        result = run_python("-c", self.SHORT_OF_A_CLASH, PYTHONHASHSEED=seed)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "('b{a,b}',) [['a', 'b']]",
+            "[('a', '{a}'), ('b', '{b}'), ('b{a,b{a,b}}', '{b{a,b{a,b}}}'), ('b{a,b}', '{a,b}'),"
+            " ('b{b{a,b{a,b}},c}', '{b{a,b{a,b}},c}'), ('c', '{c}')]",
+            *["InvalidComplex stage vertex label 'b{a,b{a,b}}' names both"
+              " {b{a,b{a,b}}} and {a,b{a,b}}"] * 3,
+        ]
 
 
 class TestBaseVertexIds:
@@ -619,13 +636,9 @@ for tower, p, depth in runs:
         decoded, embedded and read under a recursion limit of 120, with the
         output they give at the default limit.
         """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
         outputs = []
         for limit in ("0", "120"):
-            result = subprocess.run([sys.executable, "-c", self.SHALLOW, limit], env=env,
-                                    capture_output=True, text=True, timeout=120)
+            result = run_python("-c", self.SHALLOW, limit, timeout=120)
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 6
@@ -917,13 +930,21 @@ class TestThreads:
 
     @pytest.mark.parametrize("name, N", [("edge", 4), ("triangle", 3), ("tetra-boundary", 3)])
     def test_threads_of_carrier_points_lie_below(self, name, N):
+        self.check_carrier_points_lie_below(cached_tower(name, N), N)
+
+    @given(small_complexes(), st.integers(1, 3))
+    @settings(max_examples=150)
+    def test_threads_of_carrier_points_lie_below_on_small_complexes(self, K, N):
+        self.check_carrier_points_lie_below(Tower.build(K, N), N)
+
+    @staticmethod
+    def check_carrier_points_lie_below(tower, N):
         """The finite form of the claim that threads of points are the minimal threads.
 
         Take a level-N element x with its bonded thread.  Each vertex of x's
         closed carrier and x's decoded representative is a point p of that
         carrier, and p's thread lies entrywise below x's in every level order.
         """
-        tower = cached_tower(name, N)
         stage = tower.stage(N - 1)
         for x in tower.level(N).elements:
             entries = [tower.bond(x, N, n) for n in range(1, N + 1)]

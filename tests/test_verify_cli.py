@@ -1,10 +1,6 @@
 import json
-import os
-import pathlib
 import random
 import re
-import subprocess
-import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -26,9 +22,8 @@ from poset_tower.fixtures import chain, circle, edge, tetra_boundary, triangle
 from poset_tower.tower import Tower
 from poset_tower.verify import SUITES, depth_guard, sample_points, verify_all, verify_suite
 
-from conftest import COMPLEXES, small_complexes
+from conftest import COMPLEXES, ROOT, run_python, small_complexes
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 FIXTURE_FILES = sorted(FIXTURE_DIR.glob("*.json"))
 EDGE = edge().to_json_obj()
@@ -65,6 +60,10 @@ class TestSuites:
             verify_suite("nope", E, 2)
         with pytest.raises(UnknownSuite):
             verify_suite("nope", SimplicialComplex([], []), 0)
+
+    def test_unhashable_suite_name_is_unknown(self, E):
+        with pytest.raises(UnknownSuite, match=r"^\['x'\]; choose from \["):
+            verify_suite(["x"], E, 1)
 
     def test_depth_guard(self, E, TRI):
         depth_guard(E, 4)
@@ -194,6 +193,18 @@ class TestSuites:
         monkeypatch.setattr(verify, "sample_points", refuse)
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             run(E, depth, seed)
+
+    @pytest.mark.parametrize("count,seed,message", [
+        (3.5, 0, "sample count must be an integer, not 3.5"),
+        ("3", 0, "sample count must be an integer, not '3'"),
+        (True, 0, "sample count must be an integer, not True"),
+        (3, "0", "seed must be an integer, not '0'"),
+        (3, 0.5, "seed must be an integer, not 0.5"),
+        (3, None, "seed must be an integer, not None"),
+    ])
+    def test_sample_points_takes_integers(self, E, count, seed, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            sample_points(E, count, seed)
 
     @pytest.mark.parametrize("run", [
         lambda K, depth: verify_all(K, depth),
@@ -604,11 +615,7 @@ class TestInputErrors:
 
     @staticmethod
     def run_module(*argv, timeout=60, **env_vars):
-        env = dict(os.environ, **env_vars)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "poset_tower", *argv],
-                              capture_output=True, text=True, env=env, timeout=timeout)
+        return run_python("-m", "poset_tower", *argv, timeout=timeout, **env_vars)
 
     def assert_clean_error(self, result, needle):
         assert result.returncode == 1
