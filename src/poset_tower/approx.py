@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Mapping, Sequence
 
-from .complexes import RationalPoint, Simplex, SimplicialComplex
+from .complexes import RationalPoint, Simplex, SimplicialComplex, _not_in_complex
 from .errors import (
     ElementNotFound,
     IncoherentThread,
@@ -66,10 +66,14 @@ class SimplicialMap:
         return self.vertex_map[v]
 
     def apply_simplex(self, s: Simplex) -> Simplex:
+        if not isinstance(s, Simplex) or s not in self.source.simplices:
+            raise _not_in_complex(s)
         return Simplex.of(self.vertex_map[v] for v in s.verts)
 
     def apply_point(self, p: RationalPoint) -> RationalPoint:
         """The induced map on realizations (requires the map to be simplicial)."""
+        if p.complex is not self.source and p.complex != self.source:
+            raise ValueError("point must be over the map's source")
         D, numerators = _numerators(p)
         acc = {}
         for v, a in numerators.items():
@@ -148,19 +152,21 @@ def _subdivided(vertex_map: Mapping[str, str], carriers):
 def iterated_sd_map(g: SimplicialMap, n: int,
                     source_tower: Tower | None = None,
                     target_tower: Tower | None = None) -> SimplicialMap:
-    """The n-fold subdivision of g, reusing tower stages when provided.
+    """The n-fold subdivision of g: the last map of the walk of g's level maps.
 
-    A subdivided simplicial map is simplicial, so only g itself is checked.
+    g, the towers' base complexes and n are checked as ``induce_level_map``
+    checks them (``_level_assignments``), at level 1 for n < 1, which gives
+    g itself.  A tower not given is built to depth n over its endpoint.
     """
     _require_int(n, "subdivision stage")
-    require_simplicial(g)
+    depth = max(n, 1)
+    source = source_tower or Tower.build(g.source, depth)
+    target = target_tower or Tower.build(g.target, depth)
+    walk = _level_assignments(g, depth, source, target)
     if n < 1:
         return g
-    source = source_tower.stage(n) if source_tower is not None else subdivide(g.source, n)
-    target = target_tower.stage(n) if target_tower is not None else subdivide(g.target, n)
-    *_, assignment = _subdivided(g.vertex_map,
-                                 (stage.provenance for stage in source.stage_chain()[1:]))
-    return SimplicialMap(source.complex, target.complex, assignment)
+    *_, assignment = walk
+    return SimplicialMap(source.stage(n).complex, target.stage(n).complex, assignment)
 
 
 class PLMap:
@@ -409,8 +415,8 @@ class SystemMorphism:
     def depth(self) -> int:
         return len(self.levels)
 
-    def level(self, n: int) -> PosetMap:
-        return self.levels[n - 1]
+    # Tower.level's checks and lookup, over this morphism's levels and depth
+    level = Tower.level
 
     def validate(self) -> bool:
         """Order preservation of every level plus the bond intertwining squares."""

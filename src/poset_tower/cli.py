@@ -214,72 +214,53 @@ def _parser() -> argparse.ArgumentParser:
         description="Realize a simplicial complex through a tower of finite posets.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_allow_deep(p):
-        p.add_argument("--allow-deep", action="store_true",
-                       help="override the dimension-based depth guard")
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    p_complex = sub.add_parser("complex", help="validate or subdivide complexes")
-    sub_complex = p_complex.add_subparsers(dest="subcommand", required=True)
-    p = sub_complex.add_parser("validate")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_complex_validate)
-    p = sub_complex.add_parser("subdivide")
-    p.add_argument("file")
-    p.add_argument("--stage", type=int, required=True)
-    add_allow_deep(p)
-    p.set_defaults(func=_cmd_complex_subdivide)
-
-    p_poset = sub.add_parser("poset", help="poset constructions and exports")
-    sub_poset = p_poset.add_subparsers(dest="subcommand", required=True)
-    p = sub_poset.add_parser("core")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=_cmd_poset_core)
-    p = sub_poset.add_parser("order-complex")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_poset_order_complex)
-    p = sub_poset.add_parser("face-poset")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=_cmd_poset_face_poset)
-    p = sub_poset.add_parser("dot")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_poset_dot)
-
-    p_tower = sub.add_parser("tower", help="build towers, encode/decode threads")
-    sub_tower = p_tower.add_subparsers(dest="subcommand", required=True)
-
-    def tower_command(name, func, **options):
-        """Declare ``tower NAME COMPLEX``, a required ``--OPTION`` of each given type, --allow-deep."""
-        p = sub_tower.add_parser(name)
-        p.add_argument("complex")
-        for option, kind in options.items():
-            p.add_argument(f"--{option}", type=kind, required=True)
-        add_allow_deep(p)
+    def command(parent, name, func, *positionals, allow_deep=False, help=None, **options):
+        """Declare a command: its positionals, each ``--OPTION``'s argparse settings, --allow-deep."""
+        # a help of None would still list the command in its parent's --help
+        p = parent.add_parser(name, **({"help": help} if help else {}))
+        for positional in positionals:
+            p.add_argument(positional)
+        for option, settings in options.items():
+            p.add_argument(f"--{option}", **settings)
+        if allow_deep:
+            p.add_argument("--allow-deep", action="store_true",
+                           help="override the dimension-based depth guard")
         p.set_defaults(func=func)
 
-    tower_command("build", _cmd_tower_build, depth=int)
-    tower_command("encode", _cmd_tower_encode, point=str, depth=int)
-    tower_command("decode", _cmd_tower_decode, thread=str)
-    tower_command("validate", _cmd_tower_validate, thread=str)
-    tower_command("separate", _cmd_tower_separate, p=str, q=str, depth=int)
-    p = sub_tower.add_parser("verify")
-    p.add_argument("complex")
-    p.add_argument("--suite", default="all",
-                   help=f"one of {sorted(SUITES)} or 'all'")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_tower_verify)
+    path = {"type": str, "required": True}
+    integer = {"type": int, "required": True}
+    fmt = {"choices": ["json", "dot"], "default": "json"}
 
-    p = sub.add_parser("homology", help="Betti numbers and torsion of a complex")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_homology)
+    complex_ = group("complex", "validate or subdivide complexes")
+    command(complex_, "validate", _cmd_complex_validate, "file")
+    command(complex_, "subdivide", _cmd_complex_subdivide, "file", stage=integer, allow_deep=True)
 
-    p = sub.add_parser("approx", help="simplicial approximation of a PL map")
-    p.add_argument("--map", required=True)
-    p.add_argument("--cap", type=int, default=4)
-    add_allow_deep(p)
-    p.set_defaults(func=_cmd_approx)
+    poset = group("poset", "poset constructions and exports")
+    command(poset, "core", _cmd_poset_core, "file", format=fmt)
+    command(poset, "order-complex", _cmd_poset_order_complex, "file")
+    command(poset, "face-poset", _cmd_poset_face_poset, "file", format=fmt)
+    command(poset, "dot", _cmd_poset_dot, "file")
+
+    tower = group("tower", "build towers, encode/decode threads")
+    command(tower, "build", _cmd_tower_build, "complex", depth=integer, allow_deep=True)
+    command(tower, "encode", _cmd_tower_encode, "complex", point=path, depth=integer,
+            allow_deep=True)
+    command(tower, "decode", _cmd_tower_decode, "complex", thread=path, allow_deep=True)
+    command(tower, "validate", _cmd_tower_validate, "complex", thread=path, allow_deep=True)
+    command(tower, "separate", _cmd_tower_separate, "complex", p=path, q=path, depth=integer,
+            allow_deep=True)
+    command(tower, "verify", _cmd_tower_verify, "complex",
+            suite={"default": "all", "help": f"one of {sorted(SUITES)} or 'all'"},
+            depth={"type": int, "default": 2}, seed={"type": int, "default": 0})
+
+    command(sub, "homology", _cmd_homology, "file",
+            help="Betti numbers and torsion of a complex")
+    command(sub, "approx", _cmd_approx, map={"required": True},
+            cap={"type": int, "default": 4}, allow_deep=True,
+            help="simplicial approximation of a PL map")
 
     return parser
 

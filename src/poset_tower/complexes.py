@@ -96,6 +96,11 @@ class Simplex:
         return f"Simplex({self.label()})"
 
 
+def _not_in_complex(simplex) -> SimplexNotInComplex:
+    """The error for an argument that is not a simplex of the complex: its label, or its repr."""
+    return SimplexNotInComplex(simplex.label() if isinstance(simplex, Simplex) else repr(simplex))
+
+
 class SimplicialComplex:
     """A finite simplicial complex: vertex labels plus a face-closed simplex set.
 
@@ -187,8 +192,8 @@ class SimplicialComplex:
             self._cofaces = {s: tuple(index[s.verts]) for s in ordered}
         try:
             return self._cofaces[simplex]
-        except KeyError:
-            raise SimplexNotInComplex(simplex.label()) from None
+        except (KeyError, TypeError):
+            raise _not_in_complex(simplex) from None
 
     def k_simplices(self, k: int):
         return tuple(s for s in self.sorted_simplices() if s.dim == k)
@@ -325,12 +330,14 @@ class RationalPoint:
 
     @classmethod
     def vertex(cls, complex: SimplicialComplex, v: str) -> "RationalPoint":
+        if not isinstance(v, str):
+            raise InvalidPoint(f"{v!r} is not a vertex name")
         return cls._from_numerators(complex, 1, {v: 1})
 
     @classmethod
     def barycenter(cls, complex: SimplicialComplex, simplex: Simplex) -> "RationalPoint":
-        if simplex not in complex.simplices:
-            raise SimplexNotInComplex(simplex.label())
+        if not isinstance(simplex, Simplex) or simplex not in complex.simplices:
+            raise _not_in_complex(simplex)
         return cls._from_numerators(complex, len(simplex.verts), dict.fromkeys(simplex.verts, 1))
 
     @classmethod
@@ -423,7 +430,8 @@ def link(K: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
 
 def open_star(K: SimplicialComplex, simplex: Simplex) -> set:
     """All simplices containing the given one; as a point set, star minus link."""
-    return {simplex, *K.cofaces(simplex)}
+    cofaces = K.cofaces(simplex)
+    return {simplex, *cofaces}
 
 
 def dist_sq(p: RationalPoint, q: RationalPoint) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complexes import RationalPoint, Simplex, SimplicialComplex, _Record
+from .complexes import RationalPoint, Simplex, SimplicialComplex, _Record, _not_in_complex
 from .errors import (
     ElementNotFound,
     EqualPoints,
@@ -21,7 +21,6 @@ from .errors import (
     InvalidPoint,
     LevelOutOfRange,
     NotSeparated,
-    SimplexNotInComplex,
     StageTooCoarse,
 )
 from .posets import FinitePoset
@@ -405,10 +404,8 @@ class Tower:
             name = level._stage._name
         out = set()
         for s in opens:
-            if not isinstance(s, Simplex):
-                raise SimplexNotInComplex(repr(s))
-            if s not in simplices:
-                raise SimplexNotInComplex(s.label())
+            if not isinstance(s, Simplex) or s not in simplices:
+                raise _not_in_complex(s)
             if m == n - 1:
                 out.add(stage_vertex_label(s))
             else:

@@ -21,7 +21,7 @@ from .complexes import (
     open_star,
     star,
 )
-from .errors import DepthTooLarge, InvalidComplex, UnknownSuite
+from .errors import DepthTooLarge, InvalidComplex, InvalidInput, UnknownSuite
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
 from .subdivision import _require_int, lift_point
@@ -89,6 +89,8 @@ def sample_points(K: SimplicialComplex, count: int, seed: int):
     """
     _require_int(count, "sample count")
     _require_int(seed, "seed")
+    if count < 0:
+        raise InvalidInput(f"sample count must be a non-negative integer, not {count}")
     rng = random.Random(seed)
     sims = K.sorted_simplices()
     made = {}

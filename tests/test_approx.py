@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from poset_tower import (
     PLMap,
     RationalPoint,
+    Simplex,
     SimplicialComplex,
     SimplicialMap,
     SystemMorphism,
@@ -30,6 +31,7 @@ from poset_tower.errors import (
     LevelOutOfRange,
     NotSimplicial,
     SearchExhausted,
+    SimplexNotInComplex,
 )
 from poset_tower import approx
 from poset_tower.subdivision import _numerators, embed_point, lift_point, sd_coordinates
@@ -89,6 +91,29 @@ class TestSimplicialMaps:
         collapse = SimplicialMap(E, E, {"a": "a", "b": "a"})
         p = RationalPoint(E, {"a": Fraction(2, 3), "b": Fraction(1, 3)})
         assert collapse.apply_point(p).coords == {"a": Fraction(1)}
+
+    @pytest.mark.parametrize("source,point", [
+        ("edge", ("triangle", "0")),
+        ("two-points", ("edge", "a")),
+    ], ids=["triangle-vertex", "edge-vertex-over-two-points"])
+    def test_apply_point_refuses_a_point_outside_the_source(self, E, TRI, source, point):
+        """A triangle vertex was a KeyError; an edge vertex came back as a point of the two points."""
+        complexes = {"edge": E, "triangle": TRI,
+                     "two-points": SimplicialComplex.from_maximal([["a"], ["b"]])}
+        p = RationalPoint.vertex(complexes[point[0]], point[1])
+        with pytest.raises(ValueError, match="^point must be over the map's source$"):
+            SimplicialMap.identity(complexes[source]).apply_point(p)
+
+    @pytest.mark.parametrize("source,simplex,message", [
+        ("edge", Simplex(["0"]), "{0}"),
+        ("two-points", Simplex(["a", "b"]), "{a,b}"),
+        ("edge", "a", "'a'"),
+        ("edge", ["a"], "['a']"),
+    ], ids=["triangle-vertex", "edge-over-two-points", "str", "list"])
+    def test_apply_simplex_refuses_a_simplex_outside_the_source(self, E, source, simplex, message):
+        K = {"edge": E, "two-points": SimplicialComplex.from_maximal([["a"], ["b"]])}[source]
+        with pytest.raises(SimplexNotInComplex, match=f"^{re.escape(message)}$"):
+            SimplicialMap.identity(K).apply_simplex(simplex)
 
 
 class TestPLMaps:
@@ -349,6 +374,17 @@ class TestLevelMapWalk:
         g = SimplicialMap.identity(tower.base)
         iterated_sd_map(g, 3, tower, tower)
         assert checked == [g]
+
+    @pytest.mark.parametrize("other", ["edge-and-point", "triangle"])
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_iterated_sd_map_refuses_towers_over_other_complexes(self, E, end, other):
+        """Over the edge plus a point the map was returned into the wrong stage; over the triangle, a KeyError."""
+        K = {"edge-and-point": SimplicialComplex.from_maximal([["a", "b"], ["c"]]),
+             "triangle": cached_tower("triangle", 2).base}[other]
+        towers = {"source": Tower.build(E, 2), "target": Tower.build(E, 2)}
+        towers[end] = Tower.build(K, 2)
+        with pytest.raises(ValueError, match="^towers do not match the map's endpoints$"):
+            iterated_sd_map(SimplicialMap.identity(E), 2, towers["source"], towers["target"])
 
     @pytest.mark.parametrize("n", ["2", 0.5, None])
     @pytest.mark.parametrize("towers", [0, 2], ids=["alone", "with-towers"])

@@ -1,3 +1,4 @@
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -283,6 +284,23 @@ class TestStarLink:
     def test_missing_simplex_raises(self, S1):
         with pytest.raises(SimplexNotInComplex):
             star(S1, Simplex(["0", "1", "2"]))
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda E: open_star(E, "a"), SimplexNotInComplex, "'a'"),
+        (lambda E: star(E, "a"), SimplexNotInComplex, "'a'"),
+        (lambda E: E.cofaces("a"), SimplexNotInComplex, "'a'"),
+        (lambda E: RationalPoint.barycenter(E, "a"), SimplexNotInComplex, "'a'"),
+        (lambda E: link(E, ["a"]), SimplexNotInComplex, "['a']"),
+        (lambda E: E.cofaces(["a"]), SimplexNotInComplex, "['a']"),
+        (lambda E: RationalPoint.barycenter(E, ["a"]), SimplexNotInComplex, "['a']"),
+        (lambda E: RationalPoint.vertex(E, 5), InvalidPoint, "5 is not a vertex name"),
+        (lambda E: RationalPoint.vertex(E, ["a"]), InvalidPoint, "['a'] is not a vertex name"),
+    ], ids=["open-star", "star", "cofaces", "barycenter", "link-list", "cofaces-list",
+            "barycenter-list", "vertex-int", "vertex-list"])
+    def test_argument_that_is_not_a_simplex(self, E, call, error, message):
+        """These ended in an AttributeError from the error path, or a TypeError."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(E)
 
     @pytest.mark.parametrize("name", sorted(COMPLEXES))
     def test_star_link_open_star_identities(self, name):

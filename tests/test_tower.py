@@ -14,6 +14,8 @@ from poset_tower import (
     RationalPoint,
     Simplex,
     SimplicialComplex,
+    SimplicialMap,
+    SystemMorphism,
     Tower,
     betti,
     build_level,
@@ -1268,8 +1270,10 @@ class TestTowerPlumbing:
         lambda T, p, v: T.basic_preimage("0", v),
         lambda T, p, v: T.encode_thread(p, v),
         lambda T, p, v: T.project_point(p, v),
+        lambda T, p, v: SystemMorphism.build(SimplicialMap.identity(T.base), T, T).level(v),
     ], ids=["level", "stage", "bond-from", "bond-to", "image-of-open-stage",
-            "image-of-open-level", "basic-preimage", "encode-thread", "project-point"])
+            "image-of-open-level", "basic-preimage", "encode-thread", "project-point",
+            "morphism-level"])
     def test_level_or_stage_that_is_not_an_int(self, TRI, call, value):
         T = Tower.build(TRI, 2)
         with pytest.raises(InvalidInput, match=f"must be an integer, not {re.escape(repr(value))}$"):
@@ -1281,8 +1285,12 @@ class TestTowerPlumbing:
         (lambda T, p: T.thread(["a"] * 4), LevelOutOfRange, "thread longer than tower depth 3"),
         (lambda T, p: T.image_of_open([Simplex(["a", "b"])], 1, 1), SimplexNotInComplex, "{a,b}"),
         (lambda T, p: build_level(T.base, 0), LevelOutOfRange, "levels start at 1"),
+        (lambda T, p: SystemMorphism.build(SimplicialMap.identity(T.base), T, T).level(0),
+         LevelOutOfRange, "level 0 outside 1..3"),
+        (lambda T, p: SystemMorphism.build(SimplicialMap.identity(T.base), T, T).level(4),
+         LevelOutOfRange, "level 4 outside 1..3"),
     ], ids=["encode-depth-0", "encode-too-deep", "thread-too-long", "open-outside-stage",
-            "level-0"])
+            "level-0", "morphism-level-0", "morphism-level-past-depth"])
     def test_typed_errors(self, tower_E3, E, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(tower_E3, RationalPoint.vertex(E, "a"))

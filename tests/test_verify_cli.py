@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import re
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from poset_tower import approx, subdivision, verify
 from poset_tower.approx import SimplicialMap, SystemMorphism
-from poset_tower.cli import main
+from poset_tower.cli import _parser, main
 from poset_tower.complexes import RationalPoint, SimplicialComplex
 from poset_tower.errors import (
     DepthTooLarge,
@@ -205,6 +206,12 @@ class TestSuites:
     def test_sample_points_takes_integers(self, E, count, seed, message):
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             sample_points(E, count, seed)
+
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_sample_points_refuses_a_negative_count(self, E, count):
+        with pytest.raises(InvalidInput,
+                           match=f"^sample count must be a non-negative integer, not {count}$"):
+            sample_points(E, count, 0)
 
     @pytest.mark.parametrize("run", [
         lambda K, depth: verify_all(K, depth),
@@ -564,6 +571,54 @@ class TestApproxCommand:
         assert code == 1 and "guard (4)" in err and calls == []
         code, out, _ = run_cli(capsys, "approx", "--map", path, "--cap", "5", "--allow-deep")
         assert code == 0 and json.loads(out)["n"] == 5 and calls == [5]
+
+
+# command: (handler, positionals, {option: (type, default, required, choices)}, --allow-deep flag)
+REQUIRED_STR, REQUIRED_INT = (str, None, True, None), (int, None, True, None)
+FORMAT = (None, "json", False, ["json", "dot"])
+PARSER_SURFACE = {
+    "complex validate": ("_cmd_complex_validate", ["file"], {}, False),
+    "complex subdivide": ("_cmd_complex_subdivide", ["file"], {"--stage": REQUIRED_INT}, True),
+    "poset core": ("_cmd_poset_core", ["file"], {"--format": FORMAT}, False),
+    "poset order-complex": ("_cmd_poset_order_complex", ["file"], {}, False),
+    "poset face-poset": ("_cmd_poset_face_poset", ["file"], {"--format": FORMAT}, False),
+    "poset dot": ("_cmd_poset_dot", ["file"], {}, False),
+    "tower build": ("_cmd_tower_build", ["complex"], {"--depth": REQUIRED_INT}, True),
+    "tower encode": ("_cmd_tower_encode", ["complex"],
+                     {"--point": REQUIRED_STR, "--depth": REQUIRED_INT}, True),
+    "tower decode": ("_cmd_tower_decode", ["complex"], {"--thread": REQUIRED_STR}, True),
+    "tower validate": ("_cmd_tower_validate", ["complex"], {"--thread": REQUIRED_STR}, True),
+    "tower separate": ("_cmd_tower_separate", ["complex"],
+                       {"--p": REQUIRED_STR, "--q": REQUIRED_STR, "--depth": REQUIRED_INT}, True),
+    "tower verify": ("_cmd_tower_verify", ["complex"],
+                     {"--suite": (None, "all", False, None), "--depth": (int, 2, False, None),
+                      "--seed": (int, 0, False, None)}, False),
+    "homology": ("_cmd_homology", ["file"], {}, False),
+    "approx": ("_cmd_approx", [], {"--map": (None, None, True, None),
+                                   "--cap": (int, 4, False, None)}, True),
+}
+
+
+def parser_surface(parser, prefix=""):
+    """Each command under ``parser`` with its handler, positionals, options and --allow-deep."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subparsers:
+        return {name: surface
+                for word, sub in subparsers[0].choices.items()
+                for name, surface in parser_surface(sub, f"{prefix}{word} ").items()}
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    options = {a.option_strings[0]: (a.type, a.default, a.required, a.choices)
+               for a in actions if a.option_strings and a.dest != "allow_deep"}
+    return {prefix.strip(): (parser.get_default("func").__name__,
+                             [a.dest for a in actions if not a.option_strings],
+                             options,
+                             any(a.dest == "allow_deep" and isinstance(a, argparse._StoreTrueAction)
+                                 for a in actions))}
+
+
+class TestParserSurface:
+    def test_every_command_keeps_its_arguments(self):
+        assert parser_surface(_parser()) == PARSER_SURFACE
 
 
 class TestRepeatedMain:
