@@ -21,6 +21,7 @@ from .errors import (
     InvalidPLMap,
     NotSimplicial,
     SearchExhausted,
+    WrongComplex,
 )
 from .posets import PosetMap
 from .subdivision import (
@@ -63,7 +64,10 @@ class SimplicialMap:
         return cls(K, T, {v: w for v in K.vertices})
 
     def __call__(self, v: str) -> str:
-        return self.vertex_map[v]
+        try:
+            return self.vertex_map[v]
+        except (KeyError, TypeError):
+            raise ElementNotFound(repr(v)) from None
 
     def apply_simplex(self, s: Simplex) -> Simplex:
         if not isinstance(s, Simplex) or s not in self.source.simplices:
@@ -73,7 +77,7 @@ class SimplicialMap:
     def apply_point(self, p: RationalPoint) -> RationalPoint:
         """The induced map on realizations (requires the map to be simplicial)."""
         if p.complex is not self.source and p.complex != self.source:
-            raise ValueError("point must be over the map's source")
+            raise WrongComplex("point must be over the map's source")
         D, numerators = _numerators(p)
         acc = {}
         for v, a in numerators.items():
@@ -84,7 +88,7 @@ class SimplicialMap:
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
         if inner.target != self.source:
-            raise ValueError("composition mismatch")
+            raise WrongComplex("composition mismatch")
         return SimplicialMap(inner.source, self.target,
                              {v: self.vertex_map[inner.vertex_map[v]]
                               for v in inner.source.vertices})
@@ -132,7 +136,7 @@ def sd_map(g: SimplicialMap,
     if (source_stage.previous is None or target_stage.previous is None
             or source_stage.previous.complex != g.source
             or target_stage.previous.complex != g.target):
-        raise ValueError("stages do not match the map's endpoints")
+        raise WrongComplex("stages do not match the map's endpoints")
     assignment = next(_subdivided(g.vertex_map, [source_stage.provenance]))
     return SimplicialMap(source_stage.complex, target_stage.complex, assignment)
 
@@ -214,7 +218,7 @@ class PLMap:
     def evaluate(self, p: RationalPoint) -> RationalPoint:
         """Value at a point expressed over the defining stage."""
         if p.complex != self.source_stage.complex:
-            raise ValueError("point must be over the map's defining stage")
+            raise WrongComplex("point must be over the map's defining stage")
         D, images = self._image_numerators
         Dp, weights = _numerators(p)
         return RationalPoint._from_numerators(
@@ -339,7 +343,7 @@ def carrier_homotopy_check(h: PLMap, f: SimplicialMap,
     Samples are points over f's source (stage n); the check is exact.
     """
     if f.source != source_stage.complex:
-        raise ValueError("stage does not match the simplicial map's source")
+        raise WrongComplex("stage does not match the simplicial map's source")
     for x in samples:
         hx = h.evaluate_base(source_stage.embed_point(x))
         fx = f.apply_point(x)
@@ -364,7 +368,7 @@ def _level_assignments(g: SimplicialMap, n: int,
     """
     require_simplicial(g)
     if g.source != source_tower.base or g.target != target_tower.base:
-        raise ValueError("towers do not match the map's endpoints")
+        raise WrongComplex("towers do not match the map's endpoints")
     source_tower.level(n)
     target_tower.level(n)
     return _subdivided(g.vertex_map, (level.carrier for level in source_tower.levels[:n]))
@@ -437,7 +441,7 @@ class SystemMorphism:
 def limit_map(m: SystemMorphism, t: ThreadPrefix) -> ThreadPrefix:
     """Apply a system morphism entrywise to a coherent thread."""
     if t.tower is not m.source_tower:
-        raise ValueError("thread does not belong to the morphism's source tower")
+        raise WrongComplex("thread does not belong to the morphism's source tower")
     if len(t.entries) > m.depth:
         raise IncoherentThread("thread deeper than the morphism's levels")
     m.source_tower._require_coherent(t)

@@ -168,7 +168,7 @@ class SimplicialComplex:
         return simplex in self.simplices
 
     def has_vertex(self, v: str) -> bool:
-        return Simplex((v,)) in self.simplices
+        return isinstance(v, str) and Simplex((v,)) in self.simplices
 
     def _vertex_tuples(self) -> set:
         """The vertex tuples of every simplex, built on first use and kept."""
@@ -350,6 +350,8 @@ class RationalPoint:
         return cls(complex, acc)
 
     def coord(self, v: str) -> Fraction:
+        if not isinstance(v, str):
+            raise InvalidPoint(f"{v!r} is not a vertex name")
         return self.coords.get(v, Fraction(0))
 
     def support(self) -> Simplex:

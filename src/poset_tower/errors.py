@@ -15,6 +15,10 @@ class InvalidInput(PosetTowerError):
     """
 
 
+class NegativeStage(InvalidInput, ValueError):
+    """A subdivision stage below 0."""
+
+
 class InvalidComplex(PosetTowerError):
     pass
 
@@ -58,6 +62,10 @@ class NotAPartialOrder(PosetTowerError):
 
 class ElementNotFound(PosetTowerError):
     pass
+
+
+class WrongComplex(PosetTowerError, ValueError):
+    """A point, map, stage, tower or thread over another complex or tower than the one required."""
 
 
 class LevelOutOfRange(PosetTowerError):

@@ -251,7 +251,10 @@ class PosetMap:
         self.assignment = dict(assignment)
 
     def __call__(self, x):
-        return self.assignment[x]
+        try:
+            return self.assignment[x]
+        except (KeyError, TypeError):
+            raise ElementNotFound(repr(x)) from None
 
     def is_order_preserving(self) -> bool:
         f = self.assignment

@@ -15,7 +15,7 @@ from math import lcm
 from operator import itemgetter
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
-from .errors import ElementNotFound, InvalidComplex, InvalidInput
+from .errors import ElementNotFound, InvalidComplex, InvalidInput, NegativeStage, WrongComplex
 from .posets import _chains
 
 
@@ -251,7 +251,7 @@ class SubdividedComplex:
     def embed_point(self, p: RationalPoint) -> RationalPoint:
         """Expand a point over this stage into exact stage-0 coordinates."""
         if p.complex != self.complex:
-            raise ValueError("point is not expressed over this stage")
+            raise WrongComplex("point is not expressed over this stage")
         D, numerators = _numerators(p)
         ids = self._vertex_ids
         return RationalPoint._from_numerators(self.base, D * self._denominator, _weighted_sum(
@@ -413,7 +413,7 @@ def subdivide(K: SimplicialComplex, n: int) -> SubdividedComplex:
     """The n-th barycentric subdivision with the full provenance chain."""
     _require_int(n, "subdivision stage")
     if n < 0:
-        raise ValueError("subdivision stage must be >= 0")
+        raise NegativeStage("subdivision stage must be >= 0")
     get = _base_ids(K).__getitem__
     simplices = sorted([tuple(map(get, s.verts)) for s in K.simplices])
     simplices.sort(key=len)
@@ -473,7 +473,7 @@ def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Re-express a stage-(n-1) point over the stage-n vertices (one ``_sd_step``)."""
     prev = stage.previous
     if prev is None or p.complex != prev.complex:
-        raise ValueError("point must be expressed over the previous stage")
+        raise WrongComplex("point must be expressed over the previous stage")
     D, numerators = _numerators(p)
     ids = prev._vertex_ids
     return _over_stage(stage, D, _sd_step({ids[v]: a for v, a in numerators.items()}, prev._index))
@@ -482,7 +482,7 @@ def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Push a stage-0 point up the chain into this stage's coordinates."""
     if p.complex != stage.base:
-        raise ValueError("point is not over the chain's base complex")
+        raise WrongComplex("point is not over the chain's base complex")
     if stage.stage == 0:
         return p
     D, numerators = _numerators(p)
@@ -507,7 +507,7 @@ def mesh_sq_bound(K: SimplicialComplex, n: int) -> Fraction:
     """
     _require_int(n, "stage")
     if n < 0:
-        raise ValueError("stage must be >= 0")
+        raise NegativeStage("stage must be >= 0")
     return _mesh_sq(K.dim, n)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     LevelOutOfRange,
     NotSeparated,
     StageTooCoarse,
+    WrongComplex,
 )
 from .posets import FinitePoset
 from .subdivision import (
@@ -276,7 +277,7 @@ class Tower:
         once.
         """
         if p.complex != self.base:
-            raise ValueError("point is not over the tower's base complex")
+            raise WrongComplex("point is not over the tower's base complex")
         D, numerators = _numerators(p)
         yield _barycenter_label(sorted(numerators))
         if N > 1:

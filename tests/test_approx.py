@@ -20,6 +20,8 @@ from poset_tower import (
     induce_level_map,
     iterated_sd_map,
     limit_map,
+    mesh_sq_bound,
+    sd_map,
     subdivide,
     validate_simplicial,
 )
@@ -29,9 +31,12 @@ from poset_tower.errors import (
     InvalidInput,
     InvalidPLMap,
     LevelOutOfRange,
+    NegativeStage,
     NotSimplicial,
+    PosetTowerError,
     SearchExhausted,
     SimplexNotInComplex,
+    WrongComplex,
 )
 from poset_tower import approx
 from poset_tower.subdivision import _numerators, embed_point, lift_point, sd_coordinates
@@ -80,6 +85,17 @@ class TestSimplicialMaps:
     def test_map_needs_every_image_in_the_target(self, E, vertex_map, message):
         with pytest.raises(ElementNotFound, match=f"^{re.escape(message)}$"):
             SimplicialMap(E, E, vertex_map)
+
+    @pytest.mark.parametrize("arg", ["z", ["a"]], ids=["outsider", "unhashable"])
+    @pytest.mark.parametrize("make", [
+        SimplicialMap.identity,
+        lambda E: SystemMorphism.build(SimplicialMap.identity(E), cached_tower("edge", 1),
+                                       cached_tower("edge", 1)).level(1),
+    ], ids=["simplicial-map", "level-map"])
+    def test_call_outside_the_source(self, E, make, arg):
+        """These ended in a bare KeyError or TypeError."""
+        with pytest.raises(ElementNotFound, match=f"^{re.escape(repr(arg))}$"):
+            make(E)(arg)
 
     def test_apply_point(self, E):
         swap = SimplicialMap(E, E, {"a": "b", "b": "a"})
@@ -153,6 +169,52 @@ class TestPLMaps:
         with pytest.raises(ElementNotFound, match=r"^no image for vertex '0'$"):
             PLMap.from_json_obj(obj)
         assert calls == []
+
+
+def _edge_identity_pl_map(E):
+    return PLMap(subdivide(E, 0), E, {v: RationalPoint.vertex(E, v) for v in E.vertices})
+
+
+class TestValueErrorsAreTyped:
+    """Each deliberate ``ValueError`` is also a ``PosetTowerError``, with its message kept."""
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda E, p: SimplicialMap.identity(E).apply_point(p), WrongComplex,
+         "point must be over the map's source"),
+        (lambda E, p: SimplicialMap.identity(E).compose(SimplicialMap.identity(p.complex)),
+         WrongComplex, "composition mismatch"),
+        (lambda E, p: sd_map(SimplicialMap.identity(E), subdivide(p.complex, 1)), WrongComplex,
+         "stages do not match the map's endpoints"),
+        (lambda E, p: _edge_identity_pl_map(E).evaluate(p), WrongComplex,
+         "point must be over the map's defining stage"),
+        (lambda E, p: carrier_homotopy_check(_edge_identity_pl_map(E), SimplicialMap.identity(E),
+                                             [], subdivide(p.complex, 1)),
+         WrongComplex, "stage does not match the simplicial map's source"),
+        (lambda E, p: iterated_sd_map(SimplicialMap.identity(E), 1, cached_tower("circle", 1),
+                                      cached_tower("circle", 1)),
+         WrongComplex, "towers do not match the map's endpoints"),
+        (lambda E, p: limit_map(SystemMorphism.build(SimplicialMap.identity(E),
+                                                     cached_tower("edge", 1),
+                                                     cached_tower("edge", 1)),
+                                Tower.build(E, 1).thread(["a"])),
+         WrongComplex, "thread does not belong to the morphism's source tower"),
+        (lambda E, p: subdivide(E, 1).embed_point(p), WrongComplex,
+         "point is not expressed over this stage"),
+        (lambda E, p: sd_coordinates(subdivide(E, 1), p), WrongComplex,
+         "point must be expressed over the previous stage"),
+        (lambda E, p: lift_point(subdivide(E, 1), p), WrongComplex,
+         "point is not over the chain's base complex"),
+        (lambda E, p: cached_tower("edge", 1).encode_thread(p, 1), WrongComplex,
+         "point is not over the tower's base complex"),
+        (lambda E, p: subdivide(E, -1), NegativeStage, "subdivision stage must be >= 0"),
+        (lambda E, p: mesh_sq_bound(E, -1), NegativeStage, "stage must be >= 0"),
+    ], ids=["apply-point", "compose", "sd-map", "evaluate", "carrier-homotopy",
+            "iterated-sd-map", "limit-map", "embed-point", "sd-coordinates", "lift-point",
+            "encode-thread", "subdivide-negative", "mesh-negative"])
+    def test_is_a_poset_tower_error(self, E, S1, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+            call(E, RationalPoint.vertex(S1, "0"))
+        assert isinstance(exc.value, PosetTowerError) and isinstance(exc.value, ValueError)
 
 
 class TestDeterministicErrors:

@@ -295,8 +295,11 @@ class TestStarLink:
         (lambda E: RationalPoint.barycenter(E, ["a"]), SimplexNotInComplex, "['a']"),
         (lambda E: RationalPoint.vertex(E, 5), InvalidPoint, "5 is not a vertex name"),
         (lambda E: RationalPoint.vertex(E, ["a"]), InvalidPoint, "['a'] is not a vertex name"),
+        (lambda E: RationalPoint.vertex(E, "a").coord(5), InvalidPoint, "5 is not a vertex name"),
+        (lambda E: RationalPoint.vertex(E, "a").coord(["a"]), InvalidPoint,
+         "['a'] is not a vertex name"),
     ], ids=["open-star", "star", "cofaces", "barycenter", "link-list", "cofaces-list",
-            "barycenter-list", "vertex-int", "vertex-list"])
+            "barycenter-list", "vertex-int", "vertex-list", "coord-int", "coord-list"])
     def test_argument_that_is_not_a_simplex(self, E, call, error, message):
         """These ended in an AttributeError from the error path, or a TypeError."""
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -352,6 +355,7 @@ class TestIncidenceOracle:
         assert E.has_vertex("a")
         assert not E.has_vertex("c")
         assert not E.has_vertex("b{a,b}")
+        assert not E.has_vertex(["a"])
 
 
 class TestPointForm:

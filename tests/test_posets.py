@@ -125,6 +125,12 @@ class TestOrderPreserving:
         with pytest.raises(ElementNotFound, match=f"^{re.escape(message)}$"):
             PosetMap(X, X, assignment)
 
+    @pytest.mark.parametrize("x", ["z", ["a"]], ids=["outsider", "unhashable"])
+    def test_call_outside_the_source(self, x):
+        X = fence3()
+        with pytest.raises(ElementNotFound, match=f"^{re.escape(repr(x))}$"):
+            PosetMap(X, X, {y: y for y in X.elements})(x)
+
     def test_down_set_must_hold_its_element(self):
         with pytest.raises(NotAPartialOrder, match="^'b' missing from its own down-set$"):
             FinitePoset.from_down_sets(["a", "b"], {"a": {"a"}, "b": {"a"}})

@@ -1,4 +1,4 @@
-"""Every module of the package and the benchmark parses as Python 3.10.
+"""Every module of the package, the benchmark and the tests parses as Python 3.10.
 
 ``requires-python`` admits 3.10, so syntax new in a later version (such as
 ``except*``) must not appear even when the suite runs on a later Python.
@@ -10,7 +10,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "poset_tower").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "poset_tower").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def test_refuses_later_syntax():

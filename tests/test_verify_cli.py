@@ -23,6 +23,7 @@ from poset_tower.fixtures import chain, circle, edge, tetra_boundary, triangle
 from poset_tower.tower import Tower
 from poset_tower.verify import SUITES, depth_guard, sample_points, verify_all, verify_suite
 
+import cli_table
 from conftest import COMPLEXES, ROOT, run_python, small_complexes
 
 FIXTURE_DIR = ROOT / "fixtures"
@@ -39,6 +40,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_row_passes(name, workdir):
+    """Run one row of the CLI table in ``workdir`` and check its expectations."""
+    assert cli_table.failures([cli_table.ROW[name]], workdir) == []
 
 
 class TestSuites:
@@ -492,11 +498,7 @@ class TestTowerCommands:
 
     def test_deep_thread_decodes_without_a_traceback(self, tmp_path):
         """The embeddings of a 300-level point thread are filled without recursion."""
-        tpath = write_json(tmp_path / "t.json", {"entries": ["v"] * 300})
-        result = TestInputErrors.run_module("tower", "decode", str(FIXTURE_DIR / "point.json"),
-                                            "--thread", tpath, "--allow-deep")
-        assert (result.returncode, result.stderr) == (0, "")
-        assert json.loads(result.stdout)["representative"] == {"coords": {"v": "1"}}
+        assert_row_passes("deep-300", tmp_path)
 
     def test_cli_output_is_deterministic(self, capsys, tmp_path):
         path = write_json(tmp_path / "edge.json", edge().to_json_obj())
@@ -666,7 +668,13 @@ class TestRepeatedMain:
 
 
 class TestInputErrors:
-    """Malformed input ends in one ``error:`` line and exit 1, never a traceback."""
+    """Malformed input ends in one ``error:`` line and exit 1, never a traceback.
+
+    Most cases are rows of ``cli_table.py``, each run here on its own and all
+    of them run by ``test_cli_table.py`` under two hash seeds.  The cases that
+    need a timeout, hash seeds or an environment value of their own run
+    ``python -m poset_tower``.
+    """
 
     @staticmethod
     def run_module(*argv, timeout=60, **env_vars):
@@ -679,23 +687,14 @@ class TestInputErrors:
         assert needle in result.stderr
 
     def test_bad_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        result = self.run_module("complex", "validate", str(path))
-        self.assert_clean_error(result, str(path))
+        assert_row_passes("bad-json", tmp_path)
 
     def test_missing_file(self, tmp_path):
-        path = tmp_path / "absent.json"
-        result = self.run_module("homology", str(path))
-        self.assert_clean_error(result, str(path))
+        assert_row_passes("missing-file", tmp_path)
 
-    @pytest.mark.parametrize("value", ["1/0", "half", float("inf")])
+    @pytest.mark.parametrize("value", ["1/0", "half", "inf"])
     def test_bad_coordinate(self, tmp_path, value):
-        cpath = write_json(tmp_path / "edge.json", edge().to_json_obj())
-        ppath = write_json(tmp_path / "p.json", {"coords": {"a": value, "b": "1"}})
-        result = self.run_module("tower", "encode", cpath, "--point", ppath,
-                                 "--depth", "1")
-        self.assert_clean_error(result, repr(value))
+        assert_row_passes(f"bad-coordinate-{value}", tmp_path)
 
     def test_huge_decimal_exponent(self, tmp_path):
         """``Fraction("1e-100000000")`` would build a 100-million-digit integer first."""
@@ -706,52 +705,15 @@ class TestInputErrors:
         self.assert_clean_error(result, "decimal exponent")
 
     def test_verify_empty_complex(self, tmp_path):
-        path = write_json(tmp_path / "empty.json", {"vertices": [], "simplices": []})
-        result = self.run_module("tower", "verify", path, "--depth", "1")
-        self.assert_clean_error(result, "empty complex")
+        assert_row_passes("verify-empty-complex", tmp_path)
 
-    @pytest.mark.parametrize("cmd,files,needle", [
-        (["tower", "decode", "{complex}", "--thread", "{thread}"],
-         {"thread": ["a"]}, "['a']"),
-        (["tower", "validate", "{complex}", "--thread", "{thread}"],
-         {"thread": ["a"]}, "['a']"),
-        (["tower", "validate", "{complex}", "--thread", "{thread}"],
-         {"thread": {"entries": ["a", 7]}}, "7"),
-        (["poset", "core", "{poset}"], {"poset": ["a"]}, "list"),
-        (["poset", "core", "{poset}"],
-         {"poset": {"elements": ["a", "b"], "leq": [["a", "b", "c"]]}}, "['a', 'b', 'c']"),
-        (["poset", "core", "{poset}"],
-         {"poset": {"elements": [], "leq": 5}}, "poset leq must be an array of pairs, not 5"),
-        (["approx", "--map", "{map}"], {"map": ["a"]}, "list"),
-        (["approx", "--map", "{map}"], {"map": {"target": EDGE}}, "'source'"),
-        (["approx", "--map", "{map}"],
-         {"map": {"source": EDGE, "target": EDGE, "stage": "x"}}, "'x'"),
-        (["approx", "--map", "{map}"],
-         {"map": {"source": EDGE, "target": EDGE, "images": []}}, "[]"),
-        (["approx", "--map", "{map}"],
-         {"map": {"source": EDGE, "target": EDGE, "stage": 1.5}}, "not 1.5"),
-        (["approx", "--map", "{map}"],
-         {"map": {"source": EDGE, "target": EDGE, "stage": True}}, "not True"),
-        (["approx", "--map", "{map}"],
-         {"map": {"source": EDGE, "target": EDGE, "stage": "1"}}, "not '1'"),
-        (["tower", "encode", "{complex}", "--point", "{point}", "--depth", "2"],
-         {"point": {"coords": {"a": True}}}, "coordinate True at 'a' is not a rational number"),
-        (["tower", "encode", "{complex}", "--point", "{point}", "--depth", "2"],
-         {"point": {"coords": {"a": True, "b": False}}}, "coordinate True at 'a'"),
-        (["approx", "--map", "{map}"],
-         {"map": {"source": EDGE, "target": EDGE,
-                  "images": {"a": {"coords": {"a": True}}, "b": {"coords": {"b": 1}}}}},
-         "coordinate True at 'a'"),
-    ], ids=["decode-list-thread", "validate-list-thread", "number-entry",
-            "list-poset", "long-leq-pair", "number-leq", "list-map", "map-without-source",
-            "map-stage-x", "map-images-list", "map-stage-float", "map-stage-bool",
-            "map-stage-string", "point-bool", "point-bool-pair", "map-image-point-bool"])
-    def test_wrong_json_shape(self, tmp_path, cmd, files, needle):
-        paths = {"complex": write_json(tmp_path / "edge.json", EDGE)}
-        for key, obj in files.items():
-            paths[key] = write_json(tmp_path / f"{key}.json", obj)
-        result = self.run_module(*(arg.format(**paths) for arg in cmd))
-        self.assert_clean_error(result, needle)
+    @pytest.mark.parametrize("name", [
+        "decode-list-thread", "validate-list-thread", "number-entry", "list-poset",
+        "long-leq-pair", "number-leq", "list-map", "map-without-source", "map-stage-x",
+        "map-images-list", "map-stage-float", "map-stage-bool", "map-stage-string",
+        "point-bool", "point-bool-pair", "map-image-point-bool"])
+    def test_wrong_json_shape(self, tmp_path, name):
+        assert_row_passes(name, tmp_path)
 
     @pytest.mark.parametrize("seed", ["0", "2", "3", "5", "6"])
     def test_cycle_names_least_pair(self, tmp_path, seed):
@@ -770,21 +732,12 @@ class TestInputErrors:
         self.assert_clean_error(result, repr(value))
 
     def test_stage_label_collision(self, tmp_path):
-        K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
-        path = write_json(tmp_path / "clash.json", K.to_json_obj())
-        result = self.run_module("complex", "subdivide", path, "--stage", "1")
-        self.assert_clean_error(result, "'b{a,b}'")
+        assert_row_passes("stage-label-collision", tmp_path)
 
-    @pytest.mark.parametrize("command", [["build"], ["verify", "--suite", "level-oracle"]],
-                             ids=["build", "verify-level-oracle"])
+    @pytest.mark.parametrize("command", ["build", "verify-level-oracle"])
     def test_level_label_collision(self, tmp_path, command):
-        K = SimplicialComplex.from_maximal([["a", "b"], ["b{a,b}"]])
-        path = write_json(tmp_path / "clash.json", K.to_json_obj())
-        result = self.run_module("tower", command[0], path, *command[1:], "--depth", "1")
-        self.assert_clean_error(result, "'b{a,b}' names both {b{a,b}} and {a,b}")
+        assert_row_passes(f"level-label-collision-{command}", tmp_path)
 
-    @pytest.mark.parametrize("flags", [[], ["--allow-deep"]], ids=["guarded", "allow-deep"])
+    @pytest.mark.parametrize("flags", ["guarded", "allow-deep"])
     def test_negative_stage(self, tmp_path, flags):
-        path = write_json(tmp_path / "edge.json", EDGE)
-        result = self.run_module("complex", "subdivide", path, "--stage", "-1", *flags)
-        self.assert_clean_error(result, "--stage must be a non-negative integer, not -1")
+        assert_row_passes(f"negative-stage-{flags}", tmp_path)
