@@ -7,8 +7,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import combinations
-from math import factorial
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -20,9 +20,7 @@ from poset_tower import (
     Tower,
     dist_sq,
     open_star,
-    stage_vertex_label,
 )
-from poset_tower.subdivision import barycenters
 from poset_tower.fixtures import (
     circle,
     edge,
@@ -32,6 +30,13 @@ from poset_tower.fixtures import (
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+# The reference computations the benchmark also checks against, written from
+# the definitions and importing nothing from the package.
+_spec = spec_from_file_location("oracles", ROOT / "perfbench" / "oracles.py")
+O = module_from_spec(_spec)
+_spec.loader.exec_module(O)
 
 
 def run_python(*args, timeout=60, **env_vars):
@@ -119,64 +124,15 @@ def is_complex(vertices, simplices) -> bool:
             and all(frozenset([v]) in present for v in vset))
 
 
-def sd_reference(coords: dict) -> dict:
-    """One subdivision step on ``{label: Fraction}``, from the definition.
-
-    A point with coordinates a lies in the open simplex of sd(K) spanned by
-    the barycenters of its level sets S_t = {v : a_v >= t}, for t running over
-    the distinct positive coordinate values.  With t' the next smaller value
-    (0 after the last), the barycenter of S_t has weight |S_t| * (t - t').
-    """
-    values = sorted(set(coords.values()), reverse=True)
-    out = {}
-    for t, below in zip(values, values[1:] + [Fraction(0)]):
-        level_set = Simplex(v for v, a in coords.items() if a >= t)
-        out[stage_vertex_label(level_set)] = len(level_set) * (t - below)
-    return out
+def as_sets(table: dict) -> dict:
+    """A package table ``{label: Simplex}`` in the reference's form ``{label: frozenset}``."""
+    return {x: frozenset(s.verts) for x, s in table.items()}
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind: partitions of n things into k blocks."""
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
-def sd_counts_reference(counts: tuple, n: int) -> tuple:
-    """The f-vector of sd^n K from the f-vector of K, without building a stage.
-
-    A k-simplex of sd K whose top face is a j-simplex of K is an ordered
-    partition of that simplex's j+1 vertices into k+1 blocks (the vertices
-    each face of the chain adds), so f_k(sd K) = sum_j f_j(K) (k+1)! S(j+1, k+1).
-    """
-    for _ in range(n):
-        counts = tuple(sum(f * factorial(k + 1) * stirling2(j + 1, k + 1)
-                           for j, f in enumerate(counts))
-                       for k in range(len(counts)))
-    return counts
-
-
-def embedding_reference(stage, start: int = 0) -> dict:
-    """Each stage-n vertex's point over stage ``start``, as ``{vertex: Fraction}``.
-
-    Written from the definition: a vertex of stage ``start`` is its own point,
-    and a later vertex is the barycenter of its carrier, the mean of the
-    points of the carrier's members one stage down.
-    """
-    chain = stage.stage_chain()
-    points = {v: {v: Fraction(1)} for v in chain[start].complex.vertices}
-    for s in chain[start + 1:]:
-        means = {}
-        for label, carrier in s.provenance.items():
-            mean = {}
-            for m in carrier.verts:
-                for v, a in points[m].items():
-                    mean[v] = mean.get(v, 0) + a / len(carrier.verts)
-            means[label] = mean
-        points = means
-    return points
+def all_threads(tower: Tower, N: int):
+    """Every coherent thread of depth N: one per level-N element."""
+    for x in tower.level(N).elements:
+        yield tower.thread(tuple(tower.bond(x, N, n) for n in range(1, N + 1)))
 
 
 def affine_reference(weights: dict, points: dict) -> dict:
@@ -188,112 +144,87 @@ def affine_reference(weights: dict, points: dict) -> dict:
     return out
 
 
-def pl_values_reference(h, stage) -> dict:
-    """h's value at each vertex of a later source stage, as ``{target vertex: Fraction}``.
+def pl_values_reference(h, ref: "LabelTower", n: int) -> dict:
+    """h's value at each vertex of source stage n, as ``{target vertex: Fraction}``.
 
     h is affine on every simplex of its defining stage, so a vertex's value is
     its point over that stage weighting the vertex images.
     """
     images = {u: q.coords for u, q in h.images.items()}
     return {v: affine_reference(point, images)
-            for v, point in embedding_reference(stage, h.stage).items()}
+            for v, point in ref.embedding(n, h.stage).items()}
 
 
-def sd_map_reference(vertex_map: dict, stage) -> dict:
-    """The vertex map of a simplicial map subdivided up to this stage, from the definition.
+def sd_map_reference(vertex_map: dict, carriers) -> dict:
+    """A simplicial vertex map subdivided once per carrier table, from the definition.
 
-    A stage-k vertex is the barycenter of its carrier, and the subdivided map
-    sends it to the barycenter of the carrier's image one stage down.
+    A vertex is the barycenter of its carrier, and the subdivided map sends it
+    to the barycenter of the carrier's image one stage down.
     """
-    for s in stage.stage_chain()[1:]:
-        vertex_map = {label: stage_vertex_label(Simplex.of(vertex_map[v] for v in carrier.verts))
-                      for label, carrier in s.provenance.items()}
+    for carrier in carriers:
+        vertex_map = {x: O.vertex_label({vertex_map[v] for v in s}) for x, s in carrier.items()}
     return vertex_map
 
 
 class LabelTower:
-    """The tower built on labels, as it was before stages numbered their vertices.
+    """The tower on labels, built from ``O``'s definitions alone.
 
-    Each stage keeps its simplices as ``Simplex``es of labels and its
-    barycenter table ``{label: simplex}`` (``barycenters``, with its clash
-    check); the next stage is the chains of the table's face order, and a
-    bond walks to the member with the largest carrier.  Points are lifted on
-    ``{label: numerator}`` and embedded by carrier means of ``Fraction``s.
+    Stage k is a set of simplices, each a frozenset of labels, and stage k+1
+    is ``O.sd_once`` of it.  Level n's carrier table maps each stage-n label
+    to its stage-(n-1) simplex, ``{O.vertex_label(s): s}``.  A bond walks to
+    the member with the largest carrier and a vertex embeds as the mean of
+    its carrier's members, both read off the tables and not the labels' text,
+    so a base name that holds braces is read right.  Points are encoded by
+    ``O.reference_thread``.
     """
 
     def __init__(self, K: SimplicialComplex, depth: int):
-        self.base = K
-        self.depth = depth
-        self.simplices = [list(K.simplices)]
-        self.carriers = []
-        for k in range(depth):
-            self.carriers.append(barycenters(self.simplices[k]))
-            self.simplices.append(label_chains(label_face_table(self.carriers[k])))
+        self.simplices = [{frozenset(s.verts) for s in K.simplices}]
+        for _ in range(depth):
+            self.simplices.append(O.sd_once(self.simplices[-1]))
+        self.carriers = [{O.vertex_label(s): s for s in stage} for stage in self.simplices[:-1]]
 
-    def complex(self, k: int) -> SimplicialComplex:
-        vertices = self.base.vertices if k == 0 else self.carriers[k - 1]
-        return SimplicialComplex(vertices, self.simplices[k])
+    def vertices(self, k: int) -> tuple:
+        return tuple(sorted(set().union(*self.simplices[k])))
 
     def provenance(self, k: int) -> dict:
         return {} if k == 0 else self.carriers[k - 1]
 
     def down_sets(self, n: int) -> dict:
-        """Level n's order: each element's down-set, itself and its carrier's faces."""
-        return {x: frozenset((x, *faces))
-                for x, faces in label_face_table(self.carriers[n - 1]).items()}
+        """Level n's order: each element's down-set, the labels of its carrier's faces."""
+        return {x: frozenset(O.vertex_label(f) for r in range(1, len(s) + 1)
+                             for f in combinations(s, r))
+                for x, s in self.carriers[n - 1].items()}
 
     def bond(self, x: str, m: int, n: int) -> str:
         for k in range(m, n, -1):
-            x = largest_carrier(self.carriers[k - 1][x].verts, self.carriers[k - 2])
+            x = max(self.carriers[k - 1][x], key=lambda u: len(self.carriers[k - 2][u]))
         return x
 
     def encode(self, p: RationalPoint, N: int) -> tuple:
-        coords = dict(p.coords)
-        entries = [stage_vertex_label(Simplex(coords))]
-        for _ in range(N - 1):
-            coords = sd_reference(coords)
-            entries.append(stage_vertex_label(Simplex(coords)))
-        return tuple(entries)
+        return tuple(O.reference_thread(p.coords, N))
 
-    def decode(self, entries) -> tuple:
-        """The decoded chain and the representative's coordinates."""
-        chain = tuple(frozenset(self.carriers[n][x].verts) for n, x in enumerate(entries))
-        points = {v: {v: Fraction(1)} for v in self.base.vertices}
-        for carrier in self.carriers[:len(entries)]:
+    def embedding(self, n: int, start: int = 0) -> dict:
+        """Each stage-n vertex's point over stage ``start``, as ``{vertex: Fraction}``.
+
+        A vertex of stage ``start`` is its own point, and a later vertex is the
+        mean of the points of its carrier's members one stage down.
+        """
+        points = {v: {v: Fraction(1)} for v in self.vertices(start)}
+        for carrier in self.carriers[start:n]:
             means = {}
             for x, s in carrier.items():
                 mean = means[x] = {}
-                for m in s.verts:
+                for m in s:
                     for v, a in points[m].items():
-                        mean[v] = mean.get(v, 0) + a / len(s.verts)
+                        mean[v] = mean.get(v, 0) + a / len(s)
             points = means
-        return chain, points[entries[-1]]
+        return points
 
-
-def label_face_table(carrier: dict) -> dict:
-    """Each label of a carrier table mapped to the labels of its carrier's proper faces."""
-    label_of = {s.verts: lab for lab, s in carrier.items()}
-    return {lab: [label_of[f] for k in range(1, len(s.verts))
-                  for f in combinations(s.verts, k)]
-            for lab, s in carrier.items()}
-
-
-def label_chains(below: dict) -> list:
-    """Every nonempty chain of a strict order given by its strict down-sets, as ``Simplex``es."""
-    chains = []
-    for x in below:
-        stack = [(x, (x,))]
-        while stack:
-            top, path = stack.pop()
-            chains.append(Simplex(path))
-            for y in below[top]:
-                stack.append((y, path + (y,)))
-    return chains
-
-
-def largest_carrier(members, carrier: dict) -> str:
-    """The member whose simplex in ``carrier`` (a label table) is largest."""
-    return max(members, key=lambda u: len(carrier[u].verts))
+    def decode(self, entries) -> tuple:
+        """The decoded chain and the representative's coordinates."""
+        chain = tuple(self.carriers[n][x] for n, x in enumerate(entries))
+        return chain, self.embedding(len(entries))[entries[-1]]
 
 
 def lifted_image(tower: Tower, s: Simplex, m: int, n: int) -> str:

@@ -35,6 +35,7 @@ from poset_tower.fixtures import circle, edge, point, tetra_boundary, triangle
 from poset_tower.verify import sample_points, verify_all
 
 from conftest import (
+    all_threads,
     cached_tower,
     open_families_exhaustive,
     open_families_sampled,
@@ -51,11 +52,6 @@ FULL_DEPTH = 3
 
 def report(name, elapsed):
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.1f}s)")
-
-
-def all_threads(tower, N):
-    for x in tower.level(N).elements:
-        yield tower.thread(tuple(tower.bond(x, N, n) for n in range(1, N + 1)))
 
 
 def test_criterion_01_level_oracle():

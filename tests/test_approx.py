@@ -45,6 +45,7 @@ from poset_tower.verify import sample_points, verify_suite
 from conftest import (
     COMPLEXES,
     FIXTURE_DEPTHS,
+    LabelTower,
     cached_tower,
     pl_values_reference,
     run_python,
@@ -307,7 +308,7 @@ class TestApproximate:
         n, f = approximate(h)
         stage = subdivide(S1, n)
         from poset_tower.approx import _star_vertices
-        values = pl_values_reference(h, stage)
+        values = pl_values_reference(h, LabelTower(S1, n), n)
         stars = _star_vertices(stage.complex)
         for v, w in f.vertex_map.items():
             assert all(values[u].get(w, 0) > 0 for u in stars[v])
@@ -397,7 +398,7 @@ class TestLevelMapWalk:
         tower = Tower.build(K, n)
         walked = iterated_sd_map(g, n, tower, tower).vertex_map
         assert walked == induce_level_map(g, n, tower, tower).assignment
-        assert walked == sd_map_reference(g.vertex_map, tower.stage(n))
+        assert walked == sd_map_reference(g.vertex_map, LabelTower(K, n).carriers)
 
     @pytest.mark.parametrize("n, source_depth, target_depth", [
         (0, 3, 3), (-1, 3, 3), (4, 3, 3), (3, 2, 3), (3, 3, 2),

@@ -1,9 +1,11 @@
 """What importing the package loads, and the names it exports.
 
-Every module under ``src/poset_tower`` reads each name it imports
-(``from __future__`` imports change the compiler, not the namespace).  A
-submodule loads only the modules it reads, and ``poset_tower`` itself loads
-its public names from their submodules on first access.
+Every module under ``src/poset_tower`` and ``tests`` reads each name it
+imports (``from __future__`` imports change the compiler, not the namespace;
+an import marked ``# noqa: F401`` is deliberate).  A submodule loads only the
+modules it reads, and ``poset_tower`` itself loads its public names from
+their submodules on first access.  The reference computations in
+``perfbench/oracles.py`` import nothing from the package.
 """
 
 import ast
@@ -18,32 +20,52 @@ import pytest
 
 import poset_tower
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "poset_tower"
-MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "poset_tower"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imports(source: str) -> list:
+    """(module, bound name) for each name an import statement binds.
+
+    ``from __future__`` imports and imports marked ``# noqa: F401`` are left out.
+    """
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or "# noqa: F401" in lines[node.lineno - 1]):
+            continue
+        if isinstance(node, ast.Import):
+            out += [(alias.name, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif node.module != "__future__":
+            out += [(node.module, alias.asname or alias.name) for alias in node.names]
+    return out
 
 
 def unused_imports(source: str) -> list:
     """Names bound by import statements that no ``ast.Name`` in the module reads."""
-    tree = ast.parse(source)
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [alias.asname or alias.name for alias in node.names]
-    read = {node.id for node in ast.walk(tree)
+    read = {node.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [name for name in imported if name not in read]
+    return [name for _, name in imports(source) if name not in read]
 
 
 def test_detects_an_unused_import():
-    source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nd()\n"
+    source = ("from __future__ import annotations\nimport os.path\nfrom a import b, c as d\n"
+              "import e  # noqa: F401\nd()\n")
     assert unused_imports(source) == ["os", "b"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_reference_imports_nothing_from_the_package():
+    """The tests and the benchmark check the package against ``perfbench/oracles.py``."""
+    source = (ROOT / "perfbench" / "oracles.py").read_text(encoding="utf-8")
+    assert imports(source)
+    assert not [m for m, _ in imports(source) if m.split(".")[0] == "poset_tower"]
 
 
 def run_in_a_fresh_interpreter(statement: str) -> tuple:

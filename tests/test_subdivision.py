@@ -28,11 +28,11 @@ from poset_tower.verify import sample_points
 from conftest import (
     COMPLEXES,
     FIXTURE_DEPTHS,
+    LabelTower,
+    O,
     affine_reference,
-    embedding_reference,
     pl_values_reference,
     rational_points,
-    sd_counts_reference,
     small_complexes,
 )
 
@@ -109,26 +109,26 @@ class TestSizeOracle:
     """Stage sizes against the f-vector formula, which walks no chain."""
 
     def test_formula_values(self):
-        assert [sd_counts_reference((3, 3, 1), n) for n in (1, 2, 3)] == [
-            (7, 12, 6), (25, 60, 36), (121, 336, 216)]
+        assert [O.f_vector_at([3, 3, 1], n) for n in (1, 2, 3)] == [
+            [7, 12, 6], [25, 60, 36], [121, 336, 216]]
         assert subdivide(projective_plane(), 3).complex.counts() == (1081, 3240, 2160)
 
     def test_solid_tetrahedron_counts(self):
         K = SimplicialComplex.from_maximal([["0", "1", "2", "3"]])
         for stage in subdivide(K, 2).stage_chain():
-            assert stage.complex.counts() == sd_counts_reference(K.counts(), stage.stage)
+            assert stage.complex.counts() == tuple(O.f_vector_at(K.counts(), stage.stage))
 
     @pytest.mark.parametrize("name", sorted(COMPLEXES))
     def test_fixture_counts(self, name):
         K = COMPLEXES[name]()
         for stage in subdivide(K, 3).stage_chain():
-            assert stage.complex.counts() == sd_counts_reference(K.counts(), stage.stage)
+            assert stage.complex.counts() == tuple(O.f_vector_at(K.counts(), stage.stage))
 
     @given(small_complexes())
     @settings(max_examples=40)
     def test_random_complex_counts(self, K):
         for stage in subdivide(K, 3).stage_chain():
-            assert stage.complex.counts() == sd_counts_reference(K.counts(), stage.stage)
+            assert stage.complex.counts() == tuple(O.f_vector_at(K.counts(), stage.stage))
 
 
 class TestCoordinates:
@@ -225,7 +225,7 @@ class TestMesh:
 
 
 class TestEmbeddingOracle:
-    """Embeddings, decode and ``approximate``'s values against ``embedding_reference``."""
+    """Embeddings, decode and ``approximate``'s values against ``LabelTower.embedding``."""
 
     @given(st.data())
     @settings(max_examples=40)
@@ -234,7 +234,8 @@ class TestEmbeddingOracle:
         N = data.draw(st.integers(1, 4))
         tower = Tower.build(K, N)
         top = tower.stage(N)
-        reference = embedding_reference(top)
+        ref = LabelTower(K, N)
+        reference = ref.embedding(N)
         for v in top.complex.vertices:
             assert top.embed_vertex(v).coords == reference[v]
         for x in tower.level(N).elements:
@@ -243,7 +244,7 @@ class TestEmbeddingOracle:
         k = data.draw(st.integers(0, N))
         p = data.draw(rational_points(tower.stage(k).complex))
         assert (tower.stage(k).embed_point(p).coords
-                == affine_reference(p.coords, embedding_reference(tower.stage(k))))
+                == affine_reference(p.coords, ref.embedding(k)))
 
     @given(st.data())
     @settings(max_examples=40)
@@ -258,11 +259,12 @@ class TestEmbeddingOracle:
         p = data.draw(rational_points(source.complex))
         assert h.evaluate(p).coords == affine_reference(
             p.coords, {v: q.coords for v, q in images.items()})
+        ref = LabelTower(K, last)
         stages = []
         for stage, D, values in _stage_values(h, last):
             stages.append(stage.stage)
             assert {v: {w: Fraction(a, D) for w, a in value.items()}
-                    for v, value in values.items()} == pl_values_reference(h, stage)
+                    for v, value in values.items()} == pl_values_reference(h, ref, stage.stage)
         assert stages == list(range(start, last + 1))
 
 

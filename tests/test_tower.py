@@ -54,6 +54,9 @@ from conftest import (
     COMPLEXES,
     FIXTURE_DEPTHS,
     LabelTower,
+    O,
+    all_threads,
+    as_sets,
     cached_tower,
     is_complex,
     lifted_image,
@@ -62,7 +65,6 @@ from conftest import (
     rational_points,
     run_python,
     sample_separated_pairs,
-    sd_reference,
     small_complexes,
 )
 
@@ -71,17 +73,11 @@ def frac(a, b=1):
     return Fraction(a, b)
 
 
-def all_threads(tower, N):
-    """Every coherent thread of depth N: one per level-N element."""
-    for x in tower.level(N).elements:
-        yield tower.thread(tuple(tower.bond(x, N, n) for n in range(1, N + 1)))
-
-
 def reference_chain(p: RationalPoint, steps: int) -> list:
-    """p's coordinates over stages 0..steps, by ``sd_reference``."""
+    """p's coordinates over stages 0..steps, by ``O.sd_step``."""
     chain = [dict(p.coords)]
     for _ in range(steps):
-        chain.append(sd_reference(chain[-1]))
+        chain.append(O.sd_step(chain[-1]))
     return chain
 
 
@@ -98,7 +94,7 @@ def numerator_chain(p: RationalPoint, steps: int) -> list:
 
 
 def support_labels(chain) -> tuple:
-    return tuple(stage_vertex_label(Simplex(coords)) for coords in chain)
+    return tuple(O.vertex_label(coords) for coords in chain)
 
 
 @pytest.fixture
@@ -250,14 +246,6 @@ for build in (Tower.build, build_level, subdivide):
                 " {b{a,b{a,b}}} and {a,b{a,b}}"] * 3
 
 
-def chain_count(X: FinitePoset) -> int:
-    """The number of nonempty chains of X: each element tops one plus those below it."""
-    topped = {}
-    for x in sorted(X.elements, key=lambda x: len(X.min_open(x))):
-        topped[x] = 1 + sum(topped[y] for y in X.strict_down(x))
-    return sum(topped.values())
-
-
 class TestTrustedComplexes:
     """Complexes built without the constructor's check pass it, and chains are complete."""
 
@@ -269,7 +257,7 @@ class TestTrustedComplexes:
             assert cx.vertices == X.elements
             assert all(X.leq(a, b) or X.leq(b, a)
                        for s in cx.simplices for a, b in combinations(s.verts, 2))
-            assert len(cx.simplices) == chain_count(X)
+            assert len(cx.simplices) == len(O.chains({x: X.up_set(x) for x in X.elements}))
 
     @given(small_complexes())
     @settings(max_examples=25)
@@ -463,26 +451,34 @@ class TestIdsMatchLabelReference:
         seed = data.draw(st.integers(0, 2 ** 16), label="seed")
         tower = Tower.build(K, depth)
         ref = LabelTower(K, depth)
+        memo = {}
         for p in sample_points(K, 6, seed):
             entries = tower.encode_thread(p, depth).entries
             assert entries == ref.encode(p, depth)
             parsed = tower.thread(json.loads(json.dumps(list(entries))))
             assert parsed.entries == entries and tower.validate_thread(parsed)
             region = tower.decode_thread(parsed)
-            assert (region.chain, dict(region.representative.coords)) == ref.decode(entries)
+            representative = dict(region.representative.coords)
+            assert (region.chain, representative) == ref.decode(entries)
+            # the base's names are atoms, so the labels' text alone decodes them
+            assert representative == O.embed(entries[-1], memo)
         for n in range(1, depth + 1):
             level = tower.level(n)
             assert level.elements == tuple(sorted(ref.carriers[n - 1]))
-            assert level.poset == FinitePoset.from_down_sets(ref.carriers[n - 1], ref.down_sets(n))
-            assert level.carrier == ref.carriers[n - 1]
+            assert {x: level.poset.min_open(x) for x in level.poset.elements} == ref.down_sets(n)
+            assert as_sets(level.carrier) == ref.carriers[n - 1]
+            assert all(O.carrier(x, n) == list(level.carrier[x].verts) for x in level.elements)
             assert all(tower.bond(x, n, m) == ref.bond(x, n, m)
                        for x in level.elements for m in range(1, n + 1))
+            assert n == 1 or all(O.bond_down(x, n) == tower.bond(x, n, n - 1)
+                                 for x in level.elements)
         for k in range(depth + 1):
             stage = tower.stage(k)
-            assert stage.complex == ref.complex(k)
-            assert stage.provenance == ref.provenance(k)
+            assert stage.complex.vertices == ref.vertices(k)
+            assert {frozenset(s.verts) for s in stage.complex.simplices} == ref.simplices[k]
+            assert as_sets(stage.provenance) == ref.provenance(k)
             if k < depth:
-                assert stage._barycenters == ref.carriers[k]
+                assert as_sets(stage._barycenters) == ref.carriers[k]
             # bonds read a chain's top as its last id
             assert all(a < b for s in stage._simplices for a, b in zip(s, s[1:]))
             assert all(stage._index[f] < i for s, i in stage._index.items()
@@ -502,9 +498,9 @@ class TestNamesWithBraces:
         tower = Tower.build(self.ATOM, 3)
         ref = LabelTower(self.ATOM, 3)
         for n in range(1, 4):
-            assert tower.level(n).carrier == ref.carriers[n - 1]
-            assert tower.level(n).poset == FinitePoset.from_down_sets(
-                ref.carriers[n - 1], ref.down_sets(n))
+            X = tower.level(n).poset
+            assert as_sets(tower.level(n).carrier) == ref.carriers[n - 1]
+            assert {x: X.min_open(x) for x in X.elements} == ref.down_sets(n)
         for p in sample_points(self.ATOM, 20, 0):
             entries = tower.encode_thread(p, 3).entries
             assert entries == ref.encode(p, 3)

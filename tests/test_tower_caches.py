@@ -4,9 +4,9 @@ Towers over one base are built, deepened and read in random order: stages,
 stage complexes, level orders, bonds, and threads that are encoded, parsed,
 validated and decoded, also by another tower over the same base.  Each
 answer is compared with a fresh ``Tower.build`` of the same base and depth,
-which no rule touches, and each bond with a walk of ``largest_carrier``
-over the carrier tables that reads no chain's last id.  Labels are parsed
-back into element ids at random levels, and every label a stage has
+which no rule touches, and each bond with a walk of ``O.bond_down``, which
+reads the labels' text and no table or chain of the tower.  Labels are
+parsed back into element ids at random levels, and every label a stage has
 memoised must render back from its id.
 """
 
@@ -23,28 +23,30 @@ from hypothesis.stateful import (
 
 import pytest
 
-from poset_tower import Simplex, stage_vertex_label
 from poset_tower.errors import ElementNotFound, IncoherentThread, LevelOutOfRange
 from poset_tower.subdivision import _set_members
 from poset_tower.tower import ThreadPrefix, Tower
 
-from conftest import largest_carrier, rational_points, small_complexes
+from conftest import O, rational_points, small_complexes
 
 MAX_DEPTH = 4
 depths = st.integers(1, MAX_DEPTH)
 
 
-def walked_bond(tower: Tower, x: str, m: int, n: int) -> str:
-    """``Tower.bond`` walked down the carrier tables by carrier size, reading no chain's last id."""
+def walked_bond(x: str, m: int, n: int) -> str:
+    """``Tower.bond`` from the labels' text, one ``O.bond_down`` per level.
+
+    ``small_complexes`` names its vertices by letters, so every label parses.
+    """
     for k in range(m, n, -1):
-        x = largest_carrier(tower.level(k).carrier[x].verts, tower.level(k - 1).carrier)
+        x = O.bond_down(x, k)
     return x
 
 
-def first_mismatch(tower: Tower, entries) -> int | None:
-    """The first level whose entry does not bond to the entry before, by ``walked_bond``."""
+def first_mismatch(entries) -> int | None:
+    """The first level whose entry does not bond to the entry before, by ``O.bond_down``."""
     return next((n for n in range(2, len(entries) + 1)
-                 if walked_bond(tower, entries[n - 1], n, n - 1) != entries[n - 2]), None)
+                 if O.bond_down(entries[n - 1], n) != entries[n - 2]), None)
 
 
 class TowerCaches(RuleBasedStateMachine):
@@ -110,9 +112,7 @@ class TowerCaches(RuleBasedStateMachine):
         x = data.draw(st.sampled_from(tower.level(m).elements), label="x")
         ref = self.reference(tower.depth)
         for k in range(m, tower.depth + 1):
-            expected = walked_bond(ref, x, k, n)
-            assert tower.bond(x, k, n) == expected
-            assert walked_bond(tower, x, k, n) == expected
+            assert tower.bond(x, k, n) == ref.bond(x, k, n) == walked_bond(x, k, n)
 
     @rule(target=threads, tower=towers, data=st.data())
     def encode(self, tower, data):
@@ -148,7 +148,7 @@ class TowerCaches(RuleBasedStateMachine):
 
     def _check(self, tower, t):
         ref = self.reference(tower.depth)
-        bad = first_mismatch(ref, t.entries)
+        bad = first_mismatch(t.entries)
         for _ in range(2):
             assert tower.validate_thread(t) is (bad is None)
             assert ref.validate_thread(ref.thread(t.entries)) is (bad is None)
@@ -178,7 +178,7 @@ class TowerCaches(RuleBasedStateMachine):
         ]), label="raw")
         carrier = table.level(n).carrier
         spelt = _set_members(raw)
-        expected = next((y for y in [raw, spelt and stage_vertex_label(Simplex(spelt))]
+        expected = next((y for y in [raw, spelt and O.vertex_label(spelt)]
                          if y in carrier), None)
         for resolver in (tower, Tower.build(self.base, tower.depth)):
             assert (raw in resolver.level(n)) is (raw in carrier)
@@ -196,7 +196,7 @@ class TowerCaches(RuleBasedStateMachine):
                 below = tower.levels[level.n - 2]._stage
                 for x, i in list(level._stage._ids.items()):
                     bond = tower._bond(i, level.n, level.n - 1)
-                    assert below._name(bond) == walked_bond(tower, x, level.n, level.n - 1)
+                    assert below._name(bond) == O.bond_down(x, level.n)
 
     @invariant()
     def memoised_labels_render_from_their_ids(self):
