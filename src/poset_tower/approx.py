@@ -76,7 +76,11 @@ class SimplicialMap:
 
     def apply_point(self, p: RationalPoint) -> RationalPoint:
         """The induced map on realizations (requires the map to be simplicial)."""
-        if p.complex is not self.source and p.complex != self.source:
+        try:
+            wrong = p.complex is not self.source and p.complex != self.source
+        except AttributeError:  # no point at all
+            wrong = True
+        if wrong:
             raise WrongComplex("point must be over the map's source")
         D, numerators = _numerators(p)
         acc = {}
@@ -87,7 +91,11 @@ class SimplicialMap:
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
-        if inner.target != self.source:
+        try:
+            wrong = inner.target != self.source
+        except AttributeError:  # no map at all
+            wrong = True
+        if wrong:
             raise WrongComplex("composition mismatch")
         return SimplicialMap(inner.source, self.target,
                              {v: self.vertex_map[inner.vertex_map[v]]
@@ -217,7 +225,11 @@ class PLMap:
 
     def evaluate(self, p: RationalPoint) -> RationalPoint:
         """Value at a point expressed over the defining stage."""
-        if p.complex != self.source_stage.complex:
+        try:
+            wrong = p.complex != self.source_stage.complex
+        except AttributeError:  # no point at all
+            wrong = True
+        if wrong:
             raise WrongComplex("point must be over the map's defining stage")
         D, images = self._image_numerators
         Dp, weights = _numerators(p)
@@ -440,7 +452,11 @@ class SystemMorphism:
 
 def limit_map(m: SystemMorphism, t: ThreadPrefix) -> ThreadPrefix:
     """Apply a system morphism entrywise to a coherent thread."""
-    if t.tower is not m.source_tower:
+    try:
+        wrong = t.tower is not m.source_tower
+    except AttributeError:  # no thread at all
+        wrong = True
+    if wrong:
         raise WrongComplex("thread does not belong to the morphism's source tower")
     if len(t.entries) > m.depth:
         raise IncoherentThread("thread deeper than the morphism's levels")

@@ -250,7 +250,11 @@ class SubdividedComplex:
 
     def embed_point(self, p: RationalPoint) -> RationalPoint:
         """Expand a point over this stage into exact stage-0 coordinates."""
-        if p.complex != self.complex:
+        try:
+            wrong = p.complex != self.complex
+        except AttributeError:  # no point at all
+            wrong = True
+        if wrong:
             raise WrongComplex("point is not expressed over this stage")
         D, numerators = _numerators(p)
         ids = self._vertex_ids
@@ -472,7 +476,11 @@ def _over_stage(stage: SubdividedComplex, D: int, numerators: dict) -> RationalP
 def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Re-express a stage-(n-1) point over the stage-n vertices (one ``_sd_step``)."""
     prev = stage.previous
-    if prev is None or p.complex != prev.complex:
+    try:
+        wrong = prev is None or p.complex != prev.complex
+    except AttributeError:  # no point at all
+        wrong = True
+    if wrong:
         raise WrongComplex("point must be expressed over the previous stage")
     D, numerators = _numerators(p)
     ids = prev._vertex_ids
@@ -481,7 +489,11 @@ def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
 
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Push a stage-0 point up the chain into this stage's coordinates."""
-    if p.complex != stage.base:
+    try:
+        wrong = p.complex != stage.base
+    except AttributeError:  # no point at all
+        wrong = True
+    if wrong:
         raise WrongComplex("point is not over the chain's base complex")
     if stage.stage == 0:
         return p

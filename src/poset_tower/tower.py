@@ -129,6 +129,10 @@ class ThreadPrefix(_Record):
         return self.tower._entry_ids(self.entries)
 
 
+def _not_a_thread(t) -> InvalidInput:
+    return InvalidInput(f"a thread must be a ThreadPrefix, not {type(t).__name__}")
+
+
 class DecodedRegion(_Record):
     """The nested closed carriers of a thread plus an exact representative.
 
@@ -276,7 +280,11 @@ class Tower:
         base check runs on the first ``next``, so every caller iterates at
         once.
         """
-        if p.complex != self.base:
+        try:
+            wrong = p.complex != self.base
+        except AttributeError:  # no point at all
+            wrong = True
+        if wrong:
             raise WrongComplex("point is not over the tower's base complex")
         D, numerators = _numerators(p)
         yield _barycenter_label(sorted(numerators))
@@ -339,7 +347,11 @@ class Tower:
 
     def _own(self, t: ThreadPrefix) -> ThreadPrefix:
         """t, or a thread of another tower read as this tower's, its entries looked up once."""
-        return t if t.tower is self else ThreadPrefix(self, t.entries)
+        try:
+            mine = t.tower is self
+        except AttributeError:
+            raise _not_a_thread(t) from None
+        return t if mine else ThreadPrefix(self, t.entries)
 
     def _check_thread(self, ids: list):
         """The first level whose entry id does not bond to the id before, or None.
@@ -435,11 +447,19 @@ def encode_thread(T: Tower, p: RationalPoint, N: int) -> ThreadPrefix:
 
 
 def validate_thread(t: ThreadPrefix) -> bool:
-    return t.tower.validate_thread(t)
+    try:
+        tower = t.tower
+    except AttributeError:
+        raise _not_a_thread(t) from None
+    return tower.validate_thread(t)
 
 
 def decode_thread(t: ThreadPrefix) -> DecodedRegion:
-    return t.tower.decode_thread(t)
+    try:
+        tower = t.tower
+    except AttributeError:
+        raise _not_a_thread(t) from None
+    return tower.decode_thread(t)
 
 
 def separation_stage(T: Tower, p: RationalPoint, q: RationalPoint) -> int:

@@ -82,30 +82,60 @@ def depth_guard(K: SimplicialComplex, depth: int) -> None:
 def sample_points(K: SimplicialComplex, count: int, seed: int):
     """Deterministic rational points: random simplex, small random weights.
 
+    Each draw is ``rng.choice(sims)``, then ``rng.randint(0, 6)`` per vertex,
+    then, if every weight is 0, ``rng.randrange(len(weights))`` to pick the
+    one set to 1, where ``rng = random.Random(seed)``.  The loop reads that
+    stream through ``rng.getrandbits`` with ``Random._randbelow``'s rule (a
+    value below n is ``n.bit_length()`` bits, drawn again while it is at
+    least n), which gives the same numbers without those methods' Python-level
+    wrappers, the larger part of the sample's cost.
+
     Equal draws are one object.  A draw is keyed by its reduced value, the
     support's vertices with their weights over the weights' gcd, so (2, 2)
     and (1, 1) on an edge are one point, and so are an edge with weights
-    (0, 3) and that edge's end vertex.
+    (0, 3) and that edge's end vertex.  A repeated raw draw (simplex index
+    and weights) finds its point without the reduced key.
     """
     _require_int(count, "sample count")
     _require_int(seed, "seed")
     if count < 0:
         raise InvalidInput(f"sample count must be a non-negative integer, not {count}")
-    rng = random.Random(seed)
     sims = K.sorted_simplices()
+    n = len(sims)
+    if count and not n:
+        raise InvalidComplex("cannot sample points of the empty complex")
+    bits = random.Random(seed).getrandbits
+    k = n.bit_length()
+    drawn = {}
     made = {}
     points = []
     for _ in range(count):
-        s = rng.choice(sims)
-        weights = [rng.randint(0, 6) for _ in s.verts]
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        verts = sims[i].verts
+        weights = []
+        for _ in verts:
+            w = bits(3)  # randint(0, 6)
+            while w == 7:
+                w = bits(3)
+            weights.append(w)
         if not any(weights):
-            weights[rng.randrange(len(weights))] = 1
-        g = gcd(*weights)
-        key = tuple((v, w // g) for v, w in zip(s.verts, weights) if w)
-        p = made.get(key)
+            d = len(verts)
+            j = bits(d.bit_length())
+            while j >= d:
+                j = bits(d.bit_length())
+            weights[j] = 1
+        raw = (i, *weights)
+        p = drawn.get(raw)
         if p is None:
-            p = made[key] = RationalPoint._from_numerators(K, sum(weights),
-                                                           dict(zip(s.verts, weights)))
+            g = gcd(*weights)
+            key = tuple((v, w // g) for v, w in zip(verts, weights) if w)
+            p = made.get(key)
+            if p is None:
+                p = made[key] = RationalPoint._from_numerators(K, sum(weights),
+                                                               dict(zip(verts, weights)))
+            drawn[raw] = p
         points.append(p)
     return points
 

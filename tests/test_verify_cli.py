@@ -1,6 +1,5 @@
 import argparse
 import json
-import random
 import re
 from collections import Counter
 from types import SimpleNamespace
@@ -19,12 +18,13 @@ from poset_tower.errors import (
     LevelOutOfRange,
     UnknownSuite,
 )
-from poset_tower.fixtures import chain, circle, edge, tetra_boundary, triangle
+from poset_tower.fixtures import chain, circle, edge
 from poset_tower.tower import Tower
 from poset_tower.verify import SUITES, depth_guard, sample_points, verify_all, verify_suite
 
 import cli_table
 from conftest import COMPLEXES, ROOT, run_python, small_complexes
+from sample_reference import mismatch, reference_sample
 
 FIXTURE_DIR = ROOT / "fixtures"
 FIXTURE_FILES = sorted(FIXTURE_DIR.glob("*.json"))
@@ -232,20 +232,6 @@ class TestSuites:
             run(E, 0)
 
 
-def reference_sample(K, count, seed):
-    """The draw loop ``sample_points`` keeps, making one fresh point per draw."""
-    rng = random.Random(seed)
-    sims = K.sorted_simplices()
-    points = []
-    for _ in range(count):
-        s = rng.choice(sims)
-        weights = [rng.randint(0, 6) for _ in s.verts]
-        if not any(weights):
-            weights[rng.randrange(len(weights))] = 1
-        points.append(RationalPoint._from_numerators(K, sum(weights), dict(zip(s.verts, weights))))
-    return points
-
-
 def first_draws(points):
     """The ids of the distinct objects of a sample, in first-draw order."""
     return list(dict.fromkeys(map(id, points)))
@@ -257,35 +243,41 @@ SAMPLING_SUITES = ["bond-commutation", "naturality", "roundtrip"]
 class TestDistinctPoints:
     """The sampling suites check each distinct point of their prefix once."""
 
-    @pytest.mark.parametrize("make", [triangle, tetra_boundary], ids=["triangle", "tetra-boundary"])
-    def test_same_values_and_equal_values_are_one_object(self, make):
-        K = make()
-        for seed in range(21):
-            got, want = sample_points(K, 200, seed), reference_sample(K, 200, seed)
-            assert got == want
-            objects = {}
-            for g, w in zip(got, want):
-                key = (w._denominator, tuple(sorted(w._numerators.items())))
-                assert objects.setdefault(key, id(g)) == id(g)
-            assert len(objects) == len(first_draws(got)) < len(got)
+    @pytest.mark.parametrize("name", COMPLEXES)
+    def test_same_values_and_equal_values_are_one_object(self, name):
+        K = COMPLEXES[name]()
+        for seed in [*range(21), 10**12]:
+            for count in [0, 1, 50, 200]:
+                got = sample_points(K, count, seed)
+                assert mismatch(got, reference_sample(K, count, seed)) is None
+            assert len(first_draws(got)) < len(got)
+
+    @given(small_complexes(), st.sampled_from([0, 1, 50, 200]), st.integers(0, 10**12))
+    def test_small_complexes_match_the_reference(self, K, count, seed):
+        assert mismatch(sample_points(K, count, seed), reference_sample(K, count, seed)) is None
 
     def test_equal_reduced_weights_are_one_point(self, E, monkeypatch):
         """(2, 2) and (1, 1) on the edge are one point; so are (0, 3) and the vertex b."""
-        draws = iter([("ab", [2, 2]), ("ab", [1, 1]), ("ab", [0, 3]), ("b", [5])])
+        sims = ["".join(s.verts) for s in E.sorted_simplices()]
+        draws = [("ab", [2, 2]), ("ab", [1, 1]), ("ab", [0, 3]), ("b", [5])]
+        # a draw is its simplex's index in len(sims).bit_length() bits, then 3 bits per weight
+        script = []
+        for verts, weights in draws:
+            script += [(len(sims).bit_length(), sims.index(verts)), *((3, w) for w in weights)]
+        stream = iter(script)
 
         class Scripted:
             def __init__(self, seed):
-                self.weights = []
+                pass
 
-            def choice(self, sims):
-                verts, self.weights = next(draws)
-                return next(s for s in sims if "".join(s.verts) == verts)
-
-            def randint(self, lo, hi):
-                return self.weights.pop(0)
+            def getrandbits(self, k):
+                width, value = next(stream)
+                assert k == width
+                return value
 
         monkeypatch.setattr(verify.random, "Random", Scripted)
         p, q, r, t = sample_points(E, 4, 0)
+        assert next(stream, None) is None
         assert p is q and r is t and p is not r
         assert r == RationalPoint.vertex(E, "b")
 
