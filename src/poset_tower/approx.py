@@ -22,6 +22,7 @@ from .errors import (
     NotSimplicial,
     SearchExhausted,
     WrongComplex,
+    _require_int,
 )
 from .posets import PosetMap
 from .subdivision import (
@@ -29,13 +30,12 @@ from .subdivision import (
     _barycenter_label,
     _carrier_mean,
     _numerators,
-    _require_int,
     _weighted_sum,
     extend_subdivision,
     lift_point,
     subdivide,
 )
-from .tower import ThreadPrefix, Tower
+from .tower import ThreadPrefix, Tower, _require_entries
 
 
 class SimplicialMap:
@@ -76,11 +76,7 @@ class SimplicialMap:
 
     def apply_point(self, p: RationalPoint) -> RationalPoint:
         """The induced map on realizations (requires the map to be simplicial)."""
-        try:
-            wrong = p.complex is not self.source and p.complex != self.source
-        except AttributeError:  # no point at all
-            wrong = True
-        if wrong:
+        if (cx := getattr(p, "complex", None)) is not self.source and cx != self.source:
             raise WrongComplex("point must be over the map's source")
         D, numerators = _numerators(p)
         acc = {}
@@ -91,11 +87,7 @@ class SimplicialMap:
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
-        try:
-            wrong = inner.target != self.source
-        except AttributeError:  # no map at all
-            wrong = True
-        if wrong:
+        if getattr(inner, "target", None) != self.source:
             raise WrongComplex("composition mismatch")
         return SimplicialMap(inner.source, self.target,
                              {v: self.vertex_map[inner.vertex_map[v]]
@@ -225,11 +217,7 @@ class PLMap:
 
     def evaluate(self, p: RationalPoint) -> RationalPoint:
         """Value at a point expressed over the defining stage."""
-        try:
-            wrong = p.complex != self.source_stage.complex
-        except AttributeError:  # no point at all
-            wrong = True
-        if wrong:
+        if getattr(p, "complex", None) != self.source_stage.complex:
             raise WrongComplex("point must be over the map's defining stage")
         D, images = self._image_numerators
         Dp, weights = _numerators(p)
@@ -354,7 +342,7 @@ def carrier_homotopy_check(h: PLMap, f: SimplicialMap,
 
     Samples are points over f's source (stage n); the check is exact.
     """
-    if f.source != source_stage.complex:
+    if getattr(f, "source", None) != source_stage.complex:
         raise WrongComplex("stage does not match the simplicial map's source")
     for x in samples:
         hx = h.evaluate_base(source_stage.embed_point(x))
@@ -452,12 +440,9 @@ class SystemMorphism:
 
 def limit_map(m: SystemMorphism, t: ThreadPrefix) -> ThreadPrefix:
     """Apply a system morphism entrywise to a coherent thread."""
-    try:
-        wrong = t.tower is not m.source_tower
-    except AttributeError:  # no thread at all
-        wrong = True
-    if wrong:
+    if getattr(t, "tower", None) is not m.source_tower:
         raise WrongComplex("thread does not belong to the morphism's source tower")
+    _require_entries(t.entries)
     if len(t.entries) > m.depth:
         raise IncoherentThread("thread deeper than the morphism's levels")
     m.source_tower._require_coherent(t)

@@ -25,6 +25,7 @@ from .errors import (
     NoCommonSimplex,
     SimplexNotInComplex,
     UnknownVertex,
+    _require_int,
 )
 
 
@@ -196,6 +197,7 @@ class SimplicialComplex:
             raise _not_in_complex(simplex) from None
 
     def k_simplices(self, k: int):
+        _require_int(k, "dimension")
         return tuple(s for s in self.sorted_simplices() if s.dim == k)
 
     def sorted_simplices(self) -> tuple:
@@ -438,7 +440,7 @@ def open_star(K: SimplicialComplex, simplex: Simplex) -> set:
 
 def dist_sq(p: RationalPoint, q: RationalPoint) -> Fraction:
     """Squared barycentric-coordinate distance; requires a common closed simplex."""
-    if p.complex != q.complex:
+    if (cx := getattr(p, "complex", None)) is None or cx != getattr(q, "complex", None):
         raise NoCommonSimplex("points live on different complexes")
     common = p.support().union(q.support())
     if common not in p.complex.simplices:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
 
 from __future__ import annotations
 
@@ -117,3 +117,10 @@ class DepthTooLarge(PosetTowerError):
 
 class ResourceLimit(PosetTowerError):
     """A configured hard cap (POSET_TOWER_MAX_SIMPLICES) was exceeded."""
+
+
+def _require_int(value, what: str) -> None:
+    """Raise ``InvalidInput`` naming value unless it is an ``int`` and not a ``bool``."""
+    # the exact type first: Tower.bond and encode_thread check on every call
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise InvalidInput(f"{what} must be an integer, not {value!r}")

@@ -15,7 +15,7 @@ from math import lcm
 from operator import itemgetter
 
 from .complexes import RationalPoint, Simplex, SimplicialComplex
-from .errors import ElementNotFound, InvalidComplex, InvalidInput, NegativeStage, WrongComplex
+from .errors import ElementNotFound, InvalidComplex, NegativeStage, WrongComplex, _require_int
 from .posets import _chains
 
 
@@ -126,7 +126,7 @@ class SubdividedComplex:
         if len(self._simplices) > V:
             names += map(_barycenter_label, _sorted_labels(self._simplices[V:], self._vertex_names()))
         if self._eager and len(set(names)) < len(names):
-            barycenters(self._carriers)
+            _refuse_label_clash(self._carriers)
         self._names = names
         return names
 
@@ -250,11 +250,7 @@ class SubdividedComplex:
 
     def embed_point(self, p: RationalPoint) -> RationalPoint:
         """Expand a point over this stage into exact stage-0 coordinates."""
-        try:
-            wrong = p.complex != self.complex
-        except AttributeError:  # no point at all
-            wrong = True
-        if wrong:
+        if getattr(p, "complex", None) != self.complex:
             raise WrongComplex("point is not expressed over this stage")
         D, numerators = _numerators(p)
         ids = self._vertex_ids
@@ -335,31 +331,19 @@ def _set_members(raw: str):
     return sorted(members)
 
 
-def barycenters(simplices) -> dict:
-    """Each of these distinct simplices by barycenter label; rejects clashing labels.
+def _refuse_label_clash(simplices) -> None:
+    """Raise ``InvalidComplex`` at the first barycenter label seen twice among these simplices.
 
-    ``simplices`` is a complex's simplex set or a stage's chain list.  The
-    table iterates in their order, which may be unspecified; sort it where
-    order shows.  Once a collision is known, the simplices are walked again
-    in canonical order, so the error names the least pair under any hash seed.
+    They are walked in canonical order, so the error names the least
+    clashing pair under any hash seed.
     """
-    try:
-        return _label_table(simplices)
-    except InvalidComplex:
-        _label_table(sorted(simplices))
-        raise
-
-
-def _label_table(simplices) -> dict:
-    """``{barycenter label: simplex}``; raises at the first label seen twice."""
-    out = {}
-    for s in simplices:
+    seen = {}
+    for s in sorted(simplices):
         lab = _barycenter_label(s.verts)
-        if out.setdefault(lab, s) is not s:
+        if seen.setdefault(lab, s) is not s:
             raise InvalidComplex(
-                f"stage vertex label {lab!r} names both {out[lab].label()}"
+                f"stage vertex label {lab!r} names both {seen[lab].label()}"
                 f" and {s.label()}")
-    return out
 
 
 def _carrier_mean(members, value_below, scale: int) -> dict:
@@ -424,13 +408,6 @@ def subdivide(K: SimplicialComplex, n: int) -> SubdividedComplex:
     return extend_subdivision(SubdividedComplex(K, 0, simplices, None), n)
 
 
-def _require_int(value, what: str) -> None:
-    """Raise ``InvalidInput`` naming value unless it is an ``int`` and not a ``bool``."""
-    # the exact type first: Tower.bond and encode_thread check on every call
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise InvalidInput(f"{what} must be an integer, not {value!r}")
-
-
 def extend_subdivision(stage: SubdividedComplex, n: int) -> SubdividedComplex:
     """Continue an existing chain up to stage n, reusing earlier stages."""
     while stage.stage < n:
@@ -476,11 +453,7 @@ def _over_stage(stage: SubdividedComplex, D: int, numerators: dict) -> RationalP
 def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Re-express a stage-(n-1) point over the stage-n vertices (one ``_sd_step``)."""
     prev = stage.previous
-    try:
-        wrong = prev is None or p.complex != prev.complex
-    except AttributeError:  # no point at all
-        wrong = True
-    if wrong:
+    if prev is None or getattr(p, "complex", None) != prev.complex:
         raise WrongComplex("point must be expressed over the previous stage")
     D, numerators = _numerators(p)
     ids = prev._vertex_ids
@@ -489,11 +462,7 @@ def sd_coordinates(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
 
 def lift_point(stage: SubdividedComplex, p: RationalPoint) -> RationalPoint:
     """Push a stage-0 point up the chain into this stage's coordinates."""
-    try:
-        wrong = p.complex != stage.base
-    except AttributeError:  # no point at all
-        wrong = True
-    if wrong:
+    if getattr(p, "complex", None) != stage.base:
         raise WrongComplex("point is not over the chain's base complex")
     if stage.stage == 0:
         return p

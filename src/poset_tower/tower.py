@@ -23,6 +23,7 @@ from .errors import (
     NotSeparated,
     StageTooCoarse,
     WrongComplex,
+    _require_int,
 )
 from .posets import FinitePoset
 from .subdivision import (
@@ -30,7 +31,6 @@ from .subdivision import (
     _barycenter_label,
     _face_table,
     _numerators,
-    _require_int,
     _sd_step,
     _set_members,
     extend_subdivision,
@@ -129,8 +129,21 @@ class ThreadPrefix(_Record):
         return self.tower._entry_ids(self.entries)
 
 
-def _not_a_thread(t) -> InvalidInput:
-    return InvalidInput(f"a thread must be a ThreadPrefix, not {type(t).__name__}")
+def _tower_of(t) -> "Tower":
+    """The tower of thread t; ``InvalidInput`` if t is no thread at all."""
+    try:
+        return t.tower
+    except AttributeError:
+        raise InvalidInput(f"a thread must be a ThreadPrefix, not {type(t).__name__}") from None
+
+
+def _require_entries(entries) -> None:
+    """Raise unless the entries of a thread are a non-empty list or tuple."""
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidInput(
+            f"thread entries must be a list or tuple, not {type(entries).__name__}")
+    if not entries:
+        raise IncoherentThread("a thread needs at least one entry")
 
 
 class DecodedRegion(_Record):
@@ -204,6 +217,7 @@ class Tower:
         Every entry within the tower's depth is looked up, level by level,
         before a sequence longer than the tower is refused.
         """
+        _require_entries(entries)
         ids = []
         for level, x in zip(self.levels, entries):
             i = level._stage._barycenter_id(x)
@@ -280,11 +294,7 @@ class Tower:
         base check runs on the first ``next``, so every caller iterates at
         once.
         """
-        try:
-            wrong = p.complex != self.base
-        except AttributeError:  # no point at all
-            wrong = True
-        if wrong:
+        if getattr(p, "complex", None) != self.base:
             raise WrongComplex("point is not over the tower's base complex")
         D, numerators = _numerators(p)
         yield _barycenter_label(sorted(numerators))
@@ -305,11 +315,7 @@ class Tower:
 
     def thread(self, entries: Sequence[str]) -> ThreadPrefix:
         """Build a thread from raw labels, accepting carrier-set notation too."""
-        if not isinstance(entries, (list, tuple)):
-            raise InvalidInput(
-                f"thread entries must be a list or tuple, not {type(entries).__name__}")
-        if not entries:
-            raise IncoherentThread("a thread needs at least one entry")
+        _require_entries(entries)
         if len(entries) > self.depth:
             raise LevelOutOfRange(f"thread longer than tower depth {self.depth}")
         labels, ids = [], []
@@ -347,11 +353,7 @@ class Tower:
 
     def _own(self, t: ThreadPrefix) -> ThreadPrefix:
         """t, or a thread of another tower read as this tower's, its entries looked up once."""
-        try:
-            mine = t.tower is self
-        except AttributeError:
-            raise _not_a_thread(t) from None
-        return t if mine else ThreadPrefix(self, t.entries)
+        return t if _tower_of(t) is self else ThreadPrefix(self, t.entries)
 
     def _check_thread(self, ids: list):
         """The first level whose entry id does not bond to the id before, or None.
@@ -447,19 +449,11 @@ def encode_thread(T: Tower, p: RationalPoint, N: int) -> ThreadPrefix:
 
 
 def validate_thread(t: ThreadPrefix) -> bool:
-    try:
-        tower = t.tower
-    except AttributeError:
-        raise _not_a_thread(t) from None
-    return tower.validate_thread(t)
+    return _tower_of(t).validate_thread(t)
 
 
 def decode_thread(t: ThreadPrefix) -> DecodedRegion:
-    try:
-        tower = t.tower
-    except AttributeError:
-        raise _not_a_thread(t) from None
-    return tower.decode_thread(t)
+    return _tower_of(t).decode_thread(t)
 
 
 def separation_stage(T: Tower, p: RationalPoint, q: RationalPoint) -> int:

@@ -21,10 +21,10 @@ from .complexes import (
     open_star,
     star,
 )
-from .errors import DepthTooLarge, InvalidComplex, InvalidInput, UnknownSuite
+from .errors import DepthTooLarge, InvalidComplex, InvalidInput, UnknownSuite, _require_int
 from .homology import betti
 from .posets import check_order_isomorphism, core, face_poset, order_complex
-from .subdivision import _require_int, lift_point
+from .subdivision import lift_point
 from .tower import Tower
 
 

@@ -5,7 +5,9 @@ imports (``from __future__`` imports change the compiler, not the namespace;
 an import marked ``# noqa: F401`` is deliberate).  A submodule loads only the
 modules it reads, and ``poset_tower`` itself loads its public names from
 their submodules on first access.  The reference computations in
-``perfbench/oracles.py`` import nothing from the package.
+``perfbench/oracles.py`` import nothing from the package.  A wrong point,
+map or thread is refused with ``getattr`` and a default, not by catching
+``AttributeError``, except where a thread's tower is read (``_tower_of``).
 """
 
 import ast
@@ -59,6 +61,28 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def attribute_error_handlers(source: str) -> list:
+    """The innermost enclosing function of each except clause that names ``AttributeError``."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(n, ast.Name) and n.id == "AttributeError" for n in ast.walk(node.type)):
+            out.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name
+                  if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_only_a_threads_tower_is_read_by_catching_attribute_error():
+    found = [(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for function in attribute_error_handlers(path.read_text(encoding="utf-8"))]
+    assert found == [("tower.py", "_tower_of")]
 
 
 def test_the_reference_imports_nothing_from_the_package():

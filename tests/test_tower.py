@@ -158,9 +158,9 @@ class TestLevels:
         assert sorted(labelled) == [0, 1, 2, 3, 4, 5]
 
     def test_names_with_braces_label_each_stage_once_at_build(self, labelled, monkeypatch):
-        """Stages 0..2 are labelled at build; no clash, so ``barycenters`` is never called."""
+        """Stages 0..2 are labelled at build; no clash, so ``_refuse_label_clash`` is not called."""
         calls = []
-        monkeypatch.setattr(subdivision, "barycenters", calls.append)
+        monkeypatch.setattr(subdivision, "_refuse_label_clash", calls.append)
         K = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "b{a,c}"]])
         tower = Tower.build(K, 3)
         assert sorted(labelled) == [0, 1, 2]
